@@ -9,7 +9,6 @@ from srat.data import (
     apply_imbalance,
     batches,
     load_csv,
-    load_idx,
     sample_gaussian_mixture,
     save_csv,
 )

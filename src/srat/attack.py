@@ -45,14 +45,6 @@ class AttackConfig:
             raise DomainError("clip_min must be < clip_max")
 
 
-# Presets used by the image-scale recipes: 10-step training attack and the
-# stronger 20-step evaluation attack at budget 8/255, plus the gentler
-# 1/255-step training variant used for digit data.
-TRAIN_ATTACK_8_255 = AttackConfig(8 / 255, 2 / 255, 10, clip_min=0.0, clip_max=1.0)
-EVAL_ATTACK_8_255 = AttackConfig(8 / 255, 2 / 255, 20, clip_min=0.0, clip_max=1.0)
-SVHN_TRAIN_ATTACK_8_255 = AttackConfig(8 / 255, 1 / 255, 10, clip_min=0.0, clip_max=1.0)
-
-
 def _project(adv: np.ndarray, clean: np.ndarray, config: AttackConfig) -> np.ndarray:
     delta = np.clip(adv - clean, -config.epsilon, config.epsilon)
     out = clean + delta

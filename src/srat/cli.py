@@ -11,10 +11,12 @@ variable SRAT_OUTPUT_ROOT re-roots relative output paths.
 import argparse
 import copy
 import csv
+import dataclasses
 import itertools
 import json
 import os
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,6 @@ import numpy as np
 from srat.attack import AttackConfig
 from srat.data import (
     ImbalanceSpec,
-    LabeledDataset,
     apply_imbalance,
     load_csv,
     reduced_classes,
@@ -63,95 +64,81 @@ def _check_keys(doc: dict, required, optional, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _attack_from_dict(doc: dict, where: str) -> AttackConfig:
-    _check_keys(
-        doc,
-        required=("epsilon", "step_size", "num_steps"),
-        optional=("random_start", "clip_min", "clip_max"),
-        where=where,
-    )
+# Keys the CLI requires although the dataclass has a default, so that no
+# silent default enters a reported run.
+_MANDATORY = {LossConfig: ("kind", "tau", "lam"), TrainConfig: ("weighting", "seed")}
+_JSON_NAMES = {
+    float: "a number", int: "an integer", bool: "true or false", str: "a string", tuple: "a list"
+}
+
+
+def _value(tp, value, where: str):
+    """``value`` converted to the field annotation ``tp``.
+
+    Conversions that would change the value (1.7 -> 1, "false" -> True,
+    "ten" -> a number) are refused. Nested dataclasses recurse; tuple
+    fields must be JSON lists, and their ``__post_init__`` converts the
+    items.
+    """
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [t for t in tp.__args__ if t is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    if tp is tuple and isinstance(value, list):
+        return value
+    if type(value) is tp or (tp is float and type(value) is int):
+        return tp(value)
+    if tp is int and type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where}: expected {_JSON_NAMES[tp]}, got {value!r}")
+
+
+def _from_dict(cls, doc, where: str):
+    """Build the dataclass ``cls`` from a JSON object whose keys are its
+    fields. Fields without a default are required, and so are the keys
+    ``_MANDATORY`` lists; every default lives in the dataclass."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    required = [n for n, f in fields.items() if f.default is dataclasses.MISSING]
+    _check_keys(doc, required + list(_MANDATORY.get(cls, ())), fields, where)
+    kwargs = {k: _value(fields[k].type, v, f"{where}.{k}") for k, v in doc.items()}
     try:
-        return AttackConfig(
-            epsilon=float(doc["epsilon"]),
-            step_size=float(doc["step_size"]),
-            num_steps=int(doc["num_steps"]),
-            random_start=bool(doc.get("random_start", True)),
-            clip_min=None if doc.get("clip_min") is None else float(doc["clip_min"]),
-            clip_max=None if doc.get("clip_max") is None else float(doc["clip_max"]),
-        )
-    except DomainError as exc:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _loss_from_dict(doc: dict, where: str) -> LossConfig:
-    # tau and lam are deliberately mandatory in experiment files so that
-    # no silent default enters a reported run.
-    _check_keys(
-        doc,
-        required=("kind", "tau", "lam"),
-        optional=("focal_gamma", "ldam_max_margin", "ldam_scale", "cb_beta"),
-        where=where,
-    )
-    try:
-        return LossConfig(
-            kind=str(doc["kind"]),
-            tau=float(doc["tau"]),
-            lam=float(doc["lam"]),
-            focal_gamma=float(doc.get("focal_gamma", 2.0)),
-            ldam_max_margin=float(doc.get("ldam_max_margin", 0.5)),
-            ldam_scale=float(doc.get("ldam_scale", 30.0)),
-            cb_beta=float(doc.get("cb_beta", 0.9999)),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+# Dataset section per kind: (required, optional) keys with their types.
+_DATASET_KEYS = {
+    "synthetic": (
+        {
+            "kind": str,
+            "eta": float,
+            "sigma": float,
+            "dim": int,
+            "imbalance_ratio": float,
+            "n_minority_train": int,
+            "n_test_per_class": int,
+            "seed": int,
+        },
+        {"under_classes": tuple},
+    ),
+    "csv": (
+        {"kind": str, "train_path": str, "test_path": str},
+        {"num_classes": int, "imbalance": ImbalanceSpec, "seed": int, "under_classes": tuple},
+    ),
+}
 
 
-def _train_from_dict(doc: dict, where: str) -> TrainConfig:
-    _check_keys(
-        doc,
-        required=(
-            "total_epochs",
-            "defer_epoch",
-            "batch_size",
-            "lr",
-            "weighting",
-            "seed",
-            "loss",
-            "attack",
-        ),
-        optional=("lr_milestones", "lr_decay", "manual_weights", "momentum", "eval_every"),
-        where=where,
-    )
-    try:
-        return TrainConfig(
-            total_epochs=int(doc["total_epochs"]),
-            defer_epoch=int(doc["defer_epoch"]),
-            batch_size=int(doc["batch_size"]),
-            lr=float(doc["lr"]),
-            lr_milestones=tuple(int(m) for m in doc.get("lr_milestones", ())),
-            lr_decay=float(doc.get("lr_decay", 0.1)),
-            weighting=str(doc["weighting"]),
-            manual_weights=(
-                tuple(float(w) for w in doc["manual_weights"])
-                if doc.get("manual_weights") is not None
-                else None
-            ),
-            momentum=float(doc.get("momentum", 0.0)),
-            seed=int(doc["seed"]),
-            eval_every=int(doc.get("eval_every", 10)),
-            loss=_loss_from_dict(doc["loss"], f"{where}.loss"),
-            attack=_attack_from_dict(doc["attack"], f"{where}.attack"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _model_from_dict(doc: dict, where: str) -> ModelSpec:
-    _check_keys(doc, required=(), optional=("hidden",), where=where)
-    try:
-        return ModelSpec(hidden=tuple(int(h) for h in doc.get("hidden", (32, 32))))
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _synthetic_splits(spec: GaussianMixtureSpec, n_minority: int, n_test_per_class, seed: int):
+    """The imbalanced train split drawn on ``seed`` and the balanced test
+    split on ``seed + 1`` (None when ``n_test_per_class`` is None)."""
+    train_set = sample_gaussian_mixture(spec, n_minority, seed=seed)
+    if n_test_per_class is None:
+        return train_set, None
+    balanced = dataclasses.replace(spec, imbalance_ratio=1.0)
+    return train_set, sample_gaussian_mixture(balanced, n_test_per_class, seed=seed + 1)
 
 
 class ExperimentConfig:
@@ -166,49 +153,24 @@ class ExperimentConfig:
         )
         self.raw = copy.deepcopy(doc)
         self.dataset = self._parse_dataset(doc["dataset"])
-        self.model = _model_from_dict(doc["model"], "model")
-        self.train = _train_from_dict(doc["train"], "train")
-        self.eval_attack = _attack_from_dict(doc["eval_attack"], "eval_attack")
-        self.output_dir = str(doc["output_dir"])
+        self.model = _from_dict(ModelSpec, doc["model"], "model")
+        self.train = _from_dict(TrainConfig, doc["train"], "train")
+        self.eval_attack = _from_dict(AttackConfig, doc["eval_attack"], "eval_attack")
+        self.output_dir = _value(str, doc["output_dir"], "output_dir")
 
     @staticmethod
-    def _parse_dataset(doc: dict) -> dict:
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ConfigError("dataset: missing 'kind'")
-        kind = doc["kind"]
-        if kind == "synthetic":
-            _check_keys(
-                doc,
-                required=(
-                    "kind",
-                    "eta",
-                    "sigma",
-                    "dim",
-                    "imbalance_ratio",
-                    "n_minority_train",
-                    "n_test_per_class",
-                    "seed",
-                ),
-                optional=("under_classes",),
-                where="dataset",
-            )
-        elif kind == "csv":
-            _check_keys(
-                doc,
-                required=("kind", "train_path", "test_path"),
-                optional=("num_classes", "imbalance", "seed", "under_classes"),
-                where="dataset",
-            )
-            if "imbalance" in doc:
-                _check_keys(
-                    doc["imbalance"],
-                    required=("kind", "ratio", "base_count"),
-                    optional=(),
-                    where="dataset.imbalance",
-                )
-        else:
-            raise ConfigError(f"dataset: unknown kind {kind!r}")
-        return copy.deepcopy(doc)
+    def _parse_dataset(doc) -> dict:
+        if not isinstance(doc, dict) or doc.get("kind") not in ("synthetic", "csv"):
+            raise ConfigError("dataset.kind: expected 'synthetic' or 'csv'")
+        required, optional = _DATASET_KEYS[doc["kind"]]
+        keys = {**required, **optional}
+        _check_keys(doc, required, keys, "dataset")
+        parsed = {k: _value(keys[k], v, f"dataset.{k}") for k, v in doc.items()}
+        if "under_classes" in parsed:
+            parsed["under_classes"] = [
+                _value(int, c, "dataset.under_classes") for c in parsed["under_classes"]
+            ]
+        return parsed
 
     def build_datasets(self):
         """Returns (train_set, test_set, partition)."""
@@ -216,22 +178,12 @@ class ExperimentConfig:
         if doc["kind"] == "synthetic":
             try:
                 spec = GaussianMixtureSpec(
-                    eta=float(doc["eta"]),
-                    sigma=float(doc["sigma"]),
-                    dim=int(doc["dim"]),
-                    imbalance_ratio=float(doc["imbalance_ratio"]),
+                    doc["eta"], doc["sigma"], doc["dim"], doc["imbalance_ratio"]
                 )
             except DomainError as exc:
                 raise ConfigError(f"dataset: {exc}") from exc
-            seed = int(doc["seed"])
-            train_set = sample_gaussian_mixture(
-                spec, int(doc["n_minority_train"]), seed=seed
-            )
-            balanced = GaussianMixtureSpec(
-                spec.eta, spec.sigma, spec.dim, imbalance_ratio=1.0
-            )
-            test_set = sample_gaussian_mixture(
-                balanced, int(doc["n_test_per_class"]), seed=seed + 1
+            train_set, test_set = _synthetic_splits(
+                spec, doc["n_minority_train"], doc["n_test_per_class"], doc["seed"]
             )
             partition = [1]  # the minority (y = -1) class
         else:
@@ -240,17 +192,9 @@ class ExperimentConfig:
             test_set = load_csv(doc["test_path"], num_classes or train_set.num_classes)
             partition = []
             if "imbalance" in doc:
-                imb = doc["imbalance"]
-                spec = ImbalanceSpec(
-                    kind=str(imb["kind"]),
-                    ratio=float(imb["ratio"]),
-                    base_count=int(imb["base_count"]),
-                )
-                train_set = apply_imbalance(train_set, spec, int(doc.get("seed", 0)))
-                partition = reduced_classes(spec, train_set.num_classes)
-        if "under_classes" in doc:
-            partition = [int(c) for c in doc["under_classes"]]
-        return train_set, test_set, partition
+                train_set = apply_imbalance(train_set, doc["imbalance"], doc.get("seed", 0))
+                partition = reduced_classes(doc["imbalance"], train_set.num_classes)
+        return train_set, test_set, doc.get("under_classes", partition)
 
 
 def _resolve_out(path: str) -> Path:
@@ -279,7 +223,7 @@ def _attack_arg(text: str) -> AttackConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--attack: invalid JSON ({exc})") from exc
-    return _attack_from_dict(doc, "attack")
+    return _from_dict(AttackConfig, doc, "attack")
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +278,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _model_and_data(args):
+    """The checkpoint and the CSV to score it on, read with the model's
+    class count so that classes absent from the file show as empty."""
     model = load_model(args.checkpoint)
-    data = load_csv(args.data)
+    data = load_csv(args.data, model.num_classes)
+    if data.dim != model.input_dim:
+        raise IngestionError(
+            f"{args.data}: {data.dim} feature columns, the model takes {model.input_dim}"
+        )
+    return model, data
+
+
+def cmd_eval(args) -> int:
+    model, data = _model_and_data(args)
     attack = _attack_arg(args.attack)
     partition = [int(c) for c in args.under.split(",") if c != ""] if args.under else []
     out_dir = _resolve_out(args.out)
@@ -352,8 +307,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    model = load_model(args.checkpoint)
-    data = load_csv(args.data)
+    model, data = _model_and_data(args)
     attack = _attack_arg(args.attack) if args.attack else None
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -369,7 +323,9 @@ def cmd_make_dataset(args) -> int:
         spec = GaussianMixtureSpec(
             eta=args.eta, sigma=args.sigma, dim=args.dim, imbalance_ratio=args.ratio
         )
-        train_set = sample_gaussian_mixture(spec, args.n_minority, seed=args.seed)
+        train_set, test_set = _synthetic_splits(
+            spec, args.n_minority, args.n_test_per_class or None, args.seed
+        )
         save_csv(train_set, out_dir / "train.csv")
         write_manifest(
             out_dir / "manifest.json",
@@ -377,13 +333,7 @@ def cmd_make_dataset(args) -> int:
             seed=args.seed,
             extra={"mixture": spec.to_dict()},
         )
-        if args.n_test_per_class:
-            balanced = GaussianMixtureSpec(
-                spec.eta, spec.sigma, spec.dim, imbalance_ratio=1.0
-            )
-            test_set = sample_gaussian_mixture(
-                balanced, args.n_test_per_class, seed=args.seed + 1
-            )
+        if test_set is not None:
             save_csv(test_set, out_dir / "test.csv")
     else:
         if not args.input:
@@ -505,10 +455,12 @@ def cmd_sweep(args) -> int:
     )
     base = grid["base"]
     vary = grid["vary"]
-    seeds = [int(s) for s in grid["seeds"]]
-    if not isinstance(vary, dict) or not all(isinstance(v, list) for v in vary.values()):
-        raise ConfigError("sweep.vary must map dotted keys to value lists")
-    out_dir = _resolve_out(args.out if args.out else grid["output_dir"])
+    if not isinstance(vary, dict) or not all(isinstance(v, list) and v for v in vary.values()):
+        raise ConfigError("sweep.vary must map dotted keys to non-empty value lists")
+    seeds = [_value(int, s, "sweep.seeds") for s in _value(tuple, grid["seeds"], "sweep.seeds")]
+    if not seeds:
+        raise ConfigError("sweep.seeds must not be empty")
+    out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     keys = sorted(vary)

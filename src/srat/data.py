@@ -1,5 +1,5 @@
-"""Datasets: imbalance construction, synthetic mixture sampling, CSV and
-IDX ingestion, and deterministic batching.
+"""Datasets: imbalance construction, synthetic mixture sampling, CSV
+ingestion, and deterministic batching.
 
 CSV layout: one header line ``dim=<d>,label_col=<idx>`` followed by rows
 of d feature cells plus one integer label cell at the declared column.
@@ -9,7 +9,6 @@ cycle is bit-exact.
 
 from dataclasses import dataclass
 import json
-import struct
 
 import numpy as np
 
@@ -265,39 +264,6 @@ def write_manifest(path, dataset: LabeledDataset, seed: int, imbalance=None, ext
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
-
-
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Best-effort reader for IDX-style unsigned-byte image/label pairs.
-
-    Images are flattened and scaled into [0, 1]. Intended only as an
-    ingestion path for externally prepared data.
-    """
-
-    def read_idx(path, want_dims):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if len(magic) != 4 or magic[0] != 0 or magic[1] != 0:
-                raise IngestionError(f"{path}: not an IDX file")
-            if magic[2] != 0x08:
-                raise IngestionError(f"{path}: only unsigned-byte IDX supported")
-            ndim = magic[3]
-            if ndim not in want_dims:
-                raise IngestionError(f"{path}: unexpected rank {ndim}")
-            dims = [
-                struct.unpack(">I", fh.read(4))[0] for _ in range(ndim)
-            ]
-            data = np.frombuffer(fh.read(), dtype=np.uint8)
-            if data.size != int(np.prod(dims)):
-                raise IngestionError(f"{path}: truncated IDX payload")
-            return data.reshape(dims)
-
-    images = read_idx(images_path, want_dims=(2, 3))
-    labels = read_idx(labels_path, want_dims=(1,))
-    if images.shape[0] != labels.shape[0]:
-        raise IngestionError("image and label files disagree on example count")
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return LabeledDataset.from_arrays(flat, labels.astype(np.int64))
 
 
 def batches(dataset: LabeledDataset, batch_size: int, epoch_seed) -> list[np.ndarray]:

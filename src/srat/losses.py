@@ -83,10 +83,10 @@ class ClassWeights:
     @classmethod
     def normalized(cls, raw) -> "ClassWeights":
         raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim != 1 or raw.size == 0:
-            raise DomainError("class weights must be a non-empty vector")
-        if not np.isfinite(raw).all() or (raw <= 0).any():
-            raise DomainError("class weights must be positive and finite")
+        # __post_init__ checks the rest; all-negative input would pass it
+        # once divided by its own (negative) mean.
+        if (raw <= 0).any():
+            raise DomainError("class weights must be positive")
         return cls(raw / raw.mean())
 
     @classmethod
@@ -335,12 +335,13 @@ def combined_objective(
 ) -> ObjectiveValue:
     """prediction_loss + lam * separation_loss, with both gradients.
 
-    Class weights enter only the prediction term. With lam = 0 the
-    separation head is skipped entirely and the feature gradient is zero.
+    Class weights enter only the prediction term. With lam = 0, or a
+    batch of fewer than two rows (no pairs to separate), the separation
+    head is skipped entirely: its term and the feature gradient are zero.
     """
     pred, d_logits = prediction_loss(logits, labels, weights, config, class_counts)
     feats = np.asarray(features, dtype=np.float64)
-    if config.lam != 0.0:
+    if config.lam != 0.0 and feats.shape[0] >= 2:
         sep, d_feats = separation_loss(feats, labels, config.tau)
         d_feats = config.lam * d_feats
     else:

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from srat.errors import DomainError, TrainingError
+from srat.errors import DomainError, IngestionError, TrainingError
 from srat.rand import derive_rng
 
 _ACTIVATIONS = ("relu", "identity")
@@ -226,23 +226,30 @@ def flatten_params(model: MlpModel) -> np.ndarray:
     )
 
 
-def unflatten_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    """Rebuild a model with the same shapes from a flat parameter vector."""
-    flat = np.asarray(flat, dtype=np.float64)
+def _assemble(shapes, activations, flat: np.ndarray, penultimate_index: int) -> MlpModel:
+    """Slice a flat parameter vector into layers of the given
+    (fan_in, fan_out) shapes, in ``flatten_params`` order."""
+    needed = sum(fi * fo + fo for fi, fo in shapes)
+    if flat.size != needed:
+        raise DomainError(f"flat vector has {flat.size} entries, model needs {needed}")
     layers = []
     offset = 0
-    for l in model.layers:
-        nw = l.weights.size
-        w = flat[offset : offset + nw].reshape(l.weights.shape)
-        offset += nw
-        b = flat[offset : offset + l.bias.size]
-        offset += l.bias.size
-        layers.append(DenseLayer(w, b, l.activation))
-    if offset != flat.size:
-        raise DomainError(
-            f"flat vector has {flat.size} entries, model needs {offset}"
-        )
-    return MlpModel(tuple(layers), model.penultimate_index)
+    for (fi, fo), act in zip(shapes, activations, strict=True):
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        layers.append(DenseLayer(w, flat[offset : offset + fo], act))
+        offset += fo
+    return MlpModel(tuple(layers), penultimate_index)
+
+
+def unflatten_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
+    """Rebuild a model with the same shapes from a flat parameter vector."""
+    return _assemble(
+        [l.weights.shape for l in model.layers],
+        [l.activation for l in model.layers],
+        np.asarray(flat, dtype=np.float64),
+        model.penultimate_index,
+    )
 
 
 def zero_grads(model: MlpModel):
@@ -269,22 +276,23 @@ def save_model(model: MlpModel, path, seed: int | None = None) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a ``save_model`` checkpoint. A malformed header, a blob of the
+    wrong size or invalid layers raise IngestionError naming the path."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != _CHECKPOINT_FORMAT:
-        raise DomainError(f"unrecognized checkpoint format in {path}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    layers = []
-    offset = 0
-    for shape, act in zip(header["shapes"], header["activations"]):
-        fi, fo = int(shape[0]), int(shape[1])
-        w = flat[offset : offset + fi * fo].reshape(fi, fo)
-        offset += fi * fo
-        b = flat[offset : offset + fo]
-        offset += fo
-        layers.append(DenseLayer(w, b, act))
-    if offset != flat.size:
-        raise DomainError(f"checkpoint blob size mismatch in {path}")
-    return MlpModel(tuple(layers), int(header["penultimate_index"]))
+    try:
+        header = json.loads(header_line)
+        if header["format"] != _CHECKPOINT_FORMAT:
+            raise IngestionError(f"{path}: unrecognized checkpoint format")
+        shapes = [(int(fi), int(fo)) for fi, fo in header["shapes"]]
+        activations = header["activations"]
+        penultimate_index = int(header["penultimate_index"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise IngestionError(f"{path}: bad checkpoint header ({exc})") from exc
+    if len(blob) % 8:
+        raise IngestionError(f"{path}: blob of {len(blob)} bytes is not whole float64s")
+    try:
+        return _assemble(shapes, activations, np.frombuffer(blob, dtype="<f8"), penultimate_index)
+    except ValueError as exc:  # DomainError, or shapes and activations of unequal length
+        raise IngestionError(f"{path}: {exc}") from exc

@@ -24,7 +24,6 @@ from srat.losses import (
     effective_number_weights,
 )
 from srat.mlp import (
-    MlpModel,
     ModelSpec,
     backward,
     build_mlp,
@@ -141,23 +140,11 @@ class TrainHistory:
                 writer.writerow(row)
 
 
-def weight_schedule(
-    epoch: int, defer_epoch: int, class_counts, cb_beta: float
-) -> ClassWeights:
-    """Uniform weights before the deferred epoch, effective-number
-    class-balanced weights from it onward."""
-    if epoch < 1:
-        raise DomainError("epoch must be >= 1")
-    counts = np.asarray(class_counts)
-    if epoch < defer_epoch:
-        return ClassWeights.uniform(counts.size)
-    return effective_number_weights(counts, cb_beta)
-
-
-def _epoch_weights(config: TrainConfig, epoch: int, class_counts) -> ClassWeights:
-    if config.weighting == "none":
-        return ClassWeights.uniform(len(class_counts))
-    if epoch < config.defer_epoch:
+def weight_schedule(config: TrainConfig, epoch: int, class_counts) -> ClassWeights:
+    """Class weights for ``epoch``: uniform before ``config.defer_epoch``
+    (and throughout under weighting 'none'), then effective-number
+    class-balanced or the normalized manual weights."""
+    if config.weighting == "none" or epoch < config.defer_epoch:
         return ClassWeights.uniform(len(class_counts))
     if config.weighting == "class_balanced":
         return effective_number_weights(class_counts, config.loss.cb_beta)
@@ -198,7 +185,7 @@ def train_srat(
 
     for epoch in range(1, config.total_epochs + 1):
         lr = _epoch_lr(config, epoch)
-        weights = _epoch_weights(config, epoch, counts)
+        weights = weight_schedule(config, epoch, counts)
         epoch_batches = batches(
             dataset, config.batch_size, (config.seed, STREAM_SHUFFLE, epoch)
         )

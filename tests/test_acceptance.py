@@ -5,6 +5,7 @@ lines as they complete. The directional training arms (criterion 8) are
 shared across sub-criteria through a module-scoped fixture.
 """
 
+import hashlib
 import json
 import math
 import statistics
@@ -509,4 +510,8 @@ def test_criterion_9_training_determinism(tmp_path):
         "criterion 9 (bit-identical reruns)",
         ok,
         "checkpoint and metrics bytes identical across a repeated run",
+    )
+    # Golden checkpoint: numerics must not drift silently.
+    assert hashlib.sha256(blobs[0][0]).hexdigest() == (
+        "e8959aabaa68348f6d684c002ca3d74d4141f37452a99ccc1ad6ad0a7e19e391"
     )

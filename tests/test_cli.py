@@ -211,6 +211,44 @@ def test_eval_checkpoint_twice_is_identical(trained_run, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_eval_flags_classes_missing_from_the_csv(trained_run, tmp_path):
+    _, run_dir = trained_run
+    ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 5, seed=5)
+    data = tmp_path / "class0.csv"
+    save_csv(ds.subset(np.flatnonzero(ds.labels == 0)), data)
+    attack = json.dumps({"epsilon": 0.1, "step_size": 0.05, "num_steps": 1})
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+            "--attack", attack, "--under", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert json.loads((out / "metrics.json").read_text())["empty_classes"] == [1]
+    assert (out / "per_class.csv").read_text().splitlines()[2] == "1,,"
+
+
+@pytest.mark.parametrize("bad", ["checkpoint", "data"])
+def test_eval_corrupt_checkpoint_or_wrong_width_exits_2(trained_run, tmp_path, capsys, bad):
+    _, run_dir = trained_run
+    ckpt = tmp_path / "model.ckpt"
+    blob = (run_dir / "model.ckpt").read_bytes()
+    ckpt.write_bytes(blob[:300] if bad == "checkpoint" else blob)
+    data = tmp_path / "data.csv"
+    dim = 3 if bad == "data" else 4
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, dim, 1.0), 3, seed=5), data)
+    rc = main(
+        [
+            "eval", "--checkpoint", str(ckpt), "--data", str(data),
+            "--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1}',
+            "--out", str(tmp_path / "eval"),
+        ]
+    )
+    assert rc == 2
+    assert str({"checkpoint": ckpt, "data": data}[bad]) in capsys.readouterr().err
+
+
 def test_export_features_cli(trained_run, tmp_path):
     _, run_dir = trained_run
     data = tmp_path / "ds.csv"
@@ -246,6 +284,42 @@ def test_train_missing_mandatory_loss_keys_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("train", "lr", "fast"),
+        ("model", "hidden", "ab"),
+        ("model", "hidden", 8),
+        ("train", "lr_milestones", None),
+        ("train.loss", "tau", None),
+        ("dataset", "dim", "ten"),
+        ("train.attack", "num_steps", 1.7),
+        ("train.attack", "random_start", "false"),
+    ],
+)
+def test_train_wrongly_typed_value_exits_2(tmp_path, capsys, section, key, value):
+    doc = _experiment_doc(tmp_path / "x")
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_trailing_batch_of_one_row_trains(tmp_path):
+    doc = _experiment_doc(tmp_path / "run")
+    doc["dataset"].update(n_minority_train=1, imbalance_ratio=129.0)
+    doc["train"].update(batch_size=129, total_epochs=1, defer_epoch=1, lr_milestones=[])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "run" / "model.ckpt").exists()
 
 
 def test_output_root_env_rewrites_relative_dirs(tmp_path, monkeypatch):
@@ -295,3 +369,22 @@ def test_sweep_bad_vary_key_exits_2(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(grid))
     assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "vary,seeds",
+    [({"train.loss.lam": [0.0]}, []), ({"train.loss.lam": []}, [0])],
+    ids=["no_seeds", "empty_vary_list"],
+)
+def test_sweep_empty_grid_exits_2(tmp_path, capsys, vary, seeds):
+    grid = {
+        "base": _experiment_doc(tmp_path / "unused"),
+        "vary": vary,
+        "seeds": seeds,
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "sweep." in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()

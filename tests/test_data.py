@@ -1,7 +1,6 @@
-"""Imbalance construction, mixture sampling, CSV/IDX ingestion, batching."""
+"""Imbalance construction, mixture sampling, CSV ingestion, batching."""
 
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from srat.data import (
     batches,
     imbalanced_counts,
     load_csv,
-    load_idx,
     reduced_classes,
     sample_gaussian_mixture,
     save_csv,
@@ -197,39 +195,6 @@ def test_manifest_contents(tmp_path):
     assert doc["class_counts"] == [5, 5, 5]
     assert doc["imbalance"]["kind"] == "exp"
     assert doc["seed"] == 7
-
-
-# ---------------------------------------------------------------------------
-# IDX ingestion
-# ---------------------------------------------------------------------------
-
-
-def test_idx_round_trip(tmp_path):
-    images = np.arange(2 * 3 * 2, dtype=np.uint8).reshape(2, 3, 2)
-    labels = np.array([1, 0], dtype=np.uint8)
-    img_path = tmp_path / "imgs.idx"
-    lab_path = tmp_path / "labs.idx"
-    with open(img_path, "wb") as fh:
-        fh.write(bytes([0, 0, 0x08, 3]))
-        for dim in images.shape:
-            fh.write(struct.pack(">I", dim))
-        fh.write(images.tobytes())
-    with open(lab_path, "wb") as fh:
-        fh.write(bytes([0, 0, 0x08, 1]))
-        fh.write(struct.pack(">I", labels.shape[0]))
-        fh.write(labels.tobytes())
-    ds = load_idx(img_path, lab_path)
-    assert ds.features.shape == (2, 6)
-    assert ds.features.max() <= 1.0
-    np.testing.assert_allclose(ds.features[0], images[0].ravel() / 255.0)
-    assert np.array_equal(ds.labels, [1, 0])
-
-
-def test_idx_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.idx"
-    path.write_bytes(b"\x12\x34\x56\x78")
-    with pytest.raises(IngestionError):
-        load_idx(path, path)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,17 @@ def test_combined_is_additive():
     assert obj.prediction == pred and obj.separation == sep
 
 
+def test_combined_single_row_batch_has_zero_separation():
+    rng = derive_rng(33)
+    logits, labels = _random_batch(rng)
+    weights = ClassWeights.uniform(4)
+    cfg = LossConfig(kind="ce", tau=0.5, lam=1.0)
+    obj = combined_objective(logits[:1], rng.normal(size=(1, 5)), labels[:1], weights, cfg)
+    pred, _ = cross_entropy(logits[:1], labels[:1], weights)
+    assert obj.separation == 0.0 and obj.total == pred
+    assert not obj.d_features.any()
+
+
 def test_combined_needs_counts_for_margin_loss():
     cfg = LossConfig(kind="ldam", tau=0.5, lam=0.0)
     with pytest.raises(DomainError):

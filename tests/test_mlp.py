@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_err
-from srat.errors import DomainError, TrainingError
+from srat.errors import DomainError, IngestionError, TrainingError
 from srat.losses import ClassWeights, cross_entropy
 from srat.mlp import (
     DenseLayer,
@@ -254,6 +254,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(flatten_params(loaded), flatten_params(model))
     assert loaded.penultimate_index == model.penultimate_index
     assert [l.activation for l in loaded.layers] == [l.activation for l in model.layers]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: b"not json\n" + raw.split(b"\n", 1)[1],  # bad header
+        lambda raw: b'{"format": "srat-mlp-f64le-v1"}\n' + raw.split(b"\n", 1)[1],
+        lambda raw: raw[:300],  # blob of the wrong size
+    ],
+    ids=["bad_header", "missing_header_keys", "truncated_blob"],
+)
+def test_corrupt_checkpoint_raises_ingestion_error(tmp_path, corrupt):
+    path = tmp_path / "model.ckpt"
+    save_model(build_mlp(4, (6, 5), 3, seed=9), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(IngestionError, match="model.ckpt"):
+        load_model(path)
 
 
 def test_checkpoint_layout(tmp_path):

@@ -48,22 +48,21 @@ def _config(**overrides):
 
 
 def test_schedule_uniform_before_defer_epoch():
-    w = weight_schedule(1, 160, (5000, 50), 0.9999)
+    cfg = _config(total_epochs=200, defer_epoch=160)
+    w = weight_schedule(cfg, 1, (5000, 50))
     assert np.array_equal(w.weights, np.ones(2))
-    w = weight_schedule(159, 160, (5000, 50), 0.9999)
+    w = weight_schedule(cfg, 159, (5000, 50))
+    assert np.array_equal(w.weights, np.ones(2))
+    w = weight_schedule(_config(weighting="none", defer_epoch=1), 4, (5000, 50))
     assert np.array_equal(w.weights, np.ones(2))
 
 
 def test_schedule_class_balanced_at_defer_epoch():
-    w = weight_schedule(160, 160, (5000, 50), 0.9999)
+    cfg = _config(total_epochs=200, defer_epoch=160)
+    w = weight_schedule(cfg, 160, (5000, 50))
     assert w.weights[1] > w.weights[0]  # minority upweighted
-    expected = effective_number_weights((5000, 50), 0.9999)
+    expected = effective_number_weights((5000, 50), cfg.loss.cb_beta)
     assert np.array_equal(w.weights, expected.weights)
-
-
-def test_schedule_rejects_epoch_zero():
-    with pytest.raises(DomainError):
-        weight_schedule(0, 10, (5, 5), 0.9)
 
 
 # ---------------------------------------------------------------------------
