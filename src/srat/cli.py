@@ -67,18 +67,15 @@ def _check_keys(doc: dict, required, optional, where: str) -> None:
 # Keys the CLI requires although the dataclass has a default, so that no
 # silent default enters a reported run.
 _MANDATORY = {LossConfig: ("kind", "tau", "lam"), TrainConfig: ("weighting", "seed")}
-_JSON_NAMES = {
-    float: "a number", int: "an integer", bool: "true or false", str: "a string", tuple: "a list"
-}
+_JSON_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _value(tp, value, where: str):
     """``value`` converted to the field annotation ``tp``.
 
     Conversions that would change the value (1.7 -> 1, "false" -> True,
-    "ten" -> a number) are refused. Nested dataclasses recurse; tuple
-    fields must be JSON lists, and their ``__post_init__`` converts the
-    items.
+    "ten" -> a number) are refused. Nested dataclasses recurse; a
+    ``tuple[T, ...]`` field takes a JSON list and converts each item to T.
     """
     if isinstance(tp, types.UnionType):  # X | None
         if value is None:
@@ -86,8 +83,10 @@ def _value(tp, value, where: str):
         (tp,) = [t for t in tp.__args__ if t is not type(None)]
     if dataclasses.is_dataclass(tp):
         return _from_dict(tp, value, where)
-    if tp is tuple and isinstance(value, list):
-        return value
+    if isinstance(tp, types.GenericAlias):  # tuple[T, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_value(tp.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if type(value) is tp or (tp is float and type(value) is int):
         return tp(value)
     if tp is int and type(value) is float and value.is_integer():
@@ -109,28 +108,6 @@ def _from_dict(cls, doc, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-# Dataset section per kind: (required, optional) keys with their types.
-_DATASET_KEYS = {
-    "synthetic": (
-        {
-            "kind": str,
-            "eta": float,
-            "sigma": float,
-            "dim": int,
-            "imbalance_ratio": float,
-            "n_minority_train": int,
-            "n_test_per_class": int,
-            "seed": int,
-        },
-        {"under_classes": tuple},
-    ),
-    "csv": (
-        {"kind": str, "train_path": str, "test_path": str},
-        {"num_classes": int, "imbalance": ImbalanceSpec, "seed": int, "under_classes": tuple},
-    ),
-}
-
-
 def _synthetic_splits(spec: GaussianMixtureSpec, n_minority: int, n_test_per_class, seed: int):
     """The imbalanced train split drawn on ``seed`` and the balanced test
     split on ``seed + 1`` (None when ``n_test_per_class`` is None)."""
@@ -139,6 +116,62 @@ def _synthetic_splits(spec: GaussianMixtureSpec, n_minority: int, n_test_per_cla
         return train_set, None
     balanced = dataclasses.replace(spec, imbalance_ratio=1.0)
     return train_set, sample_gaussian_mixture(balanced, n_test_per_class, seed=seed + 1)
+
+
+@dataclasses.dataclass(frozen=True)
+class SyntheticData:
+    """``dataset.kind: "synthetic"``: the binary Gaussian mixture, with an
+    imbalanced train split and a balanced test split."""
+
+    kind: str
+    eta: float
+    sigma: float
+    dim: int
+    imbalance_ratio: float
+    n_minority_train: int
+    n_test_per_class: int
+    seed: int
+    under_classes: tuple[int, ...] = (1,)  # the minority (y = -1) class
+
+    def __post_init__(self) -> None:
+        self.mixture  # raises DomainError on invalid mixture values
+
+    @property
+    def mixture(self) -> GaussianMixtureSpec:
+        return GaussianMixtureSpec(self.eta, self.sigma, self.dim, self.imbalance_ratio)
+
+    def build(self):
+        """Returns (train_set, test_set, under-represented classes)."""
+        train_set, test_set = _synthetic_splits(
+            self.mixture, self.n_minority_train, self.n_test_per_class, self.seed
+        )
+        return train_set, test_set, self.under_classes
+
+
+@dataclasses.dataclass(frozen=True)
+class CsvData:
+    """``dataset.kind: "csv"``: train and test CSV files. ``imbalance``
+    shrinks the balanced train file, drawing on ``seed``. The
+    under-represented classes default to those the imbalance reduced
+    (none without one)."""
+
+    kind: str
+    train_path: str
+    test_path: str
+    num_classes: int | None = None
+    imbalance: ImbalanceSpec | None = None
+    seed: int = 0
+    under_classes: tuple[int, ...] | None = None
+
+    def build(self):
+        """Returns (train_set, test_set, under-represented classes)."""
+        train_set = load_csv(self.train_path, self.num_classes)
+        test_set = load_csv(self.test_path, self.num_classes or train_set.num_classes)
+        partition = []
+        if self.imbalance is not None:
+            train_set = apply_imbalance(train_set, self.imbalance, self.seed)
+            partition = reduced_classes(self.imbalance, train_set.num_classes)
+        return train_set, test_set, partition if self.under_classes is None else self.under_classes
 
 
 class ExperimentConfig:
@@ -152,49 +185,16 @@ class ExperimentConfig:
             where="experiment",
         )
         self.raw = copy.deepcopy(doc)
-        self.dataset = self._parse_dataset(doc["dataset"])
+        section = doc["dataset"]
+        kind = section.get("kind") if isinstance(section, dict) else None
+        if kind not in ("synthetic", "csv"):
+            raise ConfigError("dataset.kind: expected 'synthetic' or 'csv'")
+        cls = SyntheticData if kind == "synthetic" else CsvData
+        self.dataset = _from_dict(cls, section, "dataset")
         self.model = _from_dict(ModelSpec, doc["model"], "model")
         self.train = _from_dict(TrainConfig, doc["train"], "train")
         self.eval_attack = _from_dict(AttackConfig, doc["eval_attack"], "eval_attack")
         self.output_dir = _value(str, doc["output_dir"], "output_dir")
-
-    @staticmethod
-    def _parse_dataset(doc) -> dict:
-        if not isinstance(doc, dict) or doc.get("kind") not in ("synthetic", "csv"):
-            raise ConfigError("dataset.kind: expected 'synthetic' or 'csv'")
-        required, optional = _DATASET_KEYS[doc["kind"]]
-        keys = {**required, **optional}
-        _check_keys(doc, required, keys, "dataset")
-        parsed = {k: _value(keys[k], v, f"dataset.{k}") for k, v in doc.items()}
-        if "under_classes" in parsed:
-            parsed["under_classes"] = [
-                _value(int, c, "dataset.under_classes") for c in parsed["under_classes"]
-            ]
-        return parsed
-
-    def build_datasets(self):
-        """Returns (train_set, test_set, partition)."""
-        doc = self.dataset
-        if doc["kind"] == "synthetic":
-            try:
-                spec = GaussianMixtureSpec(
-                    doc["eta"], doc["sigma"], doc["dim"], doc["imbalance_ratio"]
-                )
-            except DomainError as exc:
-                raise ConfigError(f"dataset: {exc}") from exc
-            train_set, test_set = _synthetic_splits(
-                spec, doc["n_minority_train"], doc["n_test_per_class"], doc["seed"]
-            )
-            partition = [1]  # the minority (y = -1) class
-        else:
-            num_classes = doc.get("num_classes")
-            train_set = load_csv(doc["train_path"], num_classes)
-            test_set = load_csv(doc["test_path"], num_classes or train_set.num_classes)
-            partition = []
-            if "imbalance" in doc:
-                train_set = apply_imbalance(train_set, doc["imbalance"], doc.get("seed", 0))
-                partition = reduced_classes(doc["imbalance"], train_set.num_classes)
-        return train_set, test_set, doc.get("under_classes", partition)
 
 
 def _resolve_out(path: str) -> Path:
@@ -209,7 +209,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -232,16 +232,21 @@ def _attack_arg(text: str) -> AttackConfig:
 
 
 def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
+    train_set, test_set, partition = cfg.dataset.build()
+    n = test_set.num_classes
+    if any(not 0 <= c < n for c in partition):
+        raise ConfigError(f"dataset.under_classes: {list(partition)} not all in [0, {n})")
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.raw, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    train_set, test_set, partition = cfg.build_datasets()
     eval_seed = (cfg.train.seed, STREAM_EVAL)
+    reports = []
 
     def eval_fn(model, epoch):
         report = evaluate(model, test_set, cfg.eval_attack, partition, seed=eval_seed)
+        reports.append(report)
         return {
             "overall_standard": report.overall_standard,
             "overall_robust": report.overall_robust,
@@ -253,7 +258,7 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
 
     save_model(model, run_dir / "model.ckpt", seed=cfg.train.seed)
     history.to_csv(run_dir / "history.csv")
-    report = evaluate(model, test_set, cfg.eval_attack, partition, seed=eval_seed)
+    report = reports[-1]  # train_srat evaluates the final model last
     report.to_json(run_dir / "metrics.json")
     per_class_csv(report, run_dir / "per_class.csv")
     return report
@@ -293,7 +298,10 @@ def _model_and_data(args):
 def cmd_eval(args) -> int:
     model, data = _model_and_data(args)
     attack = _attack_arg(args.attack)
-    partition = [int(c) for c in args.under.split(",") if c != ""] if args.under else []
+    try:
+        partition = [int(c) for c in args.under.split(",") if c != ""]
+    except ValueError:
+        raise ConfigError(f"--under: expected class indices, got {args.under!r}") from None
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(model, data, attack, partition, seed=args.seed)
@@ -453,45 +461,44 @@ def cmd_sweep(args) -> int:
         optional=(),
         where="sweep",
     )
-    base = grid["base"]
     vary = grid["vary"]
     if not isinstance(vary, dict) or not all(isinstance(v, list) and v for v in vary.values()):
         raise ConfigError("sweep.vary must map dotted keys to non-empty value lists")
-    seeds = [_value(int, s, "sweep.seeds") for s in _value(tuple, grid["seeds"], "sweep.seeds")]
+    seeds = _value(tuple[int, ...], grid["seeds"], "sweep.seeds")
     if not seeds:
         raise ConfigError("sweep.seeds must not be empty")
     out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Every run's config is checked before anything is written.
     keys = sorted(vary)
-    rows = []
+    runs = []
     for combo_idx, values in enumerate(itertools.product(*(vary[k] for k in keys))):
         for seed in seeds:
-            doc = copy.deepcopy(base)
+            doc = copy.deepcopy(grid["base"])
             for key, value in zip(keys, values):
                 _set_dotted(doc, key, value)
             _set_dotted(doc, "train.seed", seed)
             run_dir = out_dir / f"run_{combo_idx:03d}_seed{seed}"
             doc["output_dir"] = str(run_dir)
-            cfg = ExperimentConfig(doc)
-            report = _run_experiment(cfg, run_dir)
-            row = {key: value for key, value in zip(keys, values)}
-            row.update(
-                {
-                    "seed": seed,
-                    "overall_standard": report.overall_standard,
-                    "overall_robust": report.overall_robust,
-                    "under_standard": report.under_represented_standard,
-                    "under_robust": report.under_represented_robust,
-                    "per_class_standard": ";".join(
-                        repr(v) for v in report.per_class_standard
-                    ),
-                    "per_class_robust": ";".join(
-                        repr(v) for v in report.per_class_robust
-                    ),
-                }
-            )
-            rows.append(row)
+            try:
+                cfg = ExperimentConfig(doc)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep {run_dir.name}: {exc}") from exc
+            runs.append((cfg, run_dir, dict(zip(keys, values), seed=seed)))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for cfg, run_dir, row in runs:
+        report = _run_experiment(cfg, run_dir)
+        row.update(
+            overall_standard=report.overall_standard,
+            overall_robust=report.overall_robust,
+            under_standard=report.under_represented_standard,
+            under_robust=report.under_represented_robust,
+            per_class_standard=";".join(repr(v) for v in report.per_class_standard),
+            per_class_robust=";".join(repr(v) for v in report.per_class_robust),
+        )
+        rows.append(row)
 
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -589,11 +596,8 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, IngestionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except (ConfigError, IngestionError, DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # an OSError names its path
         return 2
     except SratError as exc:
         print(f"error: {exc}", file=sys.stderr)

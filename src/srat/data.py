@@ -9,6 +9,7 @@ cycle is bit-exact.
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -203,10 +204,14 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse a dataset CSV, preserving row order.
 
     Raises IngestionError naming the offending 1-based file line on ragged
-    rows, non-numeric cells, or out-of-range labels.
+    rows, non-numeric or non-finite cells, or out-of-range labels, and
+    naming the file when it is not UTF-8 text.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise IngestionError(f"{path}: empty file")
     header = lines[0].strip()
@@ -233,6 +238,8 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
             row = [float(c) for c in cells[:label_col] + cells[label_col + 1 :]]
         except ValueError as exc:
             raise IngestionError(f"{path}: line {lineno}: non-numeric cell") from exc
+        if not all(map(math.isfinite, row)):
+            raise IngestionError(f"{path}: line {lineno}: non-finite cell")
         features.append(row)
         labels.append(label)
     if not features:

@@ -18,7 +18,6 @@ positive set contribute nothing and are excluded from the batch mean.
 """
 
 from dataclasses import dataclass
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -338,6 +337,7 @@ def combined_objective(
     Class weights enter only the prediction term. With lam = 0, or a
     batch of fewer than two rows (no pairs to separate), the separation
     head is skipped entirely: its term and the feature gradient are zero.
+    A non-finite total is returned as is; ``train_srat`` stops on it.
     """
     pred, d_logits = prediction_loss(logits, labels, weights, config, class_counts)
     feats = np.asarray(features, dtype=np.float64)
@@ -347,7 +347,4 @@ def combined_objective(
     else:
         sep = 0.0
         d_feats = np.zeros_like(feats)
-    total = pred + config.lam * sep
-    if not math.isfinite(total):
-        raise DomainError("objective evaluated to a non-finite value")
-    return ObjectiveValue(total, d_logits, d_feats, pred, sep)
+    return ObjectiveValue(pred + config.lam * sep, d_logits, d_feats, pred, sep)

@@ -110,7 +110,7 @@ class ForwardTrace:
 class ModelSpec:
     """Architecture knobs: hidden widths, ReLU throughout, identity logits."""
 
-    hidden: tuple = (32, 32)
+    hidden: tuple[int, ...] = (32, 32)
 
     def __post_init__(self) -> None:
         hidden = tuple(int(h) for h in self.hidden)
@@ -202,7 +202,8 @@ def backward(
 
 
 def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
-    """new_param = old_param - lr * grad, as a fresh model."""
+    """new_param = old_param - lr * grad, as a fresh model. A non-finite
+    gradient or an overflowing step raises TrainingError."""
     if lr < 0:
         raise DomainError(f"lr must be >= 0, got {lr}")
     if len(param_grads) != len(model.layers):
@@ -211,11 +212,11 @@ def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
     for layer, (dw, db) in zip(model.layers, param_grads):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise DomainError("gradient shapes do not match model")
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise TrainingError("non-finite parameter gradients")
-        new_layers.append(
-            DenseLayer(layer.weights - lr * dw, layer.bias - lr * db, layer.activation)
-        )
+        w = layer.weights - lr * dw
+        b = layer.bias - lr * db
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise TrainingError("non-finite parameters after the update")
+        new_layers.append(DenseLayer(w, b, layer.activation))
     return MlpModel(tuple(new_layers), model.penultimate_index)
 
 

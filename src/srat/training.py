@@ -51,10 +51,10 @@ class TrainConfig:
     lr: float
     loss: LossConfig
     attack: AttackConfig
-    lr_milestones: tuple = ()
+    lr_milestones: tuple[int, ...] = ()
     lr_decay: float = 0.1
     weighting: str = "none"
-    manual_weights: tuple | None = None
+    manual_weights: tuple[float, ...] | None = None
     momentum: float = 0.0
     seed: int = 0
     eval_every: int = 10
@@ -204,36 +204,25 @@ def train_srat(
                     seed=(config.seed, STREAM_ATTACK, epoch, b_idx),
                     class_counts=counts,
                 )
-            except AttackError as exc:
-                raise TrainingError(
-                    f"{exc} at epoch {epoch} batch {b_idx}"
-                ) from exc
-            if np.abs(adv - xb).max() > config.attack.epsilon * (1 + 1e-12) + 1e-300:
-                raise TrainingError(
-                    f"attack left the epsilon ball at epoch {epoch} batch {b_idx}"
+                if np.abs(adv - xb).max() > config.attack.epsilon * (1 + 1e-12) + 1e-300:
+                    raise TrainingError("attack left the epsilon ball")
+                trace = forward(model, adv)
+                obj = combined_objective(
+                    trace.logits, trace.features, yb, weights, config.loss, counts
                 )
-            trace = forward(model, adv)
-            obj = combined_objective(
-                trace.logits, trace.features, yb, weights, config.loss, counts
-            )
-            if not math.isfinite(obj.total):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} batch {b_idx}"
-                )
-            d_feats = obj.d_features if config.loss.lam != 0 else None
-            grads, _ = backward(model, trace, obj.d_logits, d_feats)
-            if velocity is not None:
-                velocity = [
-                    (config.momentum * vw + dw, config.momentum * vb + db)
-                    for (vw, vb), (dw, db) in zip(velocity, grads)
-                ]
-                grads = velocity
-            try:
+                if not math.isfinite(obj.total):
+                    raise TrainingError("non-finite loss")
+                d_feats = obj.d_features if config.loss.lam != 0 else None
+                grads, _ = backward(model, trace, obj.d_logits, d_feats)
+                if velocity is not None:
+                    velocity = [
+                        (config.momentum * vw + dw, config.momentum * vb + db)
+                        for (vw, vb), (dw, db) in zip(velocity, grads)
+                    ]
+                    grads = velocity
                 model = sgd_step(model, grads, lr)
-            except TrainingError as exc:
-                raise TrainingError(
-                    f"{exc} at epoch {epoch} batch {b_idx}"
-                ) from exc
+            except (AttackError, TrainingError) as exc:
+                raise TrainingError(f"{exc} at epoch {epoch} batch {b_idx}") from exc
             pred_sum += obj.prediction
             sep_sum += obj.separation
 

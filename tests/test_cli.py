@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from srat.cli import main
-from srat.data import load_csv, sample_gaussian_mixture, save_csv
+from srat.data import (
+    ImbalanceSpec,
+    LabeledDataset,
+    load_csv,
+    reduced_classes,
+    sample_gaussian_mixture,
+    save_csv,
+)
+from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
 
 
@@ -249,6 +257,23 @@ def test_eval_corrupt_checkpoint_or_wrong_width_exits_2(trained_run, tmp_path, c
     assert str({"checkpoint": ckpt, "data": data}[bad]) in capsys.readouterr().err
 
 
+def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
+    _, run_dir = trained_run
+    data = tmp_path / "data.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+            "--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1}',
+            "--under", "a", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "--under" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_features_cli(trained_run, tmp_path):
     _, run_dir = trained_run
     data = tmp_path / "ds.csv"
@@ -297,6 +322,8 @@ def test_train_missing_mandatory_loss_keys_exits_2(tmp_path):
         ("dataset", "dim", "ten"),
         ("train.attack", "num_steps", 1.7),
         ("train.attack", "random_start", "false"),
+        ("model", "hidden", [1.7]),
+        ("train", "lr_milestones", [2.5]),
     ],
 )
 def test_train_wrongly_typed_value_exits_2(tmp_path, capsys, section, key, value):
@@ -310,6 +337,75 @@ def test_train_wrongly_typed_value_exits_2(tmp_path, capsys, section, key, value
     assert main(["train", "--config", str(cfg)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "change,named",
+    [({"eta": -1}, "eta"), ({"under_classes": [5]}, "dataset.under_classes")],
+)
+def test_train_bad_dataset_value_exits_2_writing_nothing(tmp_path, capsys, change, named):
+    doc = _experiment_doc(tmp_path / "x")
+    doc["dataset"].update(change)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bad", ["config_is_a_directory", "config_bytes", "csv_bytes"])
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, bad):
+    doc = _experiment_doc(tmp_path / "x")
+    cfg = tmp_path / "config.json"
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"dim=1,label_col=1\n1.0,0\n\xff,1\n")
+    if bad == "csv_bytes":
+        doc["dataset"] = {"kind": "csv", "train_path": str(data), "test_path": str(data)}
+    if bad == "config_is_a_directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(json.dumps(doc).encode() + (b"\xff" if bad == "config_bytes" else b""))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert str(data if bad == "csv_bytes" else cfg) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_diverging_run_exits_3_with_epoch_and_batch(tmp_path, capsys):
+    doc = _experiment_doc(tmp_path / "run")
+    doc["train"]["lr"] = 1e200
+    doc["train"]["attack"].update(num_steps=0, random_start=False)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "epoch" in err and "batch" in err
+
+
+@pytest.mark.parametrize("under_classes", [None, [3]])
+def test_train_on_csv_dataset(tmp_path, under_classes):
+    rng = derive_rng(9)
+    for name, per_class in (("train", 12), ("test", 5)):
+        labels = np.repeat(np.arange(4), per_class)
+        ds = LabeledDataset.from_arrays(rng.normal(size=(4 * per_class, 3)), labels, 4)
+        save_csv(ds, tmp_path / f"{name}.csv")
+    spec = ImbalanceSpec("step", 3.0, 12)
+    doc = _experiment_doc(tmp_path / "run")
+    doc["dataset"] = {
+        "kind": "csv",
+        "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+        "imbalance": spec.to_dict(),
+    }
+    if under_classes is not None:
+        doc["dataset"]["under_classes"] = under_classes
+    doc["train"].update(total_epochs=1, defer_epoch=1, lr_milestones=[])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    expected = reduced_classes(spec, 4) if under_classes is None else under_classes
+    assert metrics["partition"] == expected
 
 
 def test_trailing_batch_of_one_row_trains(tmp_path):
@@ -357,6 +453,20 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
     assert len(run_dirs) == 4
     for run_dir in run_dirs:
         assert (run_dir / "model.ckpt").exists()
+
+
+def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
+    grid = {
+        "base": _experiment_doc(tmp_path / "unused"),
+        "vary": {"train.lr": [0.05, -1]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "run_001_seed0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_bad_vary_key_exits_2(tmp_path):

@@ -172,6 +172,14 @@ def test_csv_reports_non_numeric_cell(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_csv_reports_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"dim=2,label_col=2\n1.0,2.0,0\n1.0,{cell},1\n")
+    with pytest.raises(IngestionError, match="line 3: non-finite"):
+        load_csv(path)
+
+
 def test_csv_reports_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("dim=1,label_col=1\n1.0,0\n2.0,7\n")

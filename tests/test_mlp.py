@@ -229,6 +229,13 @@ def test_sgd_rejects_non_finite_grads():
         sgd_step(model, grads, 0.1)
 
 
+def test_sgd_rejects_overflowing_update():
+    model = build_mlp(2, (3,), 2, seed=3)
+    grads = [(np.full_like(dw, 1e300), db) for dw, db in zero_grads(model)]
+    with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite"):
+        sgd_step(model, grads, 1e10)
+
+
 # ---------------------------------------------------------------------------
 # initialization and checkpoints
 # ---------------------------------------------------------------------------
