@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from srat.errors import AttackError, DomainError
-from srat.losses import ClassWeights, LossConfig, prediction_loss
+from srat.losses import ClassWeights, LossConfig, check_labels, prediction_loss
 from srat.mlp import MlpModel, backward, forward
 from srat.rand import derive_rng
 
@@ -66,17 +66,19 @@ def pgd_attack(
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
     Per-example loss weights are irrelevant here: they rescale each row's
-    gradient positively and the update only uses its sign.
+    gradient positively and the update only uses its sign. The batch and
+    labels are checked once here; the steps only check the gradient. An
+    empty batch is returned as an empty copy.
     """
     x = np.asarray(batch, dtype=np.float64)
-    labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DomainError("batch shape does not match model input width")
-    if labels.shape != (x.shape[0],):
+    if np.shape(labels) != (x.shape[0],):
         raise DomainError("labels must be one integer per batch row")
+    labels = check_labels(labels, model.num_classes)
 
     uniform = ClassWeights.uniform(model.num_classes)
-    if config.num_steps == 0 and not config.random_start:
+    if x.shape[0] == 0 or (config.num_steps == 0 and not config.random_start):
         return x.copy()
 
     adv = x.copy()
@@ -89,7 +91,7 @@ def pgd_attack(
     for _ in range(config.num_steps):
         trace = forward(model, adv)
         _, d_logits = prediction_loss(trace.logits, labels, uniform, loss, class_counts)
-        _, input_grads = backward(model, trace, d_logits)
+        _, input_grads = backward(model, trace, d_logits, param_grads=False)
         if not np.isfinite(input_grads).all():
             raise AttackError("non-finite input gradient during attack")
         adv = adv + config.step_size * np.sign(input_grads)

@@ -326,7 +326,6 @@ def cmd_export_features(args) -> int:
 
 def cmd_make_dataset(args) -> int:
     out_dir = _resolve_out(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "synthetic":
         spec = GaussianMixtureSpec(
             eta=args.eta, sigma=args.sigma, dim=args.dim, imbalance_ratio=args.ratio
@@ -334,24 +333,22 @@ def cmd_make_dataset(args) -> int:
         train_set, test_set = _synthetic_splits(
             spec, args.n_minority, args.n_test_per_class or None, args.seed
         )
-        save_csv(train_set, out_dir / "train.csv")
-        write_manifest(
-            out_dir / "manifest.json",
-            train_set,
-            seed=args.seed,
-            extra={"mixture": spec.to_dict()},
-        )
-        if test_set is not None:
-            save_csv(test_set, out_dir / "test.csv")
+        imbalance, extra = None, {"mixture": spec.to_dict()}
     else:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
         balanced = load_csv(args.input)
         base = balanced.class_counts[0]
-        spec = ImbalanceSpec(kind=args.kind, ratio=args.ratio, base_count=base)
-        shrunk = apply_imbalance(balanced, spec, seed=args.seed)
-        save_csv(shrunk, out_dir / "train.csv")
-        write_manifest(out_dir / "manifest.json", shrunk, seed=args.seed, imbalance=spec)
+        imbalance = ImbalanceSpec(kind=args.kind, ratio=args.ratio, base_count=base)
+        train_set = apply_imbalance(balanced, imbalance, seed=args.seed)
+        test_set, extra = None, None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_csv(train_set, out_dir / "train.csv")
+    write_manifest(
+        out_dir / "manifest.json", train_set, seed=args.seed, imbalance=imbalance, extra=extra
+    )
+    if test_set is not None:
+        save_csv(test_set, out_dir / "test.csv")
     print(f"wrote {out_dir}")
     return 0
 

@@ -240,19 +240,18 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
             raise IngestionError(f"{path}: line {lineno}: non-numeric cell") from exc
         if not all(map(math.isfinite, row)):
             raise IngestionError(f"{path}: line {lineno}: non-finite cell")
+        if label < 0:
+            raise IngestionError(f"{path}: line {lineno}: negative label")
+        if num_classes is not None and label >= num_classes:
+            raise IngestionError(f"{path}: line {lineno}: label out of range")
         features.append(row)
         labels.append(label)
     if not features:
         raise IngestionError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 0:
-        bad = int(np.flatnonzero(labels_arr < 0)[0]) + 2
-        raise IngestionError(f"{path}: line {bad}: negative label")
-    if num_classes is not None and labels_arr.max() >= num_classes:
-        bad = int(np.flatnonzero(labels_arr >= num_classes)[0]) + 2
-        raise IngestionError(f"{path}: line {bad}: label out of range")
     return LabeledDataset.from_arrays(
-        np.asarray(features, dtype=np.float64), labels_arr, num_classes
+        np.asarray(features, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64),
+        num_classes,
     )
 
 

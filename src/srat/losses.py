@@ -96,18 +96,24 @@ class ClassWeights:
         return self.weights[labels]
 
 
-def _check_batch(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    logits = np.asarray(logits, dtype=np.float64)
+def check_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels`` as int64 class indices, or DomainError when they are
+    not integers or fall outside [0, num_classes)."""
     labels = np.asarray(labels)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise DomainError("logits must be a non-empty n x C matrix")
-    if labels.shape != (logits.shape[0],):
-        raise DomainError("labels must be one integer per row of logits")
     if not np.issubdtype(labels.dtype, np.integer):
         raise DomainError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DomainError("labels out of range for the logit width")
-    return logits, labels.astype(np.int64)
+    return labels.astype(np.int64)
+
+
+def _check_batch(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise DomainError("logits must be a non-empty n x C matrix")
+    if np.shape(labels) != (logits.shape[0],):
+        raise DomainError("labels must be one integer per row of logits")
+    return logits, check_labels(labels, logits.shape[1])
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,7 +127,10 @@ def cross_entropy(logits, labels, weights: ClassWeights):
     Returns (loss, dLoss/dlogits) with
     loss = (1/n) * sum_i w_{y_i} * (-log softmax(logits_i)[y_i]).
     """
-    logits, labels = _check_batch(logits, labels)
+    return _cross_entropy(*_check_batch(logits, labels), weights)
+
+
+def _cross_entropy(logits, labels, weights: ClassWeights):
     if weights.weights.size != logits.shape[1]:
         raise DomainError("class weight count does not match logit width")
     n = logits.shape[0]
@@ -141,9 +150,12 @@ def focal_loss(logits, labels, weights: ClassWeights, gamma: float):
     gamma = 0 reproduces ``cross_entropy`` bit for bit; larger gamma
     suppresses well-classified examples faster.
     """
+    return _focal_loss(*_check_batch(logits, labels), weights, gamma)
+
+
+def _focal_loss(logits, labels, weights: ClassWeights, gamma: float):
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
-    logits, labels = _check_batch(logits, labels)
     if weights.weights.size != logits.shape[1]:
         raise DomainError("class weight count does not match logit width")
     n = logits.shape[0]
@@ -196,18 +208,22 @@ def ldam_loss(
 
     max_margin = 0 with scale = 1 reproduces ``cross_entropy`` bit for bit.
     """
+    logits, labels = _check_batch(logits, labels)
+    return _ldam_loss(logits, labels, class_counts, max_margin, scale, weights)
+
+
+def _ldam_loss(logits, labels, class_counts, max_margin, scale, weights):
     if max_margin < 0:
         raise DomainError("max_margin must be >= 0")
     if scale <= 0:
         raise DomainError("scale must be > 0")
-    logits, labels = _check_batch(logits, labels)
     margins = ldam_margins(class_counts, max_margin)
     if margins.size != logits.shape[1]:
         raise DomainError("class_counts length does not match logit width")
     adjusted = logits.copy()
     adjusted[np.arange(len(labels)), labels] -= margins[labels]
     adjusted *= scale
-    loss, grad = cross_entropy(adjusted, labels, weights)
+    loss, grad = _cross_entropy(adjusted, labels, weights)
     return loss, scale * grad
 
 
@@ -242,7 +258,6 @@ def separation_loss(features, labels, tau: float, normalize: bool = True):
         raise DomainError("labels must be one integer per feature row")
     if not tau > 0:
         raise DomainError("tau must be > 0")
-    n = feats.shape[0]
 
     if normalize:
         norms = np.linalg.norm(feats, axis=1)
@@ -251,36 +266,42 @@ def separation_loss(features, labels, tau: float, normalize: bool = True):
     else:
         z = feats
 
-    logits = (z @ z.T) / tau
-    eye = np.eye(n, dtype=bool)
-    same = labels[:, None] == labels[None, :]
-    positives = same & ~eye
-
+    positives = (labels[:, None] == labels[None, :]).astype(np.float64)
+    np.fill_diagonal(positives, 0.0)
     pos_counts = positives.sum(axis=1)
     valid = pos_counts > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0, np.zeros_like(feats)
 
-    masked = np.where(eye, -np.inf, logits)
-    row_max = masked.max(axis=1, keepdims=True)
-    exp = np.exp(masked - row_max)
-    lse = np.log(exp.sum(axis=1)) + row_max[:, 0]
-    log_prob = logits - lse[:, None]
+    # The n x n work reuses three buffers in place: at batch 128 each one
+    # is 128 KiB, and every fresh array that size costs page faults.
+    logits = z @ z.T
+    logits /= tau
+    self_logits = logits.diagonal().copy()
+    np.fill_diagonal(logits, -np.inf)  # an anchor is not its own candidate
+    row_max = logits.max(axis=1)
+    exp = logits - row_max[:, None]
+    np.exp(exp, out=exp)
+    exp_sum = exp.sum(axis=1)
+    lse = np.log(exp_sum) + row_max
+    np.fill_diagonal(logits, self_logits)
+    log_prob = logits
+    log_prob -= lse[:, None]
+    log_prob *= positives
+    per_anchor = -(log_prob.sum(axis=1)[valid] / pos_counts[valid])
+    loss = float(per_anchor.sum() / n_valid)
 
-    per_anchor = np.zeros(n)
-    per_anchor[valid] = -(
-        (positives * log_prob).sum(axis=1)[valid] / pos_counts[valid]
-    )
-    loss = float(per_anchor[valid].sum() / n_valid)
-
-    # dLoss/dlogits: softmax over A(i) minus the positive-average indicator
-    q = exp / exp.sum(axis=1, keepdims=True)
-    g = np.zeros((n, n))
-    g[valid] = (
-        q[valid] - positives[valid] / pos_counts[valid][:, None]
-    ) / n_valid
-    d_z = ((g + g.T) @ z) / tau
+    # dLoss/dlogits: softmax over A(i) minus the positive-average
+    # indicator; zero on the rows of anchors without positives
+    g = exp
+    g /= exp_sum[:, None]
+    positives /= np.maximum(pos_counts, 1.0)[:, None]
+    g -= positives
+    g /= n_valid
+    g[~valid] = 0.0
+    d_z = np.add(g, g.T, out=logits) @ z
+    d_z /= tau
 
     if normalize:
         # project out the radial component, then undo the 1/|f| scaling
@@ -299,14 +320,20 @@ def prediction_loss(
     config: LossConfig,
     class_counts=None,
 ):
-    """Dispatch to the configured prediction loss; returns (loss, dlogits)."""
+    """Dispatch to the configured prediction loss; returns (loss, dlogits).
+
+    This is the inner-loop entry: ``logits`` must be a float64 n x C
+    matrix with n >= 1 and ``labels`` int64 indices in [0, C), as
+    ``check_labels`` returns them. ``pgd_attack`` and
+    ``combined_objective`` check once per call, not once per step.
+    """
     if config.kind == "ce":
-        return cross_entropy(logits, labels, weights)
+        return _cross_entropy(logits, labels, weights)
     if config.kind == "focal":
-        return focal_loss(logits, labels, weights, config.focal_gamma)
+        return _focal_loss(logits, labels, weights, config.focal_gamma)
     if class_counts is None:
         raise DomainError("the margin loss needs per-class training counts")
-    return ldam_loss(
+    return _ldam_loss(
         logits,
         labels,
         class_counts,
@@ -338,7 +365,9 @@ def combined_objective(
     batch of fewer than two rows (no pairs to separate), the separation
     head is skipped entirely: its term and the feature gradient are zero.
     A non-finite total is returned as is; ``train_srat`` stops on it.
+    The logits and labels are checked here, once per training step.
     """
+    logits, labels = _check_batch(logits, labels)
     pred, d_logits = prediction_loss(logits, labels, weights, config, class_counts)
     feats = np.asarray(features, dtype=np.float64)
     if config.lam != 0.0 and feats.shape[0] >= 2:

@@ -166,6 +166,7 @@ def backward(
     trace: ForwardTrace,
     d_logits: np.ndarray,
     d_features: np.ndarray | None = None,
+    param_grads: bool = True,
 ):
     """Backpropagate loss gradients through the trace.
 
@@ -174,6 +175,10 @@ def backward(
     (used by objectives with a feature head). Returns
     (param_grads, input_grads) where param_grads is a list of (dW, db) in
     layer order. The ReLU derivative at exactly 0 is 0.
+
+    With ``param_grads=False`` only the input gradient is computed (the
+    same floats) and the first element is None: an attack needs nothing
+    else, and dW/db are half of the matrix products.
     """
     g = np.asarray(d_logits, dtype=np.float64)
     if g.shape != trace.logits.shape:
@@ -196,9 +201,10 @@ def backward(
             g_pre = g * (trace.pre[l] > 0.0)
         else:
             g_pre = g
-        grads[l] = (layer_inputs[l].T @ g_pre, g_pre.sum(axis=0))
+        if param_grads:
+            grads[l] = (layer_inputs[l].T @ g_pre, g_pre.sum(axis=0))
         g = g_pre @ layer.weights.T
-    return grads, g
+    return (grads if param_grads else None), g
 
 
 def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
@@ -216,8 +222,20 @@ def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
         b = layer.bias - lr * db
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise TrainingError("non-finite parameters after the update")
-        new_layers.append(DenseLayer(w, b, layer.activation))
+        new_layers.append(_fresh_layer(w, b, layer.activation))
     return MlpModel(tuple(new_layers), model.penultimate_index)
+
+
+def _fresh_layer(weights: np.ndarray, bias: np.ndarray, activation: str) -> DenseLayer:
+    """A DenseLayer owning arrays the caller just computed and checked,
+    without ``__post_init__``'s copies and rescans."""
+    weights.setflags(write=False)
+    bias.setflags(write=False)
+    layer = object.__new__(DenseLayer)
+    object.__setattr__(layer, "weights", weights)
+    object.__setattr__(layer, "bias", bias)
+    object.__setattr__(layer, "activation", activation)
+    return layer
 
 
 def flatten_params(model: MlpModel) -> np.ndarray:

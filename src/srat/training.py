@@ -156,6 +156,9 @@ def _epoch_lr(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay**passed
 
 
+# A diverging run is reported once, as a TrainingError from the explicit
+# non-finite checks, not as NumPy overflow warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_srat(
     dataset: LabeledDataset,
     model_spec: ModelSpec,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import srat.attack
 from srat.attack import AttackConfig, linear_oracle, pgd_attack
 from srat.errors import DomainError
 from srat.losses import ClassWeights, LossConfig, cross_entropy
@@ -206,3 +207,26 @@ def test_attack_config_validation():
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=-1)
     with pytest.raises(DomainError):
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=1, clip_min=1.0, clip_max=0.0)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([0.0, 1.0, 0.0]), np.array([0, 2, 1]), np.array([0, -1, 1])],
+    ids=["float", "out_of_range", "negative"],
+)
+@pytest.mark.parametrize("num_steps", [0, 3])
+def test_pgd_rejects_bad_labels_before_any_step(monkeypatch, labels, num_steps):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an attack step ran")
+
+    monkeypatch.setattr(srat.attack, "forward", no_step)
+    cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=num_steps, random_start=False)
+    with pytest.raises(DomainError, match="labels"):
+        pgd_attack(build_mlp(2, (4,), 2, seed=0), CE, np.zeros((3, 2)), labels, cfg, seed=0)
+
+
+def test_pgd_returns_an_empty_batch_as_is():
+    cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=3)
+    empty = np.zeros((0, 2))
+    adv = pgd_attack(build_mlp(2, (4,), 2, seed=0), CE, empty, np.zeros(0, dtype=int), cfg, seed=0)
+    assert adv.shape == (0, 2) and adv is not empty

@@ -1,6 +1,7 @@
 """End-to-end command-line contracts: artifacts, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def test_make_dataset_step_imbalance(tmp_path):
     assert rc == 0
     shrunk = load_csv(out / "train.csv")
     assert shrunk.class_counts == (30, 3)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--kind", "synthetic", "--eta", "-1"], ["--kind", "step", "--ratio", "10"]],
+    ids=["negative_eta", "step_without_input"],
+)
+def test_make_dataset_rejected_input_writes_nothing(tmp_path, flags):
+    out = tmp_path / "data"
+    assert main(["make-dataset", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +388,13 @@ def test_diverging_run_exits_3_with_epoch_and_batch(tmp_path, capsys):
     doc["train"]["attack"].update(num_steps=0, random_start=False)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["train", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert "epoch" in err and "batch" in err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("training failure: ")
+    assert "epoch" in err[0] and "batch" in err[0]
 
 
 @pytest.mark.parametrize("under_classes", [None, [3]])

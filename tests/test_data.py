@@ -187,6 +187,17 @@ def test_csv_reports_label_out_of_range(tmp_path):
         load_csv(path, num_classes=2)
 
 
+@pytest.mark.parametrize(
+    "label, num_classes, message",
+    [("-1", None, "line 4: negative label"), ("7", 2, "line 4: label out of range")],
+)
+def test_csv_label_errors_count_blank_lines(tmp_path, label, num_classes, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"dim=1,label_col=1\n1.0,0\n\n2.0,{label}\n")
+    with pytest.raises(IngestionError, match=message):
+        load_csv(path, num_classes=num_classes)
+
+
 def test_csv_rejects_malformed_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("dims=2\n1.0,2.0,0\n")
