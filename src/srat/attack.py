@@ -44,6 +44,22 @@ class AttackConfig:
         ):
             raise DomainError("clip_min must be < clip_max")
 
+    def check_box(self, x: np.ndarray, where: str = "attack") -> None:
+        """Raise DomainError unless every value of the clean rows ``x`` lies
+        in [clip_min, clip_max]. Projecting into a box that excludes the
+        data would move a clean row by more than epsilon. ``where`` names
+        this config in the message."""
+        if x.size == 0 or (self.clip_min is None and self.clip_max is None):
+            return
+        lo, hi = float(x.min()), float(x.max())
+        if (self.clip_min is not None and lo < self.clip_min) or (
+            self.clip_max is not None and hi > self.clip_max
+        ):
+            raise DomainError(
+                f"{where}.clip_min/clip_max: the box [{self.clip_min}, {self.clip_max}] "
+                f"does not contain the data, whose values lie in [{lo}, {hi}]"
+            )
+
 
 def _project(adv: np.ndarray, clean: np.ndarray, config: AttackConfig) -> np.ndarray:
     delta = np.clip(adv - clean, -config.epsilon, config.epsilon)
@@ -66,9 +82,10 @@ def pgd_attack(
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
     Per-example loss weights are irrelevant here: they rescale each row's
-    gradient positively and the update only uses its sign. The batch and
-    labels are checked once here; the steps only check the gradient. An
-    empty batch is returned as an empty copy.
+    gradient positively and the update only uses its sign. The batch, the
+    labels and, when a box is set, the batch's place inside it are checked
+    once here; the steps only check the gradient. An empty batch is
+    returned as an empty copy.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -76,6 +93,7 @@ def pgd_attack(
     if np.shape(labels) != (x.shape[0],):
         raise DomainError("labels must be one integer per batch row")
     labels = check_labels(labels, model.num_classes)
+    config.check_box(x)
 
     uniform = ClassWeights.uniform(model.num_classes)
     if x.shape[0] == 0 or (config.num_steps == 0 and not config.random_start):

@@ -9,6 +9,7 @@ variable SRAT_OUTPUT_ROOT re-roots relative output paths.
 """
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -236,6 +237,8 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
     n = test_set.num_classes
     if any(not 0 <= c < n for c in partition):
         raise ConfigError(f"dataset.under_classes: {list(partition)} not all in [0, {n})")
+    cfg.train.attack.check_box(train_set.features, "train.attack")
+    cfg.eval_attack.check_box(test_set.features, "eval_attack")
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(cfg.raw, fh, indent=2, sort_keys=True)
@@ -302,6 +305,7 @@ def cmd_eval(args) -> int:
         partition = [int(c) for c in args.under.split(",") if c != ""]
     except ValueError:
         raise ConfigError(f"--under: expected class indices, got {args.under!r}") from None
+    attack.check_box(data.features)
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(model, data, attack, partition, seed=args.seed)
@@ -317,6 +321,8 @@ def cmd_eval(args) -> int:
 def cmd_export_features(args) -> int:
     model, data = _model_and_data(args)
     attack = _attack_arg(args.attack) if args.attack else None
+    if attack is not None:
+        attack.check_box(data.features)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     export_features(model, data, out, attack_config=attack, seed=args.seed)
@@ -359,6 +365,19 @@ def _conventions(name: str):
     return [StdConvention(name)]
 
 
+@contextlib.contextmanager
+def _grid_point(**point):
+    """Adds the grid point to the message of a DomainError raised inside."""
+    try:
+        yield
+    except DomainError as exc:
+        where = " ".join(f"{k}={v}" for k, v in point.items())
+        raise DomainError(f"grid point {where}: {exc}") from None
+
+
+# np.exp of a large log ratio is inf, which the mixture and bias checks
+# reject naming the grid point
+@np.errstate(over="ignore")
 def cmd_theory(args) -> int:
     out_dir = _resolve_out(args.out)
     convs = _conventions(args.convention)
@@ -370,10 +389,14 @@ def cmd_theory(args) -> int:
         for conv, eta, sigma, d, log_ratio in itertools.product(
             convs, args.eta, args.sigma, args.d, args.log_rho_over_k
         ):
-            spec = GaussianMixtureSpec(eta, sigma, d, args.K)
-            rho = args.K * float(np.exp(log_ratio))
-            closed = optimal_bias(spec, rho, conv)
-            searched, resolution = grid_search_bias(spec, rho, conv, args.points)
+            with _grid_point(
+                convention=conv.value, eta=eta, sigma=sigma, d=d, K=args.K,
+                log_rho_over_k=log_ratio,
+            ):
+                spec = GaussianMixtureSpec(eta, sigma, d, args.K)
+                rho = args.K * float(np.exp(log_ratio))
+                closed = optimal_bias(spec, rho, conv)
+                searched, resolution = grid_search_bias(spec, rho, conv, args.points)
             ok = abs(closed - searched) <= 2 * resolution
             failures += 0 if ok else 1
             rows.append(
@@ -397,10 +420,18 @@ def cmd_theory(args) -> int:
         ):
             if not s1 < s2:
                 continue
-            k = float(np.exp(log_k))
-            spec1 = GaussianMixtureSpec(eta, s1, d, k)
-            spec2 = GaussianMixtureSpec(eta, s2, d, k)
-            report = verify(spec1, spec2, conv)
+            with _grid_point(
+                convention=conv.value, eta=eta, d=d, logK=log_k, sigma1=s1, sigma2=s2
+            ):
+                k = float(np.exp(log_k))
+                spec1 = GaussianMixtureSpec(eta, s1, d, k)
+                spec2 = GaussianMixtureSpec(eta, s2, d, k)
+                report = verify(spec1, spec2, conv)
+                biases = {
+                    f"bias{i}_rho{name}": optimal_bias(spec, rho, conv)
+                    for name, rho in (("1", 1.0), ("K", k))
+                    for i, spec in ((1, spec1), (2, spec2))
+                }
             if report.precondition_met and not report.holds:
                 failures += 1
             reports.append(report.to_dict())
@@ -417,10 +448,7 @@ def cmd_theory(args) -> int:
                     "rhs": report.rhs,
                     "holds": report.holds,
                     "precondition_met": report.precondition_met,
-                    "bias1_rho1": optimal_bias(spec1, 1.0, conv),
-                    "bias2_rho1": optimal_bias(spec2, 1.0, conv),
-                    "bias1_rhoK": optimal_bias(spec1, k, conv),
-                    "bias2_rhoK": optimal_bias(spec2, k, conv),
+                    **biases,
                 }
             )
 

@@ -185,6 +185,26 @@ def test_ball_and_box_containment_random_models():
             assert adv.min() >= 0.0 and adv.max() <= 1.0
 
 
+@pytest.mark.parametrize(
+    "box", [(0.0, 1.0), (0.0, None), (None, 1.0)], ids=["box", "min_only", "max_only"]
+)
+def test_pgd_rejects_clean_rows_outside_the_box(box):
+    model = build_mlp(2, (4,), 2, seed=0)
+    y = np.array([0, 1])
+    cfg = AttackConfig(0.1, 0.05, 2, clip_min=box[0], clip_max=box[1])
+    for x in (np.array([[0.5, -0.2], [0.5, 0.5]]), np.array([[0.5, 0.5], [1.2, 0.5]])):
+        outside = (box[0] is not None and x.min() < box[0]) or (
+            box[1] is not None and x.max() > box[1]
+        )
+        if outside:
+            with pytest.raises(DomainError, match="does not contain the data"):
+                pgd_attack(model, CE, x, y, cfg, seed=0)
+        else:
+            pgd_attack(model, CE, x, y, cfg, seed=0)
+    # rows on the box's faces are inside it
+    pgd_attack(model, CE, np.array([[0.0, 1.0], [1.0, 0.0]]), y, cfg, seed=0)
+
+
 def test_pgd_deterministic_per_seed():
     model = build_mlp(3, (5,), 2, seed=0)
     rng = derive_rng(11)

@@ -114,6 +114,37 @@ def test_theory_malformed_flag_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--thm", "lemma", "--sigma", "1e200"], "sigma=1e+200"),
+        (["--thm", "2", "--sigma2", "1e200"], "sigma2=1e+200"),
+        (["--thm", "1", "--eta", "1e200"], "eta=1e+200"),
+        (["--thm", "1", "--sigma1", "1e-200"], "sigma1=1e-200"),
+        (["--thm", "lemma", "--log-rho-over-k", "1000"], "log_rho_over_k=1000.0"),
+        (["--thm", "2", "--logK", "1000"], "logK=1000.0"),
+    ],
+)
+def test_theory_out_of_range_grid_point_exits_2_naming_it(tmp_path, capsys, flags, named):
+    out = tmp_path / "never"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["theory", *flags, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid point ") and named in err
+    assert not out.exists()
+
+
+def test_theory_prints_no_numpy_warning(tmp_path, capsys):
+    # a tiny eta puts the grid's z-scores far into the saturated tails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["theory", "--thm", "lemma", "--eta", "1e-300", "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # make-dataset
 # ---------------------------------------------------------------------------
@@ -286,6 +317,23 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_attack_box_excluding_the_data_exits_2(trained_run, tmp_path, capsys):
+    _, run_dir = trained_run
+    data = tmp_path / "data.csv"  # mixture values spread well beyond [0, 1]
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+    out = tmp_path / "eval"
+    attack = {"epsilon": 0.1, "step_size": 0.05, "num_steps": 1, "clip_min": 0, "clip_max": 1}
+    rc = main(
+        [
+            "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+            "--attack", json.dumps(attack), "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "attack.clip_min/clip_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_features_cli(trained_run, tmp_path):
     _, run_dir = trained_run
     data = tmp_path / "ds.csv"
@@ -362,6 +410,18 @@ def test_train_bad_dataset_value_exits_2_writing_nothing(tmp_path, capsys, chang
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("section", ["train.attack", "eval_attack"])
+def test_train_attack_box_excluding_the_data_exits_2_writing_nothing(tmp_path, capsys, section):
+    doc = _experiment_doc(tmp_path / "x")
+    attack = doc["train"]["attack"] if section == "train.attack" else doc["eval_attack"]
+    attack.update(clip_min=0.0, clip_max=1.0)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"{section}.clip_min/clip_max" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -84,6 +84,16 @@ def test_cdf_matches_quadrature_oracle():
         assert abs(normal_cdf(z) - simpson_cdf(z)) <= 1e-12
 
 
+def test_cdf_matches_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    z = np.linspace(-40.0, 40.0, 200_001)
+    assert np.abs(normal_cdf(z) - special.ndtr(z)).max() <= 1e-15
+    # relative error in the left tail, down to Phi(-37) ~ 6e-300
+    z = np.linspace(-37.0, 0.0, 100_001)
+    ref = special.ndtr(z)
+    assert (np.abs(normal_cdf(z) - ref) / ref).max() <= 1e-12
+
+
 def test_cdf_rejects_non_finite():
     with pytest.raises(DomainError):
         normal_cdf(float("nan"))
@@ -105,6 +115,17 @@ def test_spec_validation():
         GaussianMixtureSpec(1.0, 1.0, 0, 1.0)
     with pytest.raises(DomainError):
         GaussianMixtureSpec(1.0, 1.0, 1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "eta,sigma",
+    [(1e200, 1.0), (1.0, 1e200), (1.0, 1e-200), (1e10, 1e-150), (1e-300, 1e100)],
+    ids=["eta_squared_overflows", "sigma_squared_overflows", "sigma_squared_is_zero",
+         "separability_overflows", "separability_is_zero"],
+)
+def test_spec_rejects_squares_and_separability_out_of_range(eta, sigma):
+    with pytest.raises(DomainError):
+        GaussianMixtureSpec(eta, sigma, 2, 4.0)
 
 
 def test_separability_definition():
@@ -180,6 +201,18 @@ def test_bias_rejects_bad_rho():
         optimal_bias(spec, 0.0)
     with pytest.raises(DomainError):
         optimal_bias(spec, -1.0)
+
+
+def test_bias_and_grid_reject_an_overflowing_bias():
+    spec = GaussianMixtureSpec(1e-10, 1e150, 5, 20.0)  # sigma^2/eta = 1e310
+    with pytest.raises(DomainError, match="overflows"):
+        optimal_bias(spec, 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        grid_search_bias(spec, 1.0)
+    # a finite bias whose 20-fold bracket is not
+    spec = GaussianMixtureSpec(1.0, 1e154, 1, 2.0)
+    with pytest.raises(DomainError, match="bracket"):
+        grid_search_bias(spec, 1.0, StdConvention.EXACT)
 
 
 def test_optimal_classifier_weights_are_all_ones():
