@@ -58,6 +58,6 @@ from srat.theory import (
     verify_theorem1,
     verify_theorem2,
 )
-from srat.training import TrainConfig, TrainHistory, train_srat, weight_schedule
+from srat.training import TrainConfig, train_srat, weight_schedule
 
 __version__ = "0.1.0"

@@ -101,8 +101,7 @@ def pgd_attack(
 
     adv = x.copy()
     if config.random_start:
-        key = seed if isinstance(seed, (tuple, list)) else (seed,)
-        rng = derive_rng(*key)
+        rng = derive_rng(seed)
         adv = adv + rng.uniform(-config.epsilon, config.epsilon, size=x.shape)
         adv = _project(adv, x, config)
 

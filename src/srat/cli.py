@@ -11,7 +11,6 @@ variable SRAT_OUTPUT_ROOT re-roots relative output paths.
 import argparse
 import contextlib
 import copy
-import csv
 import dataclasses
 import itertools
 import json
@@ -30,7 +29,9 @@ from srat.data import (
     reduced_classes,
     sample_gaussian_mixture,
     save_csv,
+    write_json,
     write_manifest,
+    write_rows,
 )
 from srat.errors import ConfigError, DomainError, IngestionError, SratError, TrainingError
 from srat.evaluation import evaluate, export_features, per_class_csv
@@ -44,7 +45,7 @@ from srat.theory import (
     verify_theorem1,
     verify_theorem2,
 )
-from srat.training import STREAM_EVAL, TrainConfig, train_srat
+from srat.training import STREAM_EVAL, TrainConfig, train_srat, write_history
 
 OUTPUT_ROOT_ENV = "SRAT_OUTPUT_ROOT"
 
@@ -198,6 +199,11 @@ class ExperimentConfig:
         self.output_dir = _value(str, doc["output_dir"], "output_dir")
 
 
+def _check_classes(classes, n: int, where: str) -> None:
+    if any(not 0 <= c < n for c in classes):
+        raise ConfigError(f"{where}: {list(classes)} not all in [0, {n})")
+
+
 def _resolve_out(path: str) -> Path:
     p = Path(path)
     root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -234,15 +240,11 @@ def _attack_arg(text: str) -> AttackConfig:
 
 def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
     train_set, test_set, partition = cfg.dataset.build()
-    n = test_set.num_classes
-    if any(not 0 <= c < n for c in partition):
-        raise ConfigError(f"dataset.under_classes: {list(partition)} not all in [0, {n})")
+    _check_classes(partition, test_set.num_classes, "dataset.under_classes")
     cfg.train.attack.check_box(train_set.features, "train.attack")
     cfg.eval_attack.check_box(test_set.features, "eval_attack")
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "config.json", cfg.raw)
 
     eval_seed = (cfg.train.seed, STREAM_EVAL)
     reports = []
@@ -260,9 +262,9 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
     model, history = train_srat(train_set, cfg.model, cfg.train, eval_fn=eval_fn)
 
     save_model(model, run_dir / "model.ckpt", seed=cfg.train.seed)
-    history.to_csv(run_dir / "history.csv")
+    write_history(history, run_dir / "history.csv")
     report = reports[-1]  # train_srat evaluates the final model last
-    report.to_json(run_dir / "metrics.json")
+    write_json(run_dir / "metrics.json", report.to_dict())
     per_class_csv(report, run_dir / "per_class.csv")
     return report
 
@@ -305,11 +307,12 @@ def cmd_eval(args) -> int:
         partition = [int(c) for c in args.under.split(",") if c != ""]
     except ValueError:
         raise ConfigError(f"--under: expected class indices, got {args.under!r}") from None
+    _check_classes(partition, model.num_classes, "--under")
     attack.check_box(data.features)
+    report = evaluate(model, data, attack, partition, seed=args.seed)
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(model, data, attack, partition, seed=args.seed)
-    report.to_json(out_dir / "metrics.json")
+    write_json(out_dir / "metrics.json", report.to_dict())
     per_class_csv(report, out_dir / "per_class.csv")
     print(
         f"overall standard {report.overall_standard:.2f} | "
@@ -339,7 +342,7 @@ def cmd_make_dataset(args) -> int:
         train_set, test_set = _synthetic_splits(
             spec, args.n_minority, args.n_test_per_class or None, args.seed
         )
-        imbalance, extra = None, {"mixture": spec.to_dict()}
+        imbalance, extra = None, {"mixture": dataclasses.asdict(spec)}
     else:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
@@ -455,13 +458,8 @@ def cmd_theory(args) -> int:
     if not rows:
         raise ConfigError("the requested grid is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "reports.json", "w", encoding="utf-8") as fh:
-        json.dump(reports if reports else rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "table.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_json(out_dir / "reports.json", reports if reports else rows)
+    write_rows(out_dir / "table.csv", rows)
     print(f"{len(rows)} grid points, {failures} violation(s); wrote {out_dir}")
     return 1 if failures else 0
 
@@ -489,6 +487,12 @@ def cmd_sweep(args) -> int:
     vary = grid["vary"]
     if not isinstance(vary, dict) or not all(isinstance(v, list) and v for v in vary.values()):
         raise ConfigError("sweep.vary must map dotted keys to non-empty value lists")
+    for key in ("train", "train.seed", "output_dir"):
+        if key in vary:
+            raise ConfigError(
+                f"sweep.vary: {key!r} cannot be varied; the sweep sets train.seed and "
+                "output_dir for each run"
+            )
     seeds = _value(tuple[int, ...], grid["seeds"], "sweep.seeds")
     if not seeds:
         raise ConfigError("sweep.seeds must not be empty")
@@ -525,10 +529,7 @@ def cmd_sweep(args) -> int:
         )
         rows.append(row)
 
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_rows(out_dir / "sweep.csv", rows)
     print(f"{len(rows)} runs; wrote {out_dir / 'sweep.csv'}")
     return 0
 
@@ -536,6 +537,14 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _seed_arg(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, refused before any
+    output exists."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--attack", required=True, help="JSON literal or .json file")
     p.add_argument("--under", default="", help="comma-separated class indices")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -591,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--attack", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features)
 
@@ -606,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-test-per-class", dest="n_test_per_class", type=int, default=0
     )
     p.add_argument("--input", default=None, help="balanced CSV for step/exp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_dataset)
 

@@ -1,5 +1,7 @@
 """Datasets: imbalance construction, synthetic mixture sampling, CSV
-ingestion, and deterministic batching.
+ingestion, and deterministic batching, plus ``write_json`` and
+``write_rows``, the one writer each for the package's JSON files and for
+its CSV tables keyed by a header of field names.
 
 CSV layout: one header line ``dim=<d>,label_col=<idx>`` followed by rows
 of d feature cells plus one integer label cell at the declared column.
@@ -7,7 +9,8 @@ Floats are written with shortest round-trip formatting, so a save/load
 cycle is bit-exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+import csv
 import json
 import math
 
@@ -92,9 +95,6 @@ class ImbalanceSpec:
             raise DomainError("ratio must be >= 1")
         if self.base_count < 1:
             raise DomainError("base_count must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "ratio": self.ratio, "base_count": self.base_count}
 
 
 def imbalanced_counts(spec: ImbalanceSpec, num_classes: int) -> list[int]:
@@ -185,8 +185,24 @@ def sample_gaussian_mixture(
 
 
 # ---------------------------------------------------------------------------
-# CSV and manifest IO
+# CSV, JSON and manifest IO
 # ---------------------------------------------------------------------------
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with indent 2, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_rows(path, rows) -> None:
+    """Write a non-empty list of dicts as a CSV table whose header is the
+    first row's keys; values are written with ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
@@ -262,14 +278,11 @@ def write_manifest(path, dataset: LabeledDataset, seed: int, imbalance=None, ext
         "num_classes": dataset.num_classes,
         "class_counts": list(dataset.class_counts),
         "seed": seed,
-        "imbalance": imbalance.to_dict() if imbalance is not None else None,
+        "imbalance": asdict(imbalance) if imbalance is not None else None,
     }
     if extra:
         manifest.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    write_json(path, manifest)
 
 
 def batches(dataset: LabeledDataset, batch_size: int, epoch_seed) -> list[np.ndarray]:
@@ -277,6 +290,5 @@ def batches(dataset: LabeledDataset, batch_size: int, epoch_seed) -> list[np.nda
     partial batch is kept. ``epoch_seed`` is an int or a stream key tuple."""
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
-    key = epoch_seed if isinstance(epoch_seed, (tuple, list)) else (epoch_seed,)
-    perm = derive_rng(*key).permutation(len(dataset))
+    perm = derive_rng(epoch_seed).permutation(len(dataset))
     return [perm[i : i + batch_size] for i in range(0, len(dataset), batch_size)]

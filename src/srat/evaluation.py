@@ -7,8 +7,8 @@ Accuracies are percentages; classes absent from the test set are flagged
 and excluded from the per-class means.
 """
 
-from dataclasses import dataclass
-import json
+from dataclasses import asdict, dataclass
+import math
 
 import numpy as np
 
@@ -33,24 +33,14 @@ class EvalReport:
     empty_classes: tuple
 
     def to_dict(self) -> dict:
-        def clean(v):
-            return None if isinstance(v, float) and np.isnan(v) else v
+        """The fields as JSON values: tuples become lists and NaN None."""
+        return {k: _json_value(v) for k, v in asdict(self).items()}
 
-        return {
-            "per_class_standard": [clean(v) for v in self.per_class_standard],
-            "per_class_robust": [clean(v) for v in self.per_class_robust],
-            "overall_standard": clean(self.overall_standard),
-            "overall_robust": clean(self.overall_robust),
-            "under_represented_standard": clean(self.under_represented_standard),
-            "under_represented_robust": clean(self.under_represented_robust),
-            "partition": list(self.partition),
-            "empty_classes": list(self.empty_classes),
-        }
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _json_value(v):
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return None if isinstance(v, float) and math.isnan(v) else v
 
 
 def _predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -64,7 +54,6 @@ def _predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
 def _adversarial(model, test_set, attack_config, seed):
     out = np.empty_like(test_set.features)
     loss = LossConfig(kind="ce", tau=0.1, lam=0.0)
-    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     for start in range(0, len(test_set), _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         out[start:stop] = pgd_attack(
@@ -73,7 +62,7 @@ def _adversarial(model, test_set, attack_config, seed):
             test_set.features[start:stop],
             test_set.labels[start:stop],
             attack_config,
-            seed=(*key, start),
+            seed=(seed, start),
         )
     return out
 

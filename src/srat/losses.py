@@ -13,7 +13,7 @@ and candidate set A(i) (everyone but i),
 
     loss_i = -(1/|P(i)|) * sum_{p in P(i)} log softmax_{a in A(i)}(z_i.z_a / tau)[p]
 
-computed on L2-normalized features by default. Anchors with an empty
+computed on L2-normalized features. Anchors with an empty
 positive set contribute nothing and are excluded from the batch mean.
 """
 
@@ -244,7 +244,7 @@ def effective_number_weights(class_counts, beta: float) -> ClassWeights:
     return ClassWeights.normalized(raw)
 
 
-def separation_loss(features, labels, tau: float, normalize: bool = True):
+def separation_loss(features, labels, tau: float):
     """Feature-separation loss over one batch (see module docstring).
 
     Returns (loss, dLoss/dfeatures) where the gradient is taken with
@@ -259,12 +259,9 @@ def separation_loss(features, labels, tau: float, normalize: bool = True):
     if not tau > 0:
         raise DomainError("tau must be > 0")
 
-    if normalize:
-        norms = np.linalg.norm(feats, axis=1)
-        safe_norms = np.where(norms > 0.0, norms, 1.0)
-        z = feats / safe_norms[:, None]
-    else:
-        z = feats
+    norms = np.linalg.norm(feats, axis=1)
+    safe_norms = np.where(norms > 0.0, norms, 1.0)
+    z = feats / safe_norms[:, None]
 
     positives = (labels[:, None] == labels[None, :]).astype(np.float64)
     np.fill_diagonal(positives, 0.0)
@@ -303,13 +300,10 @@ def separation_loss(features, labels, tau: float, normalize: bool = True):
     d_z = np.add(g, g.T, out=logits) @ z
     d_z /= tau
 
-    if normalize:
-        # project out the radial component, then undo the 1/|f| scaling
-        radial = (d_z * z).sum(axis=1, keepdims=True)
-        d_feats = (d_z - radial * z) / safe_norms[:, None]
-        d_feats[norms == 0.0] = 0.0
-    else:
-        d_feats = d_z
+    # project out the radial component, then undo the 1/|f| scaling
+    radial = (d_z * z).sum(axis=1, keepdims=True)
+    d_feats = (d_z - radial * z) / safe_norms[:, None]
+    d_feats[norms == 0.0] = 0.0
     return loss, d_feats
 
 

@@ -127,8 +127,7 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
     if input_dim < 1 or num_classes < 1:
         raise DomainError("input_dim and num_classes must be >= 1")
     sizes = [int(input_dim), *(int(h) for h in hidden), int(num_classes)]
-    key = seed if isinstance(seed, (tuple, list)) else (seed,)
-    rng = derive_rng(*key)
+    rng = derive_rng(seed)
     layers = []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
         bound = np.sqrt(6.0 / fi)

@@ -12,18 +12,27 @@ import numpy as np
 from srat.errors import DomainError
 
 
-def derive_rng(*key: int) -> np.random.Generator:
+def _components(key):
+    for k in key:
+        if isinstance(k, (tuple, list)):
+            yield from _components(k)
+        else:
+            yield int(k)
+
+
+def derive_rng(*key) -> np.random.Generator:
     """Return a Generator on a Philox stream addressed by ``key``.
 
     Keys are tuples of non-negative integers, e.g. ``(seed, stream_tag,
     epoch, batch)``. Distinct keys give statistically independent streams.
+    A tuple or list component is spliced in place, so a stream key can be
+    extended: ``derive_rng((seed, tag), start)`` is
+    ``derive_rng(seed, tag, start)``.
     """
-    if not key:
+    parts = list(_components(key))
+    if not parts:
         raise DomainError("derive_rng requires at least one key component")
-    parts = []
-    for k in key:
-        k = int(k)
+    for k in parts:
         if k < 0:
             raise DomainError(f"rng key components must be non-negative, got {k}")
-        parts.append(k)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))

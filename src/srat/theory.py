@@ -39,7 +39,7 @@ buffer of that size, so their temporaries come from the allocator's free
 lists rather than fresh pages from the OS.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 import math
 
@@ -122,14 +122,6 @@ class GaussianMixtureSpec:
     @property
     def minority_prior(self) -> float:
         return 1.0 / (self.imbalance_ratio + 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "sigma": self.sigma,
-            "dim": self.dim,
-            "imbalance_ratio": self.imbalance_ratio,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,17 +536,7 @@ class TheoremReport:
     convention: StdConvention
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "precondition_met": self.precondition_met,
-            "spec1": self.spec1.to_dict(),
-            "spec2": self.spec2.to_dict(),
-            "convention": self.convention.value,
-        }
+        return {**asdict(self), "convention": self.convention.value}
 
 
 def _canonical_pair(spec1: GaussianMixtureSpec, spec2: GaussianMixtureSpec):

@@ -8,14 +8,13 @@ epoch. Runs are bit-reproducible: every random decision flows through a
 stream derived from the config seed.
 """
 
-from dataclasses import dataclass, field
-import csv
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
 
 from srat.attack import AttackConfig, pgd_attack
-from srat.data import LabeledDataset, batches
+from srat.data import LabeledDataset, batches, write_rows
 from srat.errors import AttackError, DomainError, TrainingError
 from srat.losses import (
     ClassWeights,
@@ -98,46 +97,18 @@ class EpochRecord:
     eval: dict | None = None
 
 
-@dataclass
-class TrainHistory:
-    records: list = field(default_factory=list)
-
-    def append(self, record: EpochRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def to_csv(self, path) -> None:
-        eval_keys = sorted(
-            {k for r in self.records if r.eval for k in r.eval}
-        )
-        fieldnames = [
-            "epoch",
-            "phase",
-            "lr",
-            "prediction_loss",
-            "separation_loss",
-            "class_weights",
-            *(f"eval_{k}" for k in eval_keys),
-        ]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for r in self.records:
-                row = {
-                    "epoch": r.epoch,
-                    "phase": r.phase,
-                    "lr": repr(r.lr),
-                    "prediction_loss": repr(r.prediction_loss),
-                    "separation_loss": repr(r.separation_loss),
-                    "class_weights": ";".join(repr(w) for w in r.class_weights),
-                }
-                for k in eval_keys:
-                    row[f"eval_{k}"] = (
-                        repr(r.eval[k]) if r.eval and k in r.eval else ""
-                    )
-                writer.writerow(row)
+def write_history(records, path) -> None:
+    """Write ``history.csv``: one row of fields per epoch record, with the
+    class weights joined by ``;`` and the evaluation snapshot spread over
+    ``eval_<key>`` columns, blank where an epoch has no snapshot."""
+    eval_keys = sorted({k for r in records if r.eval for k in r.eval})
+    rows = []
+    for r in records:
+        row = asdict(r)
+        snapshot = row.pop("eval") or {}
+        row["class_weights"] = ";".join(repr(w) for w in r.class_weights)
+        rows.append(row | {f"eval_{k}": snapshot.get(k, "") for k in eval_keys})
+    write_rows(path, rows)
 
 
 def weight_schedule(config: TrainConfig, epoch: int, class_counts) -> ClassWeights:
@@ -165,11 +136,11 @@ def train_srat(
     config: TrainConfig,
     eval_fn=None,
 ):
-    """Run the full schedule and return (model, history).
+    """Run the full schedule and return (model, one EpochRecord per epoch).
 
     ``eval_fn(model, epoch) -> dict`` is invoked every ``eval_every``
-    epochs (and at the last epoch) and its result is stored in the
-    history record.
+    epochs (and at the last epoch) and its result is stored in that
+    epoch's record.
     """
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
@@ -184,7 +155,7 @@ def train_srat(
     )
     counts = dataset.class_counts
     velocity = zero_grads(model) if config.momentum > 0 else None
-    history = TrainHistory()
+    history = []
 
     for epoch in range(1, config.total_epochs + 1):
         lr = _epoch_lr(config, epoch)

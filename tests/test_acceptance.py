@@ -505,6 +505,10 @@ def test_criterion_9_training_determinism(tmp_path):
                 (run_dir / "metrics.json").read_bytes(),
             )
         )
+    written = {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in ("history.csv", "metrics.json", "per_class.csv")
+    }
     ok = blobs[0][0] == blobs[1][0] and blobs[0][1] == blobs[1][1]
     _criterion(
         "criterion 9 (bit-identical reruns)",
@@ -515,3 +519,9 @@ def test_criterion_9_training_determinism(tmp_path):
     assert hashlib.sha256(blobs[0][0]).hexdigest() == (
         "e8959aabaa68348f6d684c002ca3d74d4141f37452a99ccc1ad6ad0a7e19e391"
     )
+    # and the files written next to it keep their bytes
+    assert written == {
+        "history.csv": "920f4ee5f682a01d00a5093fb7ab79c5f4d9009b0eef62d4d5c702987575021d",
+        "metrics.json": "bdf77ea5826f849f2226a265d219ab4c5fc3c1922d6ebbfef45335e79caf815b",
+        "per_class.csv": "973bbbb5f2a5bcadef93ef6166e6ddf8fff5902c8480187ae72c933cbe5d7823",
+    }

@@ -1,5 +1,7 @@
 """End-to-end command-line contracts: artifacts, exit codes, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -17,6 +19,18 @@ from srat.data import (
 )
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, also when argparse rejects a flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _experiment_doc(out_dir, **overrides):
@@ -104,6 +118,39 @@ def test_theory_lemma_grid(tmp_path):
     lines = (out / "table.csv").read_text().splitlines()
     ok_col = lines[0].split(",").index("ok")
     assert all(line.split(",")[ok_col] == "True" for line in lines[1:])
+
+
+# Pinned bytes of both theory outputs for small grids: a refactor of the
+# writers or of the report records must leave every byte in place.
+@pytest.mark.parametrize(
+    "flags,table_sha256,reports_sha256",
+    [
+        (
+            ["--thm", "lemma", "--eta", "0.5", "2", "--sigma", "1", "2", "--d", "1", "5",
+             "--points", "20001"],
+            "f97a9be314aa5bf6e1b2f4bab02af89ecba0eaa1130b95cb6b97c5aba64f4aef",
+            "980f102d4074d50f32dc7c480afd740b8406d0507d8c41723e819562411e73a1",
+        ),
+        (
+            ["--thm", "1", "--eta", "0.5", "1", "--sigma1", "0.5", "1", "--sigma2", "2",
+             "--d", "1", "5", "--logK", "2.5", "6"],
+            "d1e1154086fe9987b7eba34b0c6ea2a71d0d29bb624b548ae10048feb31a1271",
+            "719692e841e09527552e9f8df9a30b598ca00853395d5933dc337e19b4d6ab7b",
+        ),
+        (
+            ["--thm", "2", "--eta", "0.5", "1", "--sigma1", "0.5", "1", "--sigma2", "2",
+             "--d", "1", "5", "--logK", "2.5", "6"],
+            "31aae49ae129f504633838e2576a5adaf9ba64d38d94a4604e1faeac8780640f",
+            "800df0b1960cc251ebc0657da1303ea47dbeb194ed1241323c800f597ea0af0e",
+        ),
+    ],
+    ids=["lemma", "thm1", "thm2"],
+)
+def test_theory_output_bytes_are_pinned(tmp_path, flags, table_sha256, reports_sha256):
+    out = tmp_path / "theory"
+    assert main(["theory", *flags, "--out", str(out)]) == 0
+    assert _sha256(out / "table.csv") == table_sha256
+    assert _sha256(out / "reports.json") == reports_sha256
 
 
 def test_theory_malformed_flag_exits_2_without_output(tmp_path):
@@ -278,6 +325,10 @@ def test_eval_flags_classes_missing_from_the_csv(trained_run, tmp_path):
     assert rc == 0
     assert json.loads((out / "metrics.json").read_text())["empty_classes"] == [1]
     assert (out / "per_class.csv").read_text().splitlines()[2] == "1,,"
+    # pins the null path: the empty class's accuracies are written as null
+    assert _sha256(out / "metrics.json") == (
+        "9ae0eb7c242343d20ca416f005cd0d83377998cee2806f4c33dbc5a916790db6"
+    )
 
 
 @pytest.mark.parametrize("bad", ["checkpoint", "data"])
@@ -315,6 +366,32 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
     assert rc == 2
     assert "--under" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,named",
+    [
+        ("eval", ["--under", "5"], "--under"),
+        ("eval", ["--seed", "-1"], "--seed"),
+        ("export-features", ["--seed", "-1"], "--seed"),
+    ],
+    ids=["eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed"],
+)
+def test_eval_and_export_rejected_flag_write_nothing(
+    trained_run, tmp_path, capsys, command, flags, named
+):
+    _, run_dir = trained_run
+    data = tmp_path / "data.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+    out = tmp_path / "out" / "result"
+    argv = [
+        command, "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+        "--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1}', *flags,
+        "--out", str(out),
+    ]
+    assert _exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_attack_box_excluding_the_data_exits_2(trained_run, tmp_path, capsys):
@@ -470,7 +547,7 @@ def test_train_on_csv_dataset(tmp_path, under_classes):
         "kind": "csv",
         "train_path": str(tmp_path / "train.csv"),
         "test_path": str(tmp_path / "test.csv"),
-        "imbalance": spec.to_dict(),
+        "imbalance": dataclasses.asdict(spec),
     }
     if under_classes is not None:
         doc["dataset"]["under_classes"] = under_classes
@@ -542,6 +619,28 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "run_001_seed0" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("key", ["train.seed", "output_dir", "train"])
+def test_sweep_cannot_vary_what_it_sets_per_run(tmp_path, capsys, key):
+    base = _experiment_doc(tmp_path / "unused")
+    values = {
+        "train.seed": [5, 6],
+        "output_dir": ["a", "b"],
+        "train": [{**base["train"], "seed": 5}],
+    }
+    grid = {
+        "base": base,
+        "vary": {key: values[key]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+    assert not (tmp_path / "unused").exists()
 
 
 def test_sweep_bad_vary_key_exits_2(tmp_path):

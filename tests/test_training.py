@@ -16,6 +16,7 @@ from srat.training import (
     TrainConfig,
     train_srat,
     weight_schedule,
+    write_history,
 )
 
 
@@ -98,7 +99,7 @@ def test_defer_epoch_past_end_never_reweights():
     ds = _small_dataset()
     cfg = _config(total_epochs=3, defer_epoch=4, lr_milestones=())
     _, history = train_srat(ds, ModelSpec((6,)), cfg)
-    for record in history.records:
+    for record in history:
         assert record.class_weights == (1.0, 1.0)
         assert record.phase == "pre_defer"
 
@@ -107,10 +108,10 @@ def test_phase_flips_once_and_weights_follow_schedule():
     ds = _small_dataset()
     cfg = _config()
     _, history = train_srat(ds, ModelSpec((6,)), cfg)
-    phases = [r.phase for r in history.records]
+    phases = [r.phase for r in history]
     assert phases == ["pre_defer", "pre_defer", "post_defer", "post_defer"]
     cb = effective_number_weights(ds.class_counts, cfg.loss.cb_beta)
-    for record in history.records:
+    for record in history:
         if record.epoch < cfg.defer_epoch:
             assert record.class_weights == (1.0, 1.0)
         else:
@@ -121,7 +122,7 @@ def test_lr_follows_milestones():
     ds = _small_dataset()
     cfg = _config(total_epochs=5, defer_epoch=6, lr_milestones=(2, 4), lr_decay=0.5)
     _, history = train_srat(ds, ModelSpec((6,)), cfg)
-    lrs = [r.lr for r in history.records]
+    lrs = [r.lr for r in history]
     assert lrs == [0.05, 0.025, 0.025, 0.0125, 0.0125]
 
 
@@ -131,9 +132,7 @@ def test_training_is_deterministic():
     model_a, hist_a = train_srat(ds, ModelSpec((6,)), cfg)
     model_b, hist_b = train_srat(ds, ModelSpec((6,)), cfg)
     assert np.array_equal(flatten_params(model_a), flatten_params(model_b))
-    assert [r.prediction_loss for r in hist_a.records] == [
-        r.prediction_loss for r in hist_b.records
-    ]
+    assert [r.prediction_loss for r in hist_a] == [r.prediction_loss for r in hist_b]
 
 
 def test_divergence_aborts_with_context():
@@ -163,7 +162,7 @@ def test_eval_snapshots_every_interval():
 
     _, history = train_srat(ds, ModelSpec((6,)), cfg, eval_fn=eval_fn)
     assert calls == [2, 4, 5]
-    assert [r.eval for r in history.records] == [
+    assert [r.eval for r in history] == [
         None,
         {"overall_standard": 50.0},
         None,
@@ -183,7 +182,7 @@ def test_manual_weighting_applies_from_defer_epoch():
     )
     _, history = train_srat(ds, ModelSpec((6,)), cfg)
     expected = tuple(ClassWeights.normalized(np.array([1.0, 9.0])).weights)
-    assert history.records[0].class_weights == expected
+    assert history[0].class_weights == expected
 
 
 def test_momentum_accumulates_velocity():
@@ -217,7 +216,7 @@ def test_history_csv_round_trip(tmp_path):
         ds, ModelSpec((6,)), cfg, eval_fn=lambda m, e: {"overall_robust": 10.0}
     )
     path = tmp_path / "history.csv"
-    history.to_csv(path)
+    write_history(history, path)
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "epoch,phase,lr,prediction_loss,separation_loss,class_weights,"
