@@ -2,7 +2,7 @@
 separation objective, deferred class-balanced reweighting, and a
 closed-form Gaussian-mixture analysis verified by brute-force oracles."""
 
-from srat.attack import AttackConfig, linear_oracle, pgd_attack
+from srat.attack import AttackConfig, pgd_attack
 from srat.data import (
     ImbalanceSpec,
     LabeledDataset,

@@ -539,12 +539,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed_arg(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, refused before any
-    output exists."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    """The argparse type of an integer flag of at least ``minimum``: any
+    other value exits 2 naming the flag, before any output exists."""
+
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= minimum):
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lemma mode reweighting offsets",
     )
     p.add_argument("--K", type=float, default=20.0, help="lemma mode imbalance ratio")
-    p.add_argument("--points", type=int, default=100_000)
+    p.add_argument("--points", type=_int_at_least(3), default=100_000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_theory)
 
@@ -587,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--attack", required=True, help="JSON literal or .json file")
     p.add_argument("--under", default="", help="comma-separated class indices")
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -600,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--attack", default=None)
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_features)
 
@@ -610,12 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--ratio", type=float, default=10.0)
-    p.add_argument("--n-minority", dest="n_minority", type=int, default=50)
+    p.add_argument("--n-minority", dest="n_minority", type=_int_at_least(1), default=50)
     p.add_argument(
-        "--n-test-per-class", dest="n_test_per_class", type=int, default=0
+        "--n-test-per-class", dest="n_test_per_class", type=_int_at_least(0), default=0,
+        help="0 writes no test split",
     )
     p.add_argument("--input", default=None, help="balanced CSV for step/exp")
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_dataset)
 

@@ -32,16 +32,22 @@ symmetry identities and quadrature, and, where SciPy is installed,
 against ``scipy.special.ndtr``: absolute error at most 1e-15 on
 [-40, 40] and relative error at most 1e-12 on [-37, 0].
 
-The brute-force oracles stream through fixed buffers: ``normal_cdf`` and
-the risk in ``grid_search_bias`` work in blocks of ``_BLOCK`` elements,
-and ``monte_carlo_classwise_error`` draws its samples into one reused
-buffer of that size, so their temporaries come from the allocator's free
-lists rather than fresh pages from the OS.
+The oracles stream through fixed buffers: ``normal_cdf`` and the risk in
+``grid_search_bias`` work in blocks of ``_BLOCK`` elements, and
+``monte_carlo_classwise_error`` draws its samples into one reused buffer
+of that size, so their temporaries come from the allocator's free lists
+rather than fresh pages from the OS.
+
+``grid_search_bias`` returns the exact first argmin of its grid, the one
+a brute-force scan finds, but skips the blocks that a monotone lower bound
+on their risk rules out; the bound, its slack and why the slack is needed
+are in its docstring.
 """
 
 from dataclasses import asdict, dataclass
 from enum import Enum
 import math
+import sys
 
 import numpy as np
 
@@ -213,6 +219,15 @@ _INV_SQRT2 = 0.7071067811865476
 # every temporary is served from the allocator's free lists: glibc gets
 # allocations of 128 KiB and more as fresh pages from the OS.
 _BLOCK = 8192
+# The bounded grid search skips a block only when its lower bound exceeds
+# the best risk found by more than this fraction of that risk, plus a floor
+# of the smallest normal float times the risk weights (an err value in the
+# subnormal range is exact only to a subnormal ULP). The bound and the risk
+# are the same float expression, but float Phi is monotone only to a few
+# ULPs: sweeps over consecutive floats found drops of at most about 5e-16
+# relative, so a bound may exceed its block's true minimum by that much.
+# Any slack from 1e-9 to 1e-4 skips the same blocks of the README lemma grid.
+_PRUNE_SLACK = 1e-6
 # erfc(y) rounds to +0.0 from y ~ 27.3 on; capping y at this value keeps
 # y*y and the exponent split finite for every finite y
 _Y_SATURATED = 40.0
@@ -344,18 +359,6 @@ def _error_zscores(
     return z_minus, z_plus
 
 
-def _cdf_diff(a: float, b: float) -> float:
-    """Phi(b) - Phi(a) without catastrophic loss in the right tail.
-
-    When both arguments sit far to the right, Phi saturates to 1.0 and the
-    naive difference collapses to 0; the reflected form Phi(-a) - Phi(-b)
-    is the same number evaluated on representable tail values.
-    """
-    if a + b > 0.0:
-        return normal_cdf(-a) - normal_cdf(-b)
-    return normal_cdf(b) - normal_cdf(a)
-
-
 def classwise_error(
     clf: LinearClassifier,
     spec: GaussianMixtureSpec,
@@ -415,18 +418,57 @@ def optimal_classifier(
     return LinearClassifier.all_ones(spec.dim, optimal_bias(spec, rho, conv))
 
 
+def _weighted_risk(
+    b_minus: np.ndarray,
+    b_plus: np.ndarray,
+    spec: GaussianMixtureSpec,
+    rho: float,
+    shift: float,
+    scale: float,
+) -> np.ndarray:
+    """rho * Pr(y=-1) * err(-1) at the biases ``b_minus`` plus
+    Pr(y=+1) * err(+1) at the biases ``b_plus``, for the all-ones
+    classifier whose w.x has mean multiplier ``shift`` and Z-score
+    ``scale``. With one grid block as both it is that block's risk."""
+    z = b_minus + shift
+    np.negative(z, out=z)
+    z /= scale
+    risk = normal_cdf(z)  # err(-1)
+    risk *= rho
+    risk *= spec.minority_prior
+    z = b_plus - shift
+    z /= scale
+    err_plus = normal_cdf(z)
+    err_plus *= spec.majority_prior
+    risk += err_plus
+    return risk
+
+
 def grid_search_bias(
     spec: GaussianMixtureSpec,
     rho: float,
     conv: StdConvention = StdConvention.SUMMED,
     num_points: int = 100_000,
 ) -> tuple[float, float]:
-    """Brute-force argmin of the reweighted risk over a dense bias grid.
+    """Exact argmin of the reweighted risk over a dense bias grid.
 
     The bracket is [-20*|b*|-1, +20*|b*|+1] around the closed-form bias b*,
     wide enough that the optimum cannot sit on the edge. Returns
     (argmin bias, grid resolution). This is the independent oracle for
     ``optimal_bias``; it never trusts the closed form beyond centering.
+
+    The result is the first minimum of the risk over the whole grid, the
+    one ``np.argmin`` of a brute-force scan gives, bit for bit; but blocks
+    of ``_BLOCK`` points that cannot hold it are skipped. err(-1) falls and
+    err(+1) rises with the bias, so the risk of a block is at least the
+    weighted err(-1) of its last point plus the weighted err(+1) of its
+    first, computed by the same float expression as the risk. Blocks are
+    scanned in ascending order of that bound until a bound exceeds the best
+    risk found by more than a slack: ``_PRUNE_SLACK`` of that risk plus a
+    floor for errors in the subnormal range. The slack is needed because
+    float Phi is monotone only to a few ULPs, so a bound can exceed the
+    true minimum of its block by that much. A flat or saturated risk curve
+    gives equal bounds everywhere and is scanned in full.
     """
     if num_points < 3:
         raise DomainError("num_points must be >= 3")
@@ -434,29 +476,30 @@ def grid_search_bias(
         raise DomainError(f"rho must be > 0, got {rho!r}")
     center = abs(optimal_bias(spec, rho, conv))
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
-    if not math.isfinite(hi):
-        raise DomainError(f"the bias bracket [{lo}, {hi}] is not finite")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the bias bracket [{lo}, {hi}] or its width is not finite")
     biases = np.linspace(lo, hi, num_points)
     sw, scale = _sum_scale(np.ones(spec.dim), spec, conv)
     shift = spec.eta * sw
-    # the risk of the all-ones classifier, block by block; the first
-    # minimum wins, as in np.argmin over the whole grid
+    starts = np.arange(0, num_points, _BLOCK)
+    ends = np.minimum(starts + _BLOCK, num_points)
+    # one bound per block; the appended pair puts err(-1) at the first and
+    # err(+1) at the last grid point into the same call, so a Z-score that
+    # is not finite anywhere on the grid raises as a full scan would
+    bounds = _weighted_risk(
+        biases[np.append(ends - 1, 0)], biases[np.append(starts, -1)],
+        spec, rho, shift, scale,
+    )[:-1]
+    floor = (rho * spec.minority_prior + spec.majority_prior) * sys.float_info.min
     idx, best = 0, math.inf
-    for start in range(0, num_points, _BLOCK):
-        block = biases[start : start + _BLOCK]
-        z = block + shift
-        np.negative(z, out=z)
-        z /= scale
-        risk = normal_cdf(z)  # err(-1)
-        risk *= rho
-        risk *= spec.minority_prior
-        z = block - shift
-        z /= scale
-        err_plus = normal_cdf(z)
-        err_plus *= spec.majority_prior
-        risk += err_plus
+    for j in np.argsort(bounds, kind="stable"):
+        if bounds[j] > best + _PRUNE_SLACK * best + floor:
+            break  # every later block's bound is at least as large
+        start = int(starts[j])
+        block = biases[start : ends[j]]
+        risk = _weighted_risk(block, block, spec, rho, shift, scale)
         i = int(np.argmin(risk))
-        if risk[i] < best:
+        if risk[i] < best or (risk[i] == best and start + i < idx):
             idx, best = start + i, risk[i]
     resolution = (hi - lo) / (num_points - 1)
     return float(biases[idx]), resolution
@@ -580,6 +623,22 @@ def _precondition(
     return math.log(spec1.imbalance_ratio) > threshold
 
 
+def _cdf_pairs(*pairs: tuple[float, float]) -> list[tuple[float, float, float]]:
+    """(Phi(a), Phi(b), Phi(b) - Phi(a)) for each Z-score pair (a, b), from
+    one ``normal_cdf`` call over every score and its reflection.
+
+    The difference avoids catastrophic loss in the right tail: when both
+    scores sit far to the right (a + b > 0), Phi saturates to 1.0 and the
+    naive difference collapses to 0, so it is taken as the same number
+    Phi(-a) - Phi(-b) on representable tail values.
+    """
+    p = normal_cdf(np.array([(a, b, -a, -b) for a, b in pairs])).tolist()
+    return [
+        (pa, pb, ra - rb if a + b > 0.0 else pb - pa)
+        for (a, b), (pa, pb, ra, rb) in zip(pairs, p)
+    ]
+
+
 def verify_theorem1(
     spec1: GaussianMixtureSpec,
     spec2: GaussianMixtureSpec,
@@ -598,11 +657,12 @@ def verify_theorem1(
 
     zm1, zp1 = zscores(spec1)
     zm2, zp2 = zscores(spec2c)
-    lhs = normal_cdf(zm1) - normal_cdf(zp1)
-    rhs = normal_cdf(zm2) - normal_cdf(zp2)
+    (em1, em2, dm), (ep1, ep2, dp) = _cdf_pairs((zm1, zm2), (zp1, zp2))
+    lhs = em1 - ep1
+    rhs = em2 - ep2
     # rhs - lhs = [err2(-1) - err1(-1)] - [err2(+1) - err1(+1)], each piece
     # a stable same-side CDF difference
-    margin = _cdf_diff(zm1, zm2) - _cdf_diff(zp1, zp2)
+    margin = dm - dp
     return TheoremReport(
         theorem=1,
         lhs=lhs,
@@ -631,14 +691,13 @@ def verify_theorem2(
     """
     spec2c = _canonical_pair(spec1, spec2)
 
-    def plus_error_increase(s: GaussianMixtureSpec) -> float:
+    def plus_zscores(s: GaussianMixtureSpec) -> tuple[float, float]:
+        """err(+1) Z-scores at rho = 1 and at rho = K."""
         base = optimal_classifier(s, rho=1.0, conv=conv)
         rebal = optimal_classifier(s, rho=s.imbalance_ratio, conv=conv)
-        _, zp_base = _error_zscores(base, s, conv)
-        _, zp_rebal = _error_zscores(rebal, s, conv)
-        return _cdf_diff(zp_base, zp_rebal)
+        return _error_zscores(base, s, conv)[1], _error_zscores(rebal, s, conv)[1]
 
-    lhs, rhs = plus_error_increase(spec1), plus_error_increase(spec2c)
+    (_, _, lhs), (_, _, rhs) = _cdf_pairs(plus_zscores(spec1), plus_zscores(spec2c))
     return TheoremReport(
         theorem=2,
         lhs=lhs,

@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from attack_reference import linear_oracle
 from gradcheck import central_diff, max_rel_err
-from srat.attack import AttackConfig, linear_oracle, pgd_attack
+from srat.attack import AttackConfig, pgd_attack
 from srat.cli import main
 from srat.data import sample_gaussian_mixture
 from srat.evaluation import evaluate

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from attack_reference import linear_oracle
 import srat.attack
-from srat.attack import AttackConfig, linear_oracle, pgd_attack
+from srat.attack import AttackConfig, pgd_attack
 from srat.errors import DomainError
 from srat.losses import ClassWeights, LossConfig, cross_entropy
 from srat.mlp import DenseLayer, MlpModel, build_mlp, forward

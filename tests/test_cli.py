@@ -170,6 +170,8 @@ def test_theory_malformed_flag_exits_2_without_output(tmp_path):
         (["--thm", "1", "--sigma1", "1e-200"], "sigma1=1e-200"),
         (["--thm", "lemma", "--log-rho-over-k", "1000"], "log_rho_over_k=1000.0"),
         (["--thm", "2", "--logK", "1000"], "logK=1000.0"),
+        # a finite bias bracket whose width overflows
+        (["--thm", "lemma", "--eta", "1e-311", "--sigma", "0.01", "--d", "1"], "eta=1e-311"),
     ],
 )
 def test_theory_out_of_range_grid_point_exits_2_naming_it(tmp_path, capsys, flags, named):
@@ -213,6 +215,36 @@ def test_make_dataset_synthetic(tmp_path):
     assert test.class_counts == (6, 6)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["class_counts"] == [20, 5]
+
+
+def test_make_dataset_without_test_split(tmp_path):
+    out = tmp_path / "data"
+    argv = ["make-dataset", "--kind", "synthetic", "--n-minority", "1",
+            "--n-test-per-class", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert load_csv(out / "train.csv").class_counts == (10, 1)
+    assert not (out / "test.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["make-dataset", "--kind", "synthetic", "--n-test-per-class", "-1"],
+         "--n-test-per-class: expected an integer >= 0, got '-1'"),
+        (["make-dataset", "--kind", "synthetic", "--n-minority", "0"],
+         "--n-minority: expected an integer >= 1, got '0'"),
+        (["theory", "--thm", "lemma", "--points", "0"],
+         "--points: expected an integer >= 3, got '0'"),
+        (["theory", "--thm", "lemma", "--points", "2.5"],
+         "--points: expected an integer >= 3, got '2.5'"),
+    ],
+    ids=["negative_test_split", "no_minority", "no_points", "fractional_points"],
+)
+def test_out_of_range_integer_flag_exits_2_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "never"
+    assert _exit_code([*argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_make_dataset_step_imbalance(tmp_path):

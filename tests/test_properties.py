@@ -1,13 +1,14 @@
 """Hypothesis properties of the training inner loop (the in-place
 separation loss against its reference, the input-only backward pass
-against the full one, and PGD containment) and of the blocked theory
-oracles against their whole-array references."""
+against the full one, and PGD containment), of the blocked and bounded
+theory oracles against their whole-array references, and of the
+monotonicity of ``normal_cdf`` that the bounded grid search relies on."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import theory_reference
 from separation_reference import reference_separation_loss
@@ -204,25 +205,73 @@ def test_normal_cdf_saturates_up_to_the_largest_float():
 
 @PROPERTY
 @given(
-    st.sampled_from([0.5, 1.0, 2.0, 10.0, 1e-3]),
-    st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0]),
+    st.sampled_from([0.5, 1.0, 2.0, 10.0, 1e-3, 1e-300, 1e100]),
+    st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0, 1e-100]),
     st.sampled_from([1, 5, 20]),
     st.sampled_from([1.0, 20.0, 500.0]),
     st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0]),
     st.sampled_from(list(StdConvention)),
     st.one_of(
-        st.sampled_from([3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        st.sampled_from([3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 100_000]),
         st.integers(3, 3 * BLOCK),
     ),
 )
+# the lemma defaults (K 20, 100,000 points) on the README grid
+@example(1.0, 1.0, 5, 20.0, 1.5, StdConvention.SUMMED, 100_000)
+@example(0.5, 4.0, 20, 20.0, -1.5, StdConvention.EXACT, 100_000)
+# risk curves that are flat or saturated at float resolution, where bounds
+# tie with the minimum; at eta 1e-300 and log rho/K -1.5 blocks with unequal
+# bounds hold the same minimum, and the lowest grid index must win
+@example(1e-300, 1.0, 1, 20.0, 1.5, StdConvention.SUMMED, 100_000)
+@example(1e-300, 1.0, 1, 20.0, -1.5, StdConvention.SUMMED, 100_000)
+@example(1e100, 1.0, 1, 20.0, -1.5, StdConvention.EXACT, 100_000)
+@example(1.0, 1e-100, 5, 20.0, 0.0, StdConvention.SUMMED, 100_000)
 def test_grid_search_bias_matches_reference(eta, sigma, dim, k, log_ratio, conv, num_points):
     # eta 10 with sigma 0.1 gives a risk of exactly 0 over many blocks: the
     # first grid point of the minimum must win, as in np.argmin
     spec = GaussianMixtureSpec(eta, sigma, dim, k)
     rho = k * float(np.exp(log_ratio))
     got = theory.grid_search_bias(spec, rho, conv, num_points)
-    ref = theory_reference.grid_search_bias(spec, rho, conv, num_points)
+    with np.errstate(over="ignore"):  # the reference squares huge Z-scores
+        ref = theory_reference.grid_search_bias(spec, rho, conv, num_points)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def _float_sweep(center: float, n: int, stride: int) -> np.ndarray:
+    """About n sorted floats around ``center``, ``stride`` ULPs apart, on
+    the side of zero that ``center`` is on."""
+    bits = np.abs(np.float64(center)).view(np.int64) + stride * np.arange(-(n // 2), n - n // 2)
+    bits = bits[(bits >= 0) & (bits < np.float64(np.inf).view(np.int64))]
+    return np.sort(np.copysign(bits.view(np.float64), center))
+
+
+def _assert_cdf_drops_inside_prune_slack(z: np.ndarray) -> None:
+    # the bounded grid search assumes Phi never falls between increasing
+    # inputs by more than a small part of its slack
+    p = theory.normal_cdf(z)
+    drop = p[:-1] - p[1:]
+    allowed = 1e-6 * (theory._PRUNE_SLACK * p[:-1] + np.finfo(np.float64).tiny)
+    assert (drop <= allowed).all(), float(np.max(drop / np.maximum(p[:-1], 1e-300)))
+
+
+# Phi's regime cuts (|z| = 0.46875*sqrt(2) and 4*sqrt(2)), its subnormal
+# tail and saturation, and the Phi ~ 0.16 region with the largest drops
+@pytest.mark.parametrize(
+    "center", [0.46875 * np.sqrt(2.0), 4.0 * np.sqrt(2.0), 37.5, 38.5, 1.0]
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("stride", [1, 2**12, 2**24, 2**36])
+def test_normal_cdf_is_monotone_to_within_the_prune_slack(center, sign, stride):
+    _assert_cdf_drops_inside_prune_slack(_float_sweep(sign * center, 200_000, stride))
+
+
+@PROPERTY
+@given(
+    st.floats(-45.0, 45.0),
+    st.sampled_from([1, 3, 2**10, 2**20, 2**30, 2**40]),
+)
+def test_normal_cdf_is_monotone_in_random_windows(center, stride):
+    _assert_cdf_drops_inside_prune_slack(_float_sweep(center, 20_000, stride))
 
 
 @PROPERTY

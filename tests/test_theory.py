@@ -403,6 +403,22 @@ def test_theorem1_gaps_cross_checked_by_monte_carlo():
     assert report.rhs == pytest.approx(mc_gap(spec2, 60), abs=4e-3)
 
 
+def test_theorem1_margin_resolves_saturated_gaps():
+    # at log K = 40 both gaps round to 1.0; the margin comes from the tails:
+    # err(-1) sits at z = 19 and 39.5 (reflected difference), err(+1) at
+    # z = -21 and -40.5 (direct difference), and Phi(-39.5) = Phi(-40.5) = 0
+    k = math.exp(40.0)
+    report = verify_theorem1(
+        GaussianMixtureSpec(1.0, 1.0, 5, k),
+        GaussianMixtureSpec(1.0, 2.0, 5, k),
+        StdConvention.SUMMED,
+    )
+    assert report.lhs == report.rhs == 1.0
+    expected = normal_cdf(-19.0) + normal_cdf(-21.0)
+    assert report.margin == pytest.approx(expected, rel=1e-9)
+    assert report.holds and report.precondition_met
+
+
 def test_theorem1_rejects_degenerate_pairs():
     k = math.e**3
     a = GaussianMixtureSpec(1.0, 1.0, 4, k)

@@ -2,8 +2,9 @@
 ``normal_cdf`` (with ``_erfc`` and ``_erfc_nonneg``), ``grid_search_bias``
 (with ``_risk_curve``) and ``monte_carlo_classwise_error``, kept as they
 were before ``srat.theory`` evaluated them in fixed-size blocks: whole-array
-temporaries and one (chunk, dim) sample array per Monte Carlo chunk. The
-blocked versions must match them bit for bit."""
+temporaries and one (chunk, dim) sample array per Monte Carlo chunk, and
+a grid search that scans every point. The blocked versions, and the
+bounded grid search, must match them bit for bit."""
 
 import math
 
