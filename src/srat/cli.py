@@ -120,6 +120,14 @@ def _synthetic_splits(spec: GaussianMixtureSpec, n_minority: int, n_test_per_cla
     return train_set, sample_gaussian_mixture(balanced, n_test_per_class, seed=seed + 1)
 
 
+def _check_at_least(section, **minimum) -> None:
+    """Raise DomainError naming the first field of ``section`` that is
+    below its ``minimum``."""
+    for name, least in minimum.items():
+        if getattr(section, name) < least:
+            raise DomainError(f"{name} must be >= {least}")
+
+
 @dataclasses.dataclass(frozen=True)
 class SyntheticData:
     """``dataset.kind: "synthetic"``: the binary Gaussian mixture, with an
@@ -137,6 +145,7 @@ class SyntheticData:
 
     def __post_init__(self) -> None:
         self.mixture  # raises DomainError on invalid mixture values
+        _check_at_least(self, n_minority_train=1, n_test_per_class=1, seed=0)
 
     @property
     def mixture(self) -> GaussianMixtureSpec:
@@ -164,6 +173,9 @@ class CsvData:
     imbalance: ImbalanceSpec | None = None
     seed: int = 0
     under_classes: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_at_least(self, seed=0)
 
     def build(self):
         """Returns (train_set, test_set, under-represented classes)."""

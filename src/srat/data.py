@@ -9,7 +9,7 @@ Floats are written with shortest round-trip formatting, so a save/load
 cycle is bit-exact.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 import csv
 import json
 import math
@@ -25,12 +25,14 @@ _IMBALANCE_KINDS = ("step", "exp")
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Feature matrix, integer labels, and per-class counts."""
+    """Feature matrix and integer labels over ``num_classes`` classes
+    (default: the largest label plus one), with the per-class counts
+    derived from the labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    num_classes: int
-    class_counts: tuple
+    num_classes: int | None = None
+    class_counts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -41,29 +43,21 @@ class LabeledDataset:
             raise DomainError("labels must be one integer per feature row")
         if not np.issubdtype(labels.dtype, np.integer):
             raise DomainError("labels must be integers")
-        if self.num_classes < 1:
+        num_classes = self.num_classes
+        if num_classes is None:
+            num_classes = int(labels.max()) + 1 if labels.size else 1
+        if num_classes < 1:
             raise DomainError("num_classes must be >= 1")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise DomainError("labels out of range")
-        counts = tuple(
-            int(c) for c in np.bincount(labels, minlength=self.num_classes)
-        )
-        if tuple(self.class_counts) != counts:
-            raise DomainError("class_counts do not match the labels")
+        counts = tuple(int(c) for c in np.bincount(labels, minlength=num_classes))
         labels = labels.astype(np.int64)
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "num_classes", int(num_classes))
         object.__setattr__(self, "class_counts", counts)
-
-    @classmethod
-    def from_arrays(cls, features, labels, num_classes=None) -> "LabeledDataset":
-        labels = np.asarray(labels)
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1 if labels.size else 1
-        counts = tuple(int(c) for c in np.bincount(labels, minlength=num_classes))
-        return cls(features, labels, int(num_classes), counts)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -74,7 +68,7 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices)
-        return LabeledDataset.from_arrays(
+        return LabeledDataset(
             self.features[indices], self.labels[indices], self.num_classes
         )
 
@@ -181,7 +175,7 @@ def sample_gaussian_mixture(
     labels = np.concatenate(
         [np.zeros(n_major, dtype=np.int64), np.ones(n_minority, dtype=np.int64)]
     )
-    return LabeledDataset.from_arrays(features, labels, num_classes=2)
+    return LabeledDataset(features, labels, num_classes=2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,7 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
         labels.append(label)
     if not features:
         raise IngestionError(f"{path}: no data rows")
-    return LabeledDataset.from_arrays(
+    return LabeledDataset(
         np.asarray(features, dtype=np.float64),
         np.asarray(labels, dtype=np.int64),
         num_classes,

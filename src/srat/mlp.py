@@ -2,9 +2,10 @@
 
 Everything is float64 numpy. Models are immutable values: forward and
 backward never mutate parameters, and ``sgd_step`` returns a fresh model.
-Each model designates a penultimate layer whose post-activation output is
-the feature vector consumed by the feature-separation objective; input
-gradients are exposed for adversarial example generation.
+Every model is a ReLU MLP with identity logits: ReLU follows every layer
+but the last. The last hidden layer's output is the feature vector
+consumed by the feature-separation objective; input gradients are exposed
+for adversarial example generation.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ import numpy as np
 from srat.errors import DomainError, IngestionError, TrainingError
 from srat.rand import derive_rng
 
-_ACTIVATIONS = ("relu", "identity")
 _CHECKPOINT_FORMAT = "srat-mlp-f64le-v1"
 
 
@@ -25,7 +25,6 @@ class DenseLayer:
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -36,8 +35,6 @@ class DenseLayer:
             raise DomainError(
                 f"bias shape {b.shape} does not match fan_out {w.shape[1]}"
             )
-        if self.activation not in _ACTIVATIONS:
-            raise DomainError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise DomainError("layer parameters must be finite")
         w = w.copy()
@@ -58,14 +55,10 @@ class DenseLayer:
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """A stack of DenseLayers ending in an identity-activated logit layer.
-
-    ``penultimate_index`` selects the layer whose post-activation output is
-    the feature representation.
-    """
+    """A stack of DenseLayers with ReLU after every layer but the last,
+    whose output is the logits."""
 
     layers: tuple
-    penultimate_index: int
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
@@ -76,11 +69,13 @@ class MlpModel:
                 raise DomainError(
                     f"layer shapes do not compose: {prev.fan_out} -> {nxt.fan_in}"
                 )
-        if layers[-1].activation != "identity":
-            raise DomainError("final layer must be identity-activated")
-        if not 0 <= self.penultimate_index < len(layers):
-            raise DomainError("penultimate_index out of range")
         object.__setattr__(self, "layers", layers)
+
+    @property
+    def penultimate_index(self) -> int:
+        """The layer whose output is the feature representation: the last
+        hidden layer, or the logit layer of a model without one."""
+        return max(len(self.layers) - 2, 0)
 
     @property
     def input_dim(self) -> int:
@@ -129,12 +124,11 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
     sizes = [int(input_dim), *(int(h) for h in hidden), int(num_classes)]
     rng = derive_rng(seed)
     layers = []
-    for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
+    for fi, fo in zip(sizes, sizes[1:]):
         bound = np.sqrt(6.0 / fi)
         w = rng.uniform(-bound, bound, size=(fi, fo))
-        act = "identity" if i == len(sizes) - 2 else "relu"
-        layers.append(DenseLayer(w, np.zeros(fo), act))
-    return MlpModel(tuple(layers), penultimate_index=max(len(layers) - 2, 0))
+        layers.append(DenseLayer(w, np.zeros(fo)))
+    return MlpModel(tuple(layers))
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
@@ -146,10 +140,11 @@ def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
         )
     pre, post = [], []
     h = x
-    for layer in model.layers:
+    last = len(model.layers) - 1
+    for l, layer in enumerate(model.layers):
         z = h @ layer.weights + layer.bias
         pre.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        h = np.maximum(z, 0.0) if l < last else z
         post.append(h)
     return ForwardTrace(
         inputs=x,
@@ -196,10 +191,7 @@ def backward(
         if d_features is not None and l == model.penultimate_index:
             g = g + d_features
         layer = model.layers[l]
-        if layer.activation == "relu":
-            g_pre = g * (trace.pre[l] > 0.0)
-        else:
-            g_pre = g
+        g_pre = g * (trace.pre[l] > 0.0) if l < n_layers - 1 else g
         if param_grads:
             grads[l] = (layer_inputs[l].T @ g_pre, g_pre.sum(axis=0))
         g = g_pre @ layer.weights.T
@@ -221,11 +213,11 @@ def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
         b = layer.bias - lr * db
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise TrainingError("non-finite parameters after the update")
-        new_layers.append(_fresh_layer(w, b, layer.activation))
-    return MlpModel(tuple(new_layers), model.penultimate_index)
+        new_layers.append(_fresh_layer(w, b))
+    return MlpModel(tuple(new_layers))
 
 
-def _fresh_layer(weights: np.ndarray, bias: np.ndarray, activation: str) -> DenseLayer:
+def _fresh_layer(weights: np.ndarray, bias: np.ndarray) -> DenseLayer:
     """A DenseLayer owning arrays the caller just computed and checked,
     without ``__post_init__``'s copies and rescans."""
     weights.setflags(write=False)
@@ -233,7 +225,6 @@ def _fresh_layer(weights: np.ndarray, bias: np.ndarray, activation: str) -> Dens
     layer = object.__new__(DenseLayer)
     object.__setattr__(layer, "weights", weights)
     object.__setattr__(layer, "bias", bias)
-    object.__setattr__(layer, "activation", activation)
     return layer
 
 
@@ -244,7 +235,7 @@ def flatten_params(model: MlpModel) -> np.ndarray:
     )
 
 
-def _assemble(shapes, activations, flat: np.ndarray, penultimate_index: int) -> MlpModel:
+def _assemble(shapes, flat: np.ndarray) -> MlpModel:
     """Slice a flat parameter vector into layers of the given
     (fan_in, fan_out) shapes, in ``flatten_params`` order."""
     needed = sum(fi * fo + fo for fi, fo in shapes)
@@ -252,21 +243,18 @@ def _assemble(shapes, activations, flat: np.ndarray, penultimate_index: int) -> 
         raise DomainError(f"flat vector has {flat.size} entries, model needs {needed}")
     layers = []
     offset = 0
-    for (fi, fo), act in zip(shapes, activations, strict=True):
+    for fi, fo in shapes:
         w = flat[offset : offset + fi * fo].reshape(fi, fo)
         offset += fi * fo
-        layers.append(DenseLayer(w, flat[offset : offset + fo], act))
+        layers.append(DenseLayer(w, flat[offset : offset + fo]))
         offset += fo
-    return MlpModel(tuple(layers), penultimate_index)
+    return MlpModel(tuple(layers))
 
 
 def unflatten_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
     """Rebuild a model with the same shapes from a flat parameter vector."""
     return _assemble(
-        [l.weights.shape for l in model.layers],
-        [l.activation for l in model.layers],
-        np.asarray(flat, dtype=np.float64),
-        model.penultimate_index,
+        [l.weights.shape for l in model.layers], np.asarray(flat, dtype=np.float64)
     )
 
 
@@ -276,14 +264,22 @@ def zero_grads(model: MlpModel):
     ]
 
 
+def _architecture(n_layers: int) -> dict:
+    """The checkpoint header keys that follow from the layer count: ReLU
+    after every layer but the last, features from the last hidden layer."""
+    return {
+        "activations": ["relu"] * (n_layers - 1) + ["identity"],
+        "penultimate_index": max(n_layers - 2, 0),
+    }
+
+
 def save_model(model: MlpModel, path, seed: int | None = None) -> None:
     """Checkpoint: one JSON header line, then the flat little-endian
     float64 parameter blob in ``flatten_params`` order."""
     header = {
         "format": _CHECKPOINT_FORMAT,
         "shapes": [list(l.weights.shape) for l in model.layers],
-        "activations": [l.activation for l in model.layers],
-        "penultimate_index": model.penultimate_index,
+        **_architecture(len(model.layers)),
         "seed": seed,
     }
     blob = flatten_params(model).astype("<f8").tobytes()
@@ -295,7 +291,8 @@ def save_model(model: MlpModel, path, seed: int | None = None) -> None:
 
 def load_model(path) -> MlpModel:
     """Read a ``save_model`` checkpoint. A malformed header, a blob of the
-    wrong size or invalid layers raise IngestionError naming the path."""
+    wrong size, invalid layers or a header of another architecture than
+    ``save_model`` writes raise IngestionError naming the path."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -304,13 +301,16 @@ def load_model(path) -> MlpModel:
         if header["format"] != _CHECKPOINT_FORMAT:
             raise IngestionError(f"{path}: unrecognized checkpoint format")
         shapes = [(int(fi), int(fo)) for fi, fo in header["shapes"]]
-        activations = header["activations"]
-        penultimate_index = int(header["penultimate_index"])
+        architecture = {k: header[k] for k in ("activations", "penultimate_index")}
     except (ValueError, TypeError, KeyError) as exc:
         raise IngestionError(f"{path}: bad checkpoint header ({exc})") from exc
+    if architecture != _architecture(len(shapes)):
+        raise IngestionError(
+            f"{path}: not a ReLU MLP with identity logits ({architecture})"
+        )
     if len(blob) % 8:
         raise IngestionError(f"{path}: blob of {len(blob)} bytes is not whole float64s")
     try:
-        return _assemble(shapes, activations, np.frombuffer(blob, dtype="<f8"), penultimate_index)
-    except ValueError as exc:  # DomainError, or shapes and activations of unequal length
+        return _assemble(shapes, np.frombuffer(blob, dtype="<f8"))
+    except ValueError as exc:  # DomainError, or shapes NumPy cannot reshape to
         raise IngestionError(f"{path}: {exc}") from exc

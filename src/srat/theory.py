@@ -478,18 +478,19 @@ def grid_search_bias(
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
     if not math.isfinite(hi - lo):
         raise DomainError(f"the bias bracket [{lo}, {hi}] or its width is not finite")
-    biases = np.linspace(lo, hi, num_points)
     sw, scale = _sum_scale(np.ones(spec.dim), spec, conv)
     shift = spec.eta * sw
+    # both Z-scores are monotone in the bias, so the bracket's ends bound
+    # them over the whole grid; computed as _weighted_risk does
+    ends_z = [-(b + shift) / scale for b in (lo, hi)] + [(b - shift) / scale for b in (lo, hi)]
+    if not all(map(math.isfinite, ends_z)):
+        raise DomainError(
+            f"the Z-scores of the bias bracket [{lo}, {hi}] overflow at scale {scale}"
+        )
+    biases = np.linspace(lo, hi, num_points)
     starts = np.arange(0, num_points, _BLOCK)
     ends = np.minimum(starts + _BLOCK, num_points)
-    # one bound per block; the appended pair puts err(-1) at the first and
-    # err(+1) at the last grid point into the same call, so a Z-score that
-    # is not finite anywhere on the grid raises as a full scan would
-    bounds = _weighted_risk(
-        biases[np.append(ends - 1, 0)], biases[np.append(starts, -1)],
-        spec, rho, shift, scale,
-    )[:-1]
+    bounds = _weighted_risk(biases[ends - 1], biases[starts], spec, rho, shift, scale)
     floor = (rho * spec.minority_prior + spec.majority_prior) * sys.float_info.min
     idx, best = 0, math.inf
     for j in np.argsort(bounds, kind="stable"):

@@ -154,7 +154,11 @@ def train_srat(
         seed=(config.seed, STREAM_MODEL_INIT),
     )
     counts = dataset.class_counts
-    velocity = zero_grads(model) if config.momentum > 0 else None
+    # One update path: at momentum 0 the velocity equals the gradient except
+    # that a zero may change sign, and the sign of a zero step matters only
+    # to a -0.0 parameter, which neither the initialization nor an update
+    # produces (x - y is -0.0 only when x is).
+    velocity = zero_grads(model)
     history = []
 
     for epoch in range(1, config.total_epochs + 1):
@@ -188,13 +192,11 @@ def train_srat(
                     raise TrainingError("non-finite loss")
                 d_feats = obj.d_features if config.loss.lam != 0 else None
                 grads, _ = backward(model, trace, obj.d_logits, d_feats)
-                if velocity is not None:
-                    velocity = [
-                        (config.momentum * vw + dw, config.momentum * vb + db)
-                        for (vw, vb), (dw, db) in zip(velocity, grads)
-                    ]
-                    grads = velocity
-                model = sgd_step(model, grads, lr)
+                velocity = [
+                    (config.momentum * vw + dw, config.momentum * vb + db)
+                    for (vw, vb), (dw, db) in zip(velocity, grads)
+                ]
+                model = sgd_step(model, velocity, lr)
             except (AttackError, TrainingError) as exc:
                 raise TrainingError(f"{exc} at epoch {epoch} batch {b_idx}") from exc
             pred_sum += obj.prediction

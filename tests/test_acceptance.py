@@ -288,10 +288,7 @@ def test_criterion_6_pgd_contracts():
         w = rng.normal(size=d)
         b = float(rng.normal())
         W = np.column_stack([-w / 2.0, w / 2.0])
-        model = MlpModel(
-            (DenseLayer(W, np.array([b / 2.0, -b / 2.0]), "identity"),),
-            penultimate_index=0,
-        )
+        model = MlpModel((DenseLayer(W, np.array([b / 2.0, -b / 2.0])),))
         x = rng.normal(size=(6, d))
         y = rng.integers(0, 2, size=6)
         eps = float(rng.uniform(0.05, 0.4))

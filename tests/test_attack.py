@@ -19,7 +19,7 @@ def linear_binary_model(w: np.ndarray, b: float) -> MlpModel:
     role of label +1 and class 0 of label -1."""
     W = np.column_stack([-w / 2.0, w / 2.0])
     bias = np.array([b / 2.0, -b / 2.0])
-    return MlpModel((DenseLayer(W, bias, "identity"),), penultimate_index=0)
+    return MlpModel((DenseLayer(W, bias),))
 
 
 def _ce_loss(model, x, y):

@@ -172,6 +172,12 @@ def test_theory_malformed_flag_exits_2_without_output(tmp_path):
         (["--thm", "2", "--logK", "1000"], "logK=1000.0"),
         # a finite bias bracket whose width overflows
         (["--thm", "lemma", "--eta", "1e-311", "--sigma", "0.01", "--d", "1"], "eta=1e-311"),
+        # a finite bracket whose ends divided by the Z-score scale overflow
+        (
+            ["--thm", "lemma", "--eta", "1e-311", "--sigma", "1e-3", "--d", "1",
+             "--convention", "summed", "--log-rho-over-k", "1.5"],
+            "Z-scores of the bias bracket",
+        ),
     ],
 )
 def test_theory_out_of_range_grid_point_exits_2_naming_it(tmp_path, capsys, flags, named):
@@ -510,7 +516,13 @@ def test_train_wrongly_typed_value_exits_2(tmp_path, capsys, section, key, value
 
 @pytest.mark.parametrize(
     "change,named",
-    [({"eta": -1}, "eta"), ({"under_classes": [5]}, "dataset.under_classes")],
+    [
+        ({"eta": -1}, "eta"),
+        ({"under_classes": [5]}, "dataset.under_classes"),
+        ({"n_minority_train": 0}, "dataset: n_minority_train must be >= 1"),
+        ({"n_test_per_class": 0}, "dataset: n_test_per_class must be >= 1"),
+        ({"seed": -1}, "dataset: seed must be >= 0"),
+    ],
 )
 def test_train_bad_dataset_value_exits_2_writing_nothing(tmp_path, capsys, change, named):
     doc = _experiment_doc(tmp_path / "x")
@@ -571,7 +583,7 @@ def test_train_on_csv_dataset(tmp_path, under_classes):
     rng = derive_rng(9)
     for name, per_class in (("train", 12), ("test", 5)):
         labels = np.repeat(np.arange(4), per_class)
-        ds = LabeledDataset.from_arrays(rng.normal(size=(4 * per_class, 3)), labels, 4)
+        ds = LabeledDataset(rng.normal(size=(4 * per_class, 3)), labels, 4)
         save_csv(ds, tmp_path / f"{name}.csv")
     spec = ImbalanceSpec("step", 3.0, 12)
     doc = _experiment_doc(tmp_path / "run")
@@ -640,17 +652,24 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
 
 
 def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
-    grid = {
-        "base": _experiment_doc(tmp_path / "unused"),
-        "vary": {"train.lr": [0.05, -1]},
-        "seeds": [0],
-        "output_dir": str(tmp_path / "sweep"),
-    }
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(grid))
-    assert main(["sweep", "--config", str(cfg)]) == 2
-    assert "run_001_seed0" in capsys.readouterr().err
-    assert not (tmp_path / "sweep").exists()
+    base = _experiment_doc(tmp_path / "unused")
+    for key, bad, named in [
+        ("train.lr", -1, "train: lr must be > 0"),
+        ("dataset.n_test_per_class", 0, "dataset: n_test_per_class must be >= 1"),
+        ("dataset.seed", -1, "dataset: seed must be >= 0"),
+    ]:
+        section, field = key.split(".")
+        grid = {
+            "base": base,
+            "vary": {key: [base[section][field], bad]},
+            "seeds": [0],
+            "output_dir": str(tmp_path / "sweep"),
+        }
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(grid))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"sweep run_001_seed0: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("key", ["train.seed", "output_dir", "train"])

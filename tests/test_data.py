@@ -27,7 +27,7 @@ def _balanced(num_classes, per_class, dim=2, seed=0):
     n = num_classes * per_class
     features = rng.normal(size=(n, dim))
     labels = np.repeat(np.arange(num_classes), per_class)
-    return LabeledDataset.from_arrays(features, labels, num_classes)
+    return LabeledDataset(features, labels, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +144,7 @@ def test_mixture_is_deterministic_per_seed():
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = derive_rng(13)
-    ds = LabeledDataset.from_arrays(
-        rng.normal(size=(3, 4)) * 1e-7, np.array([0, 1, 0]), 2
-    )
+    ds = LabeledDataset(rng.normal(size=(3, 4)) * 1e-7, np.array([0, 1, 0]), 2)
     path = tmp_path / "data.csv"
     save_csv(ds, path)
     loaded = load_csv(path)
@@ -246,6 +244,4 @@ def test_batches_deterministic_per_seed():
 
 def test_dataset_validation():
     with pytest.raises(DomainError):
-        LabeledDataset.from_arrays(np.zeros((2, 2)), np.array([0, 5]), 2)
-    with pytest.raises(DomainError):
-        LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), 2, (2, 0))
+        LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)

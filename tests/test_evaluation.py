@@ -19,7 +19,7 @@ def _mixture_classifier_model(dim):
     dataset convention class 0 = +mu, class 1 = -mu."""
     w = np.ones(dim)
     W = np.column_stack([w / 2.0, -w / 2.0])
-    return MlpModel((DenseLayer(W, np.zeros(2), "identity"),), penultimate_index=0)
+    return MlpModel((DenseLayer(W, np.zeros(2)),))
 
 
 def test_zero_epsilon_attack_makes_robust_equal_standard():
@@ -44,9 +44,7 @@ def test_perfect_model_on_separable_mixture_scores_100():
 def test_untrained_model_near_chance_on_balanced_data():
     rng = derive_rng(3)
     n, c = 3000, 4
-    ds = LabeledDataset.from_arrays(
-        rng.normal(size=(n, 6)), rng.integers(0, c, size=n)
-    )
+    ds = LabeledDataset(rng.normal(size=(n, 6)), rng.integers(0, c, size=n))
     model = build_mlp(6, (8,), c, seed=9)
     report = evaluate(model, ds, NO_ATTACK, partition=[], seed=0)
     stderr = 100.0 * np.sqrt((1 / c) * (1 - 1 / c) / n)
@@ -70,7 +68,7 @@ def test_aggregation_identities():
 def test_empty_test_class_is_flagged_and_excluded():
     feats = derive_rng(6).normal(size=(10, 2))
     labels = np.zeros(10, dtype=np.int64)  # class 1 absent
-    ds = LabeledDataset(feats, labels, 2, (10, 0))
+    ds = LabeledDataset(feats, labels, 2)
     model = build_mlp(2, (4,), 2, seed=0)
     report = evaluate(model, ds, NO_ATTACK, partition=[1], seed=0)
     assert report.empty_classes == (1,)

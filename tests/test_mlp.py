@@ -25,13 +25,11 @@ from srat.rand import derive_rng
 
 
 def _random_model(rng, sizes):
-    layers = []
-    for i, (fi, fo) in enumerate(zip(sizes, sizes[1:])):
-        act = "identity" if i == len(sizes) - 2 else "relu"
-        layers.append(
-            DenseLayer(rng.normal(size=(fi, fo)), rng.normal(size=fo), act)
-        )
-    return MlpModel(tuple(layers), penultimate_index=max(len(layers) - 2, 0))
+    layers = [
+        DenseLayer(rng.normal(size=(fi, fo)), rng.normal(size=fo))
+        for fi, fo in zip(sizes, sizes[1:])
+    ]
+    return MlpModel(tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -41,18 +39,16 @@ def _random_model(rng, sizes):
 
 def test_zero_model_gives_zero_logits():
     layers = (
-        DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"),
-        DenseLayer(np.zeros((4, 2)), np.zeros(2), "identity"),
+        DenseLayer(np.zeros((3, 4)), np.zeros(4)),
+        DenseLayer(np.zeros((4, 2)), np.zeros(2)),
     )
-    model = MlpModel(layers, penultimate_index=0)
+    model = MlpModel(layers)
     trace = forward(model, np.ones((5, 3)))
     assert np.array_equal(trace.logits, np.zeros((5, 2)))
 
 
 def test_identity_single_layer_passes_batch_through():
-    model = MlpModel(
-        (DenseLayer(np.eye(3), np.zeros(3), "identity"),), penultimate_index=0
-    )
+    model = MlpModel((DenseLayer(np.eye(3), np.zeros(3)),))
     batch = derive_rng(1).normal(size=(4, 3))
     trace = forward(model, batch)
     assert np.array_equal(trace.logits, batch)
@@ -71,7 +67,7 @@ def test_forward_matches_scalar_reimplementation():
             acc = float(layer.bias[j])
             for i in range(layer.fan_in):
                 acc += h[i] * float(layer.weights[i, j])
-            if layer.activation == "relu" and acc < 0:
+            if l_idx < len(model.layers) - 1 and acc < 0:  # ReLU except on the logits
                 acc = 0.0
             out.append(acc)
         h = out
@@ -84,11 +80,11 @@ def test_relu_trace_identity():
     rng = derive_rng(3)
     model = _random_model(rng, [4, 6, 5, 3])
     trace = forward(model, rng.normal(size=(7, 4)))
-    for layer, pre, post in zip(model.layers, trace.pre, trace.post):
-        if layer.activation == "relu":
-            assert np.array_equal(post, np.maximum(pre, 0.0))
-        else:
-            assert np.array_equal(post, pre)
+    *hidden, (logit_pre, logit_post) = zip(trace.pre, trace.post)
+    for pre, post in hidden:
+        assert np.array_equal(post, np.maximum(pre, 0.0))
+    assert np.array_equal(logit_post, logit_pre)
+    assert trace.features is trace.post[1]
 
 
 def test_forward_is_pure():
@@ -108,14 +104,9 @@ def test_forward_shape_mismatch():
 
 
 def test_model_validation():
-    good = DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu")
-    final = DenseLayer(np.zeros((4, 2)), np.zeros(2), "identity")
+    good = DenseLayer(np.zeros((3, 4)), np.zeros(4))
     with pytest.raises(DomainError):
-        MlpModel((good, DenseLayer(np.zeros((5, 2)), np.zeros(2), "identity")), 0)
-    with pytest.raises(DomainError):
-        MlpModel((good, DenseLayer(np.zeros((4, 2)), np.zeros(2), "relu")), 0)
-    with pytest.raises(DomainError):
-        MlpModel((good, final), 5)
+        MlpModel((good, DenseLayer(np.zeros((5, 2)), np.zeros(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +128,7 @@ def test_linear_softmax_input_gradient_closed_form():
     # single identity layer + CE: d loss/d x = (softmax - onehot) @ W.T / n
     rng = derive_rng(6)
     w = rng.normal(size=(4, 2))
-    model = MlpModel((DenseLayer(w, np.zeros(2), "identity"),), penultimate_index=0)
+    model = MlpModel((DenseLayer(w, np.zeros(2)),))
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, size=6)
     trace = forward(model, x)
@@ -200,9 +191,7 @@ def test_sgd_zero_lr_keeps_model():
 
 
 def test_sgd_scalar_arithmetic():
-    model = MlpModel(
-        (DenseLayer(np.array([[1.0]]), np.zeros(1), "identity"),), penultimate_index=0
-    )
+    model = MlpModel((DenseLayer(np.array([[1.0]]), np.zeros(1)),))
     stepped = sgd_step(model, [(np.array([[2.0]]), np.zeros(1))], 0.1)
     assert stepped.layers[0].weights[0, 0] == pytest.approx(0.8)
 
@@ -260,7 +249,6 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_model(path)
     assert np.array_equal(flatten_params(loaded), flatten_params(model))
     assert loaded.penultimate_index == model.penultimate_index
-    assert [l.activation for l in loaded.layers] == [l.activation for l in model.layers]
 
 
 @pytest.mark.parametrize(
@@ -269,8 +257,9 @@ def test_checkpoint_round_trip(tmp_path):
         lambda raw: b"not json\n" + raw.split(b"\n", 1)[1],  # bad header
         lambda raw: b'{"format": "srat-mlp-f64le-v1"}\n' + raw.split(b"\n", 1)[1],
         lambda raw: raw[:300],  # blob of the wrong size
+        lambda raw: raw.replace(b'"relu", "relu"', b'"identity", "identity"', 1),
     ],
-    ids=["bad_header", "missing_header_keys", "truncated_blob"],
+    ids=["bad_header", "missing_header_keys", "truncated_blob", "foreign_architecture"],
 )
 def test_corrupt_checkpoint_raises_ingestion_error(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"

@@ -1,8 +1,12 @@
 """Hypothesis properties of the training inner loop (the in-place
 separation loss against its reference, the input-only backward pass
-against the full one, and PGD containment), of the blocked and bounded
+against the full one, and PGD containment), of the checkpoint and dataset
+CSV round trips, of the blocked and bounded
 theory oracles against their whole-array references, and of the
 monotonicity of ``normal_cdf`` that the bounded grid search relies on."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,17 @@ import theory_reference
 from separation_reference import reference_separation_loss
 from srat import theory
 from srat.attack import AttackConfig, pgd_attack
+from srat.data import LabeledDataset, load_csv, save_csv
 from srat.losses import LossConfig, separation_loss
-from srat.mlp import backward, build_mlp, forward
+from srat.mlp import (
+    backward,
+    build_mlp,
+    flatten_params,
+    forward,
+    load_model,
+    save_model,
+    unflatten_params,
+)
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec, LinearClassifier, StdConvention
 
@@ -110,6 +123,76 @@ def test_pgd_stays_in_the_ball_and_the_box(
     assert np.abs(adv - x).max() <= eps + 4 * np.finfo(np.float64).eps
     if box:
         assert adv.min() >= 0.0 and adv.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# checkpoint and dataset CSV files: bit-exact round trips
+# ---------------------------------------------------------------------------
+
+# values whose bits a careless format would lose: signed zero, the
+# subnormal and normal extremes, and a value shortest repr must get exact
+SPECIAL_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+
+
+def _random_floats(rng, size, n_special):
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+    flat = values.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, n_special), replace=False)
+    flat[picks] = rng.choice(SPECIAL_FLOATS, size=picks.size)
+    return values
+
+
+@PROPERTY
+@given(
+    st.integers(1, 6),
+    st.lists(st.integers(1, 9), min_size=0, max_size=3),
+    st.integers(1, 5),
+    st.integers(0, 6),
+    st.one_of(st.none(), st.integers(0, 2**31)),
+    st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_round_trip_is_bit_exact(dim, hidden, classes, n_special, ckpt_seed, seed):
+    shape = build_mlp(dim, hidden, classes, seed=seed)
+    flat = _random_floats(derive_rng(seed), flatten_params(shape).size, n_special)
+    model = unflatten_params(shape, flat)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.ckpt"), Path(tmp, "second.ckpt")
+        save_model(model, first, seed=ckpt_seed)
+        loaded = load_model(first)
+        save_model(loaded, second, seed=ckpt_seed)
+        assert second.read_bytes() == first.read_bytes()
+    assert _same_bits(flatten_params(loaded), flat)
+    sizes = [dim, *hidden, classes]
+    assert [l.weights.shape for l in loaded.layers] == list(zip(sizes, sizes[1:]))
+    assert loaded.penultimate_index == max(len(hidden) - 1, 0)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_dataset_csv_round_trip_is_bit_exact(
+    n, dim, used_classes, unused_classes, n_special, seed
+):
+    rng = derive_rng(seed)
+    num_classes = used_classes + unused_classes
+    features = _random_floats(rng, (n, dim), n_special)
+    ds = LabeledDataset(features, rng.integers(0, used_classes, size=n), num_classes)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        save_csv(ds, first)
+        loaded = load_csv(first, num_classes)
+        save_csv(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert _same_bits(loaded.features, ds.features)
+    assert _same_bits(loaded.labels, ds.labels)
+    assert loaded.num_classes == num_classes
+    assert loaded.class_counts == ds.class_counts
 
 
 # ---------------------------------------------------------------------------

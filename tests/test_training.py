@@ -247,6 +247,6 @@ def test_config_validation():
 def test_empty_dataset_rejected():
     feats = np.zeros((0, 3))
     labels = np.zeros(0, dtype=np.int64)
-    ds = LabeledDataset(feats, labels, 2, (0, 0))
+    ds = LabeledDataset(feats, labels, 2)
     with pytest.raises(DomainError):
         train_srat(ds, ModelSpec((4,)), _config())
