@@ -250,11 +250,20 @@ def _attack_arg(text: str) -> AttackConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
+def _build_run_data(cfg: ExperimentConfig):
+    """(train_set, test_set, under-represented classes) of ``cfg``, after
+    the checks that need the data: the classes and both attack boxes."""
     train_set, test_set, partition = cfg.dataset.build()
     _check_classes(partition, test_set.num_classes, "dataset.under_classes")
     cfg.train.attack.check_box(train_set.features, "train.attack")
     cfg.eval_attack.check_box(test_set.features, "eval_attack")
+    return train_set, test_set, partition
+
+
+def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
+    """Train and evaluate on ``data`` from ``_build_run_data(cfg)`` and
+    write the run's files into ``run_dir``."""
+    train_set, test_set, partition = data
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "config.json", cfg.raw)
 
@@ -289,7 +298,7 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path):
 def cmd_train(args) -> int:
     cfg = ExperimentConfig(_load_json(args.config))
     run_dir = _resolve_out(args.out if args.out else cfg.output_dir)
-    report = _run_experiment(cfg, run_dir)
+    report = _run_experiment(cfg, run_dir, _build_run_data(cfg))
     print(
         f"run dir: {run_dir}\n"
         f"overall standard {report.overall_standard:.2f} | "
@@ -510,7 +519,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep.seeds must not be empty")
     out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
 
-    # Every run's config is checked before anything is written.
+    # Every run's config and data are checked before anything is written.
     keys = sorted(vary)
     runs = []
     for combo_idx, values in enumerate(itertools.product(*(vary[k] for k in keys))):
@@ -523,14 +532,15 @@ def cmd_sweep(args) -> int:
             doc["output_dir"] = str(run_dir)
             try:
                 cfg = ExperimentConfig(doc)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep {run_dir.name}: {exc}") from exc
-            runs.append((cfg, run_dir, dict(zip(keys, values), seed=seed)))
+                data = _build_run_data(cfg)
+            except SratError as exc:
+                raise type(exc)(f"sweep {run_dir.name}: {exc}") from exc
+            runs.append((cfg, run_dir, data, dict(zip(keys, values), seed=seed)))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for cfg, run_dir, row in runs:
-        report = _run_experiment(cfg, run_dir)
+    for cfg, run_dir, data, row in runs:
+        report = _run_experiment(cfg, run_dir, data)
         row.update(
             overall_standard=report.overall_standard,
             overall_robust=report.overall_robust,

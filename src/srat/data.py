@@ -35,7 +35,9 @@ class LabeledDataset:
     class_counts: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
+        # a frozen copy: the caller's array stays writable, and later
+        # writes to it do not reach the dataset
+        feats = np.array(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise DomainError("features must be a 2-D matrix")

@@ -1,9 +1,12 @@
 """Scalar training objectives and their logit/feature gradients.
 
-Prediction losses (cross-entropy, focal, margin-adjusted) share one
-log-softmax core so that the documented reductions are bit-exact:
-focal with gamma=0 and the margin loss with margin=0/scale=1 produce
-the identical floats as plain cross-entropy. Class weights are kept
+The three prediction losses run through one softmax core, the focal
+loss of Lin et al. 2017: cross-entropy is its gamma=0 case, and the LDAM
+margin loss of Cao et al. 2019 shifts each label's logit by its class
+margin and scales the logits before calling the core at gamma=0. So the
+documented reductions are bit-exact: focal with gamma=0 and LDAM with
+margin=0/scale=1 produce the identical floats as plain cross-entropy.
+``prediction_loss`` is the one entry to all three. Class weights are kept
 normalized to mean one so the feature-separation tradeoff keeps the same
 meaning under every weighting scheme.
 
@@ -121,120 +124,57 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy(logits, labels, weights: ClassWeights):
-    """Weighted softmax cross-entropy.
+def _softmax_loss(logits, labels, weights: ClassWeights, gamma: float):
+    """Weighted softmax cross-entropy, modulated by (1 - p_t)^gamma per
+    example when gamma > 0 (the focal loss). Returns (loss, dLoss/dlogits)
+    with loss = (1/n) * sum_i w_{y_i} * (1 - p_t)^gamma * (-log p_t).
 
-    Returns (loss, dLoss/dlogits) with
-    loss = (1/n) * sum_i w_{y_i} * (-log softmax(logits_i)[y_i]).
+    gamma = 0 skips the modulator, so cross-entropy is exactly the
+    focal loss at gamma = 0: w * 1.0 is w.
     """
-    return _cross_entropy(*_check_batch(logits, labels), weights)
-
-
-def _cross_entropy(logits, labels, weights: ClassWeights):
-    if weights.weights.size != logits.shape[1]:
-        raise DomainError("class weight count does not match logit width")
     n = logits.shape[0]
     rows = np.arange(n)
     logp = _log_softmax(logits)
-    w = weights.per_example(labels)
-    loss = float((w * (-logp[rows, labels])).sum() / n)
-    grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
-    grad *= (w / n)[:, None]
-    return loss, grad
-
-
-def focal_loss(logits, labels, weights: ClassWeights, gamma: float):
-    """Cross-entropy modulated by (1 - p_t)^gamma per example.
-
-    gamma = 0 reproduces ``cross_entropy`` bit for bit; larger gamma
-    suppresses well-classified examples faster.
-    """
-    return _focal_loss(*_check_batch(logits, labels), weights, gamma)
-
-
-def _focal_loss(logits, labels, weights: ClassWeights, gamma: float):
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    if weights.weights.size != logits.shape[1]:
-        raise DomainError("class weight count does not match logit width")
-    n = logits.shape[0]
-    rows = np.arange(n)
-    logp = _log_softmax(logits)
-    p = np.exp(logp)
-    pt = p[rows, labels]
     logpt = logp[rows, labels]
+    grad = np.exp(logp)
     w = weights.per_example(labels)
-
-    modulator = (1.0 - pt) ** gamma
-    loss = float((w * modulator * (-logpt)).sum() / n)
-
-    # d/dlogits = (p - onehot) * (modulator - gamma*(1-pt)^(gamma-1)*pt*logpt)
-    factor = modulator
+    w_loss = w_grad = w
     if gamma != 0.0:
+        # d/dlogits = (p - onehot) * (modulator - gamma*(1-pt)^(gamma-1)*pt*logpt)
+        pt = grad[rows, labels]
         one_minus = 1.0 - pt
+        modulator = one_minus**gamma
         safe = np.where(one_minus > 0.0, one_minus, 1.0)
         extra = np.where(
             one_minus > 0.0, gamma * safe ** (gamma - 1.0) * pt * logpt, 0.0
         )
-        factor = modulator - extra
-    grad = p
+        w_loss = w * modulator
+        w_grad = w * (modulator - extra)
+    loss = float((w_loss * (-logpt)).sum() / n)
     grad[rows, labels] -= 1.0
-    grad *= (w * factor / n)[:, None]
+    grad *= (w_grad / n)[:, None]
     return loss, grad
 
 
-def ldam_margins(class_counts, max_margin: float) -> np.ndarray:
-    """Per-class margins max_margin * n_c^(-1/4) / max_j n_j^(-1/4)."""
+def _check_counts(class_counts) -> np.ndarray:
     counts = np.asarray(class_counts, dtype=np.float64)
     if counts.ndim != 1 or counts.size == 0:
         raise DomainError("class_counts must be a non-empty vector")
     if (counts < 1).any():
         raise DomainError("every class count must be >= 1")
-    inv_quartic = counts ** (-0.25)
+    return counts
+
+
+def ldam_margins(class_counts, max_margin: float) -> np.ndarray:
+    """Per-class margins max_margin * n_c^(-1/4) / max_j n_j^(-1/4)."""
+    inv_quartic = _check_counts(class_counts) ** (-0.25)
     return max_margin * inv_quartic / inv_quartic.max()
-
-
-def ldam_loss(
-    logits,
-    labels,
-    class_counts,
-    max_margin: float,
-    scale: float,
-    weights: ClassWeights,
-):
-    """Cross-entropy on scale * (logits - margin at the label column),
-    with rarer classes receiving larger margins.
-
-    max_margin = 0 with scale = 1 reproduces ``cross_entropy`` bit for bit.
-    """
-    logits, labels = _check_batch(logits, labels)
-    return _ldam_loss(logits, labels, class_counts, max_margin, scale, weights)
-
-
-def _ldam_loss(logits, labels, class_counts, max_margin, scale, weights):
-    if max_margin < 0:
-        raise DomainError("max_margin must be >= 0")
-    if scale <= 0:
-        raise DomainError("scale must be > 0")
-    margins = ldam_margins(class_counts, max_margin)
-    if margins.size != logits.shape[1]:
-        raise DomainError("class_counts length does not match logit width")
-    adjusted = logits.copy()
-    adjusted[np.arange(len(labels)), labels] -= margins[labels]
-    adjusted *= scale
-    loss, grad = _cross_entropy(adjusted, labels, weights)
-    return loss, scale * grad
 
 
 def effective_number_weights(class_counts, beta: float) -> ClassWeights:
     """Class weights inversely proportional to the effective number
     (1 - beta^n_c) / (1 - beta), normalized to mean 1."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.size == 0:
-        raise DomainError("class_counts must be a non-empty vector")
-    if (counts < 1).any():
-        raise DomainError("every class count must be >= 1")
+    counts = _check_counts(class_counts)
     if not 0.0 <= beta < 1.0:
         raise DomainError("beta must lie in [0, 1)")
     if beta == 0.0:
@@ -314,33 +254,41 @@ def prediction_loss(
     config: LossConfig,
     class_counts=None,
 ):
-    """Dispatch to the configured prediction loss; returns (loss, dlogits).
+    """The configured prediction loss; returns (loss, dlogits).
+
+    ce and focal run the softmax core with gamma 0 and ``focal_gamma``.
+    ldam subtracts each label's margin from its logit, scales the logits
+    by ``ldam_scale``, runs the core with gamma 0 and scales the gradient
+    back; rarer classes get larger margins from ``class_counts``.
 
     This is the inner-loop entry: ``logits`` must be a float64 n x C
     matrix with n >= 1 and ``labels`` int64 indices in [0, C), as
     ``check_labels`` returns them. ``pgd_attack`` and
-    ``combined_objective`` check once per call, not once per step.
+    ``combined_objective`` check once per call, not once per step;
+    ``LossConfig`` checks its own values.
     """
-    if config.kind == "ce":
-        return _cross_entropy(logits, labels, weights)
-    if config.kind == "focal":
-        return _focal_loss(logits, labels, weights, config.focal_gamma)
+    if weights.weights.size != logits.shape[1]:
+        raise DomainError("class weight count does not match logit width")
+    if config.kind != "ldam":
+        gamma = config.focal_gamma if config.kind == "focal" else 0.0
+        return _softmax_loss(logits, labels, weights, gamma)
     if class_counts is None:
         raise DomainError("the margin loss needs per-class training counts")
-    return _ldam_loss(
-        logits,
-        labels,
-        class_counts,
-        config.ldam_max_margin,
-        config.ldam_scale,
-        weights,
-    )
+    margins = ldam_margins(class_counts, config.ldam_max_margin)
+    if margins.size != logits.shape[1]:
+        raise DomainError("class_counts length does not match logit width")
+    adjusted = logits.copy()
+    adjusted[np.arange(len(labels)), labels] -= margins[labels]
+    adjusted *= config.ldam_scale
+    loss, grad = _softmax_loss(adjusted, labels, weights, 0.0)
+    grad *= config.ldam_scale
+    return loss, grad
 
 
 class ObjectiveValue(NamedTuple):
     total: float
     d_logits: np.ndarray
-    d_features: np.ndarray
+    d_features: np.ndarray | None
     prediction: float
     separation: float
 
@@ -357,17 +305,14 @@ def combined_objective(
 
     Class weights enter only the prediction term. With lam = 0, or a
     batch of fewer than two rows (no pairs to separate), the separation
-    head is skipped entirely: its term and the feature gradient are zero.
+    head is skipped entirely: its term is zero and ``d_features`` is None.
     A non-finite total is returned as is; ``train_srat`` stops on it.
     The logits and labels are checked here, once per training step.
     """
     logits, labels = _check_batch(logits, labels)
     pred, d_logits = prediction_loss(logits, labels, weights, config, class_counts)
-    feats = np.asarray(features, dtype=np.float64)
-    if config.lam != 0.0 and feats.shape[0] >= 2:
-        sep, d_feats = separation_loss(feats, labels, config.tau)
+    sep, d_feats = 0.0, None
+    if config.lam != 0.0 and len(labels) >= 2:
+        sep, d_feats = separation_loss(features, labels, config.tau)
         d_feats = config.lam * d_feats
-    else:
-        sep = 0.0
-        d_feats = np.zeros_like(feats)
     return ObjectiveValue(pred + config.lam * sep, d_logits, d_feats, pred, sep)

@@ -190,8 +190,7 @@ def train_srat(
                 )
                 if not math.isfinite(obj.total):
                     raise TrainingError("non-finite loss")
-                d_feats = obj.d_features if config.loss.lam != 0 else None
-                grads, _ = backward(model, trace, obj.d_logits, d_feats)
+                grads, _ = backward(model, trace, obj.d_logits, obj.d_features)
                 velocity = [
                     (config.momentum * vw + dw, config.momentum * vb + db)
                     for (vw, vb), (dw, db) in zip(velocity, grads)

@@ -24,9 +24,7 @@ from srat.losses import (
     ClassWeights,
     LossConfig,
     combined_objective,
-    cross_entropy,
-    focal_loss,
-    ldam_loss,
+    prediction_loss,
 )
 from srat.mlp import (
     DenseLayer,
@@ -200,8 +198,7 @@ def test_criterion_4_gradients_vs_finite_differences():
 
         trace = forward(model, x)
         obj = combined_objective(trace.logits, trace.features, y, weights, cfg, counts)
-        d_feats = obj.d_features if cfg.lam != 0 else None
-        grads, input_grads = backward(model, trace, obj.d_logits, d_feats)
+        grads, input_grads = backward(model, trace, obj.d_logits, obj.d_features)
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         fd = central_diff(total_from_params, flatten_params(model))
         err_params = max_rel_err(analytic, fd)
@@ -239,9 +236,11 @@ def test_criterion_5_reductions_bit_exact():
         labels = rng.integers(0, c, size=n)
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
         counts = tuple(int(v) for v in rng.integers(1, 500, size=c))
-        l_ce, g_ce = cross_entropy(logits, labels, weights)
-        l_f, g_f = focal_loss(logits, labels, weights, 0.0)
-        l_m, g_m = ldam_loss(logits, labels, counts, 0.0, 1.0, weights)
+        l_ce, g_ce = prediction_loss(logits, labels, weights, LossConfig(kind="ce"))
+        focal = LossConfig(kind="focal", focal_gamma=0.0)
+        l_f, g_f = prediction_loss(logits, labels, weights, focal)
+        ldam = LossConfig(kind="ldam", ldam_max_margin=0.0, ldam_scale=1.0)
+        l_m, g_m = prediction_loss(logits, labels, weights, ldam, counts)
         assert l_ce == l_f and np.array_equal(g_ce, g_f)
         assert l_ce == l_m and np.array_equal(g_ce, g_m)
     _criterion(
@@ -296,9 +295,9 @@ def test_criterion_6_pgd_contracts():
         cfg = AttackConfig(epsilon=eps, step_size=0.05, num_steps=steps, random_start=False)
         adv = pgd_attack(model, ce, x, y, cfg, seed=0)
         uniform = ClassWeights.uniform(2)
-        pgd_loss = cross_entropy(forward(model, adv).logits, y, uniform)[0]
+        pgd_loss = prediction_loss(forward(model, adv).logits, y, uniform, ce)[0]
         oracle = linear_oracle(w, b, x, np.where(y == 1, 1, -1), eps)
-        oracle_loss = cross_entropy(forward(model, oracle).logits, y, uniform)[0]
+        oracle_loss = prediction_loss(forward(model, oracle).logits, y, uniform, ce)[0]
         worst_gap = max(worst_gap, abs(pgd_loss - oracle_loss))
         assert abs(pgd_loss - oracle_loss) <= 1e-9
     _criterion(

@@ -7,7 +7,7 @@ from attack_reference import linear_oracle
 import srat.attack
 from srat.attack import AttackConfig, pgd_attack
 from srat.errors import DomainError
-from srat.losses import ClassWeights, LossConfig, cross_entropy
+from srat.losses import ClassWeights, LossConfig, prediction_loss
 from srat.mlp import DenseLayer, MlpModel, build_mlp, forward
 from srat.rand import derive_rng
 
@@ -24,7 +24,7 @@ def linear_binary_model(w: np.ndarray, b: float) -> MlpModel:
 
 def _ce_loss(model, x, y):
     trace = forward(model, x)
-    return cross_entropy(trace.logits, y, ClassWeights.uniform(model.num_classes))[0]
+    return prediction_loss(trace.logits, y, ClassWeights.uniform(model.num_classes), CE)[0]
 
 
 # ---------------------------------------------------------------------------

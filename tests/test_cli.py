@@ -486,6 +486,17 @@ def test_train_missing_mandatory_loss_keys_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 2
 
 
+def test_train_negative_focal_gamma_exits_2_writing_nothing(tmp_path, capsys):
+    # LossConfig is the only check of the loss settings
+    doc = _experiment_doc(tmp_path / "x")
+    doc["train"]["loss"].update(kind="focal", focal_gamma=-1)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "train.loss: focal_gamma must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [
@@ -653,15 +664,17 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
 
 def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
     base = _experiment_doc(tmp_path / "unused")
-    for key, bad, named in [
-        ("train.lr", -1, "train: lr must be > 0"),
-        ("dataset.n_test_per_class", 0, "dataset: n_test_per_class must be >= 1"),
-        ("dataset.seed", -1, "dataset: seed must be >= 0"),
+    for key, values, named in [
+        ("train.lr", [0.05, -1], "train: lr must be > 0"),
+        ("dataset.n_test_per_class", [40, 0], "dataset: n_test_per_class must be >= 1"),
+        ("dataset.seed", [3, -1], "dataset: seed must be >= 0"),
+        # checks that need the run's data
+        ("dataset.under_classes", [[1], [5]], "dataset.under_classes: [5] not all in [0, 2)"),
+        ("train.attack.clip_min", [None, 0], "train.attack.clip_min/clip_max: the box [0.0, None]"),
     ]:
-        section, field = key.split(".")
         grid = {
             "base": base,
-            "vary": {key: [base[section][field], bad]},
+            "vary": {key: values},
             "seeds": [0],
             "output_dir": str(tmp_path / "sweep"),
         }

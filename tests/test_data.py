@@ -245,3 +245,11 @@ def test_batches_deterministic_per_seed():
 def test_dataset_validation():
     with pytest.raises(DomainError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
+
+
+def test_dataset_keeps_a_frozen_copy_of_the_features():
+    f = np.zeros((3, 2))
+    ds = LabeledDataset(f, [0, 1, 0])
+    f[0, 0] = 1.0  # the caller's array stays writable
+    assert ds.features[0, 0] == 0.0
+    assert not ds.features.flags.writeable

@@ -11,15 +11,17 @@ from srat.losses import (
     ClassWeights,
     LossConfig,
     combined_objective,
-    cross_entropy,
     effective_number_weights,
-    focal_loss,
-    ldam_loss,
     ldam_margins,
     prediction_loss,
     separation_loss,
 )
 from srat.rand import derive_rng
+
+
+def _loss(kind, logits, labels, weights, counts=None, **knobs):
+    """``prediction_loss`` under ``LossConfig(kind=kind, **knobs)``."""
+    return prediction_loss(logits, labels, weights, LossConfig(kind=kind, **knobs), counts)
 
 
 def _random_batch(rng, n=6, c=4, spread=2.0):
@@ -36,24 +38,22 @@ def _random_batch(rng, n=6, c=4, spread=2.0):
 def test_ce_uniform_logits_is_log_num_classes():
     logits = np.zeros((5, 2))
     labels = np.array([0, 1, 0, 1, 1])
-    loss, _ = cross_entropy(logits, labels, ClassWeights.uniform(2))
+    loss, _ = _loss("ce", logits, labels, ClassWeights.uniform(2))
     assert loss == pytest.approx(math.log(2.0))
 
 
 def test_ce_saturates_to_zero_when_confident():
     labels = np.array([0, 1, 2])
     logits = 40.0 * np.eye(3)[labels]
-    loss, _ = cross_entropy(logits, labels, ClassWeights.uniform(3))
+    loss, _ = _loss("ce", logits, labels, ClassWeights.uniform(3))
     assert 0.0 <= loss < 1e-12
 
 
 def test_ce_weights_scale_per_example_terms():
     rng = derive_rng(21)
     logits, labels = _random_batch(rng, n=8, c=3)
-    uniform, _ = cross_entropy(logits, labels, ClassWeights.uniform(3))
-    weighted, _ = cross_entropy(
-        logits, labels, ClassWeights(np.array([0.5, 1.0, 1.5]))
-    )
+    uniform, _ = _loss("ce", logits, labels, ClassWeights.uniform(3))
+    weighted, _ = _loss("ce", logits, labels, ClassWeights(np.array([0.5, 1.0, 1.5])))
     # recompute by hand from per-example CE terms
     per_example = []
     for row, y in zip(logits, labels):
@@ -68,19 +68,22 @@ def test_ce_gradient_matches_finite_differences():
     rng = derive_rng(22)
     logits, labels = _random_batch(rng)
     weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
-    _, grad = cross_entropy(logits, labels, weights)
+    _, grad = _loss("ce", logits, labels, weights)
     fd = central_diff(
-        lambda flat: cross_entropy(flat.reshape(logits.shape), labels, weights)[0],
+        lambda flat: _loss("ce", flat.reshape(logits.shape), labels, weights)[0],
         logits.ravel(),
     )
     assert max_rel_err(grad.ravel(), fd) <= 1e-5
 
 
 def test_ce_rejects_empty_and_bad_labels():
-    with pytest.raises(DomainError):
-        cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=int), ClassWeights.uniform(2))
-    with pytest.raises(DomainError):
-        cross_entropy(np.zeros((2, 2)), np.array([0, 2]), ClassWeights.uniform(2))
+    # the logits and labels are checked at the boundary, combined_objective
+    cfg = LossConfig(kind="ce", lam=0.0)
+    uniform = ClassWeights.uniform(2)
+    with pytest.raises(DomainError, match="non-empty"):
+        combined_objective(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), uniform, cfg)
+    with pytest.raises(DomainError, match="out of range"):
+        combined_objective(np.zeros((2, 2)), np.zeros((2, 3)), np.array([0, 2]), uniform, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +96,8 @@ def test_focal_gamma_zero_is_ce_bit_for_bit():
     for _ in range(20):
         logits, labels = _random_batch(rng, n=5, c=3)
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
-        l_ce, g_ce = cross_entropy(logits, labels, weights)
-        l_f, g_f = focal_loss(logits, labels, weights, 0.0)
+        l_ce, g_ce = _loss("ce", logits, labels, weights)
+        l_f, g_f = _loss("focal", logits, labels, weights, focal_gamma=0.0)
         assert l_ce == l_f
         assert np.array_equal(g_ce, g_f)
 
@@ -105,8 +108,8 @@ def test_focal_vanishes_faster_than_ce_when_confident():
     ratios = []
     for margin in (2.0, 4.0, 6.0):
         logits = np.array([[margin, 0.0]])
-        ce, _ = cross_entropy(logits, labels, weights)
-        focal, _ = focal_loss(logits, labels, weights, 2.0)
+        ce, _ = _loss("ce", logits, labels, weights)
+        focal, _ = _loss("focal", logits, labels, weights, focal_gamma=2.0)
         ratios.append(focal / ce)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[2] < 1e-4
@@ -117,9 +120,11 @@ def test_focal_gradient_matches_finite_differences():
     for gamma in (0.5, 2.0):
         logits, labels = _random_batch(rng)
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
-        _, grad = focal_loss(logits, labels, weights, gamma)
+        _, grad = _loss("focal", logits, labels, weights, focal_gamma=gamma)
         fd = central_diff(
-            lambda flat: focal_loss(flat.reshape(logits.shape), labels, weights, gamma)[0],
+            lambda flat: _loss(
+                "focal", flat.reshape(logits.shape), labels, weights, focal_gamma=gamma
+            )[0],
             logits.ravel(),
         )
         assert max_rel_err(grad.ravel(), fd) <= 1e-5
@@ -135,8 +140,10 @@ def test_margin_loss_reduces_to_ce_bit_for_bit():
     for _ in range(20):
         logits, labels = _random_batch(rng, n=5, c=3)
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
-        l_ce, g_ce = cross_entropy(logits, labels, weights)
-        l_m, g_m = ldam_loss(logits, labels, (7, 3, 11), 0.0, 1.0, weights)
+        l_ce, g_ce = _loss("ce", logits, labels, weights)
+        l_m, g_m = _loss(
+            "ldam", logits, labels, weights, (7, 3, 11), ldam_max_margin=0.0, ldam_scale=1.0
+        )
         assert l_ce == l_m
         assert np.array_equal(g_ce, g_m)
 
@@ -158,10 +165,11 @@ def test_margin_loss_gradient_matches_finite_differences():
     logits, labels = _random_batch(rng, spread=0.5)
     weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
     counts = (50, 10, 200, 5)
-    _, grad = ldam_loss(logits, labels, counts, 0.5, 10.0, weights)
+    knobs = dict(ldam_max_margin=0.5, ldam_scale=10.0)
+    _, grad = _loss("ldam", logits, labels, weights, counts, **knobs)
     fd = central_diff(
-        lambda flat: ldam_loss(
-            flat.reshape(logits.shape), labels, counts, 0.5, 10.0, weights
+        lambda flat: _loss(
+            "ldam", flat.reshape(logits.shape), labels, weights, counts, **knobs
         )[0],
         logits.ravel(),
     )
@@ -169,15 +177,8 @@ def test_margin_loss_gradient_matches_finite_differences():
 
 
 def test_margin_loss_rejects_zero_counts():
-    with pytest.raises(DomainError):
-        ldam_loss(
-            np.zeros((2, 2)),
-            np.array([0, 1]),
-            (5, 0),
-            0.5,
-            30.0,
-            ClassWeights.uniform(2),
-        )
+    with pytest.raises(DomainError, match="every class count must be >= 1"):
+        _loss("ldam", np.zeros((2, 2)), np.array([0, 1]), ClassWeights.uniform(2), (5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +353,10 @@ def test_combined_lambda_zero_is_prediction_alone():
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=0.0)
     obj = combined_objective(logits, feats, labels, weights, cfg)
-    pred, d_logits = cross_entropy(logits, labels, weights)
+    pred, d_logits = _loss("ce", logits, labels, weights)
     assert obj.total == pred
     assert np.array_equal(obj.d_logits, d_logits)
-    assert not obj.d_features.any()
+    assert obj.d_features is None
 
 
 def test_combined_is_additive():
@@ -365,7 +366,7 @@ def test_combined_is_additive():
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=1.0)
     obj = combined_objective(logits, feats, labels, weights, cfg)
-    pred, _ = cross_entropy(logits, labels, weights)
+    pred, _ = _loss("ce", logits, labels, weights)
     sep, _ = separation_loss(feats, labels, 0.5)
     assert obj.total == pytest.approx(pred + sep, rel=1e-15)
     assert obj.prediction == pred and obj.separation == sep
@@ -377,9 +378,9 @@ def test_combined_single_row_batch_has_zero_separation():
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=1.0)
     obj = combined_objective(logits[:1], rng.normal(size=(1, 5)), labels[:1], weights, cfg)
-    pred, _ = cross_entropy(logits[:1], labels[:1], weights)
+    pred, _ = _loss("ce", logits[:1], labels[:1], weights)
     assert obj.separation == 0.0 and obj.total == pred
-    assert not obj.d_features.any()
+    assert obj.d_features is None
 
 
 def test_combined_needs_counts_for_margin_loss():
@@ -424,6 +425,13 @@ def test_loss_config_validation():
         LossConfig(cb_beta=1.0)
     with pytest.raises(DomainError):
         LossConfig(lam=-0.5)
+    # the only guards of these three: the loss cores do not check them
+    with pytest.raises(DomainError, match="focal_gamma must be >= 0"):
+        LossConfig(focal_gamma=-1)
+    with pytest.raises(DomainError, match="ldam_max_margin must be >= 0"):
+        LossConfig(ldam_max_margin=-0.1)
+    with pytest.raises(DomainError, match="ldam_scale must be > 0"):
+        LossConfig(ldam_scale=0)
 
 
 def test_class_weights_invariants():

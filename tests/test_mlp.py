@@ -7,7 +7,7 @@ import pytest
 
 from gradcheck import central_diff, max_rel_err
 from srat.errors import DomainError, IngestionError, TrainingError
-from srat.losses import ClassWeights, cross_entropy
+from srat.losses import ClassWeights, LossConfig, prediction_loss
 from srat.mlp import (
     DenseLayer,
     MlpModel,
@@ -22,6 +22,8 @@ from srat.mlp import (
     zero_grads,
 )
 from srat.rand import derive_rng
+
+CE = LossConfig(kind="ce")
 
 
 def _random_model(rng, sizes):
@@ -132,7 +134,7 @@ def test_linear_softmax_input_gradient_closed_form():
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, size=6)
     trace = forward(model, x)
-    _, d_logits = cross_entropy(trace.logits, y, ClassWeights.uniform(2))
+    _, d_logits = prediction_loss(trace.logits, y, ClassWeights.uniform(2), CE)
     _, input_grads = backward(model, trace, d_logits)
 
     z = trace.logits - trace.logits.max(axis=1, keepdims=True)
@@ -152,20 +154,20 @@ def test_backward_matches_finite_differences():
         weights = ClassWeights.uniform(sizes[-1])
 
         trace = forward(model, x)
-        _, d_logits = cross_entropy(trace.logits, y, weights)
+        _, d_logits = prediction_loss(trace.logits, y, weights, CE)
         grads, input_grads = backward(model, trace, d_logits)
         flat_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
         def loss_from_params(flat):
             t = forward(unflatten_params(model, flat), x)
-            return cross_entropy(t.logits, y, weights)[0]
+            return prediction_loss(t.logits, y, weights, CE)[0]
 
         fd = central_diff(loss_from_params, flatten_params(model))
         assert max_rel_err(flat_grad, fd) <= 1e-5
 
         def loss_from_inputs(flat):
             t = forward(model, flat.reshape(x.shape))
-            return cross_entropy(t.logits, y, weights)[0]
+            return prediction_loss(t.logits, y, weights, CE)[0]
 
         fd_x = central_diff(loss_from_inputs, x.ravel())
         assert max_rel_err(input_grads.ravel(), fd_x) <= 1e-5

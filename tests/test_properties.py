@@ -1,9 +1,10 @@
-"""Hypothesis properties of the training inner loop (the in-place
-separation loss against its reference, the input-only backward pass
-against the full one, and PGD containment), of the checkpoint and dataset
-CSV round trips, of the blocked and bounded
-theory oracles against their whole-array references, and of the
-monotonicity of ``normal_cdf`` that the bounded grid search relies on."""
+"""Hypothesis properties of the training inner loop (the prediction losses
+and the in-place separation loss against their references, the prediction
+losses' reductions to cross-entropy and their gradients, the input-only
+backward pass against the full one, and PGD containment), of the
+checkpoint and dataset CSV round trips, of the blocked and bounded theory
+oracles against their whole-array references, and of the monotonicity of
+``normal_cdf`` that the bounded grid search relies on."""
 
 import tempfile
 from pathlib import Path
@@ -14,12 +15,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+import loss_reference
 import theory_reference
+from gradcheck import central_diff, max_rel_err
 from separation_reference import reference_separation_loss
 from srat import theory
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, load_csv, save_csv
-from srat.losses import LossConfig, separation_loss
+from srat.losses import ClassWeights, LossConfig, prediction_loss, separation_loss
 from srat.mlp import (
     backward,
     build_mlp,
@@ -67,6 +70,79 @@ def test_separation_loss_matches_reference_bit_for_bit(batch):
     ref_loss, ref_grad = reference_separation_loss(*batch)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert _same_bits(grad, ref_grad)
+
+
+@st.composite
+def prediction_batches(draw, max_rows=40, max_classes=12, scales=(1e-3, 1.0, 30.0, 1e3)):
+    """(logits, labels, weights, counts): float64 logits up to the largest
+    of ``scales`` in magnitude, with ties in some draws, int64 labels,
+    normalized class weights and per-class counts in [1, 1000]."""
+    n = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_classes))
+    rng = derive_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-1.0, 1.0, size=(n, c)) * draw(st.sampled_from(scales))
+    ties = draw(st.sampled_from(["none", "rounded", "equal_rows"]))
+    if ties == "rounded":  # few distinct values: ties within and across rows
+        logits = np.round(logits)
+    elif ties == "equal_rows":  # every class scores the same
+        logits[:, :] = logits[:, :1]
+    labels = rng.integers(0, c, size=n)
+    weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
+    counts = tuple(int(v) for v in rng.integers(1, 1001, size=c))
+    return logits, labels, weights, counts
+
+
+_GAMMAS = st.one_of(st.just(0.0), st.floats(0.1, 4.0))
+
+
+@PROPERTY
+@given(
+    prediction_batches(), _GAMMAS, st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 10.0, 30.0])
+)
+def test_prediction_loss_matches_reference_bit_for_bit(batch, gamma, max_margin, scale):
+    logits, labels, weights, counts = batch
+
+    def ours(kind, **knobs):
+        cfg = LossConfig(kind=kind, **knobs)
+        loss, grad = prediction_loss(logits, labels, weights, cfg, counts)
+        return np.float64(loss).tobytes(), grad
+
+    ce = ours("ce")
+    ref = loss_reference.cross_entropy(logits, labels, weights)
+    assert ce[0] == np.float64(ref[0]).tobytes() and _same_bits(ce[1], ref[1])
+
+    focal = ours("focal", focal_gamma=gamma)
+    ref = loss_reference.focal_loss(logits, labels, weights, gamma)
+    assert focal[0] == np.float64(ref[0]).tobytes() and _same_bits(focal[1], ref[1])
+
+    ldam = ours("ldam", ldam_max_margin=max_margin, ldam_scale=scale)
+    ref = loss_reference.ldam_loss(logits, labels, counts, max_margin, scale, weights)
+    assert ldam[0] == np.float64(ref[0]).tobytes() and _same_bits(ldam[1], ref[1])
+
+    # the documented reductions: focal at gamma 0 and LDAM at margin 0 and
+    # scale 1 are cross-entropy, float for float
+    reductions = (ours("focal", focal_gamma=0.0), ours("ldam", ldam_max_margin=0.0, ldam_scale=1.0))
+    for reduced in reductions:
+        assert reduced[0] == ce[0] and _same_bits(reduced[1], ce[1])
+
+
+@PROPERTY
+@given(
+    prediction_batches(max_rows=8, max_classes=6, scales=(0.1, 1.0, 2.0)),
+    st.sampled_from(["ce", "focal", "ldam"]),
+    _GAMMAS,
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.5, 1.0, 5.0]),
+)
+def test_prediction_loss_gradients_match_finite_differences(batch, kind, gamma, max_margin, scale):
+    logits, labels, weights, counts = batch
+    cfg = LossConfig(kind=kind, focal_gamma=gamma, ldam_max_margin=max_margin, ldam_scale=scale)
+    _, grad = prediction_loss(logits, labels, weights, cfg, counts)
+    fd = central_diff(
+        lambda flat: prediction_loss(flat.reshape(logits.shape), labels, weights, cfg, counts)[0],
+        logits.ravel(),
+    )
+    assert max_rel_err(grad.ravel(), fd) <= 1e-5
 
 
 @PROPERTY

@@ -6,7 +6,7 @@ import pytest
 from srat.attack import AttackConfig
 from srat.data import LabeledDataset, batches, sample_gaussian_mixture
 from srat.errors import DomainError, TrainingError
-from srat.losses import ClassWeights, LossConfig, cross_entropy, effective_number_weights
+from srat.losses import ClassWeights, LossConfig, effective_number_weights, prediction_loss
 from srat.mlp import ModelSpec, backward, build_mlp, flatten_params, forward, sgd_step
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
@@ -88,7 +88,7 @@ def test_disabled_knobs_reduce_to_natural_training():
     for epoch in range(1, cfg.total_epochs + 1):
         for idx in batches(ds, cfg.batch_size, (cfg.seed, STREAM_SHUFFLE, epoch)):
             trace = forward(ref, ds.features[idx])
-            _, d_logits = cross_entropy(trace.logits, ds.labels[idx], uniform)
+            _, d_logits = prediction_loss(trace.logits, ds.labels[idx], uniform, cfg.loss)
             grads, _ = backward(ref, trace, d_logits)
             ref = sgd_step(ref, grads, cfg.lr)
 
