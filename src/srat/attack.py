@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from srat.errors import AttackError, DomainError
-from srat.losses import ClassWeights, LossConfig, check_labels, prediction_loss
+from srat.losses import ClassWeights, PredictionLoss, check_labels, prediction_loss
 from srat.mlp import MlpModel, backward, forward
 from srat.rand import derive_rng
 
@@ -71,21 +71,20 @@ def _project(adv: np.ndarray, clean: np.ndarray, config: AttackConfig) -> np.nda
 
 def pgd_attack(
     model: MlpModel,
-    loss: LossConfig,
+    loss: PredictionLoss,
     batch: np.ndarray,
     labels: np.ndarray,
     config: AttackConfig,
     seed,
-    class_counts=None,
 ) -> np.ndarray:
     """Adversarial counterpart of ``batch`` maximizing the prediction loss.
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
     Per-example loss weights are irrelevant here: they rescale each row's
     gradient positively and the update only uses its sign. The batch, the
-    labels and, when a box is set, the batch's place inside it are checked
-    once here; the steps only check the gradient. An empty batch is
-    returned as an empty copy.
+    labels, the loss's margins and, when a box is set, the batch's place
+    inside it are checked once here; the steps only check the gradient.
+    An empty batch is returned as an empty copy.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -93,6 +92,7 @@ def pgd_attack(
     if np.shape(labels) != (x.shape[0],):
         raise DomainError("labels must be one integer per batch row")
     labels = check_labels(labels, model.num_classes)
+    loss.check_width(model.num_classes)
     config.check_box(x)
 
     uniform = ClassWeights.uniform(model.num_classes)
@@ -107,7 +107,7 @@ def pgd_attack(
 
     for _ in range(config.num_steps):
         trace = forward(model, adv)
-        _, d_logits = prediction_loss(trace.logits, labels, uniform, loss, class_counts)
+        _, d_logits = prediction_loss(trace.logits, labels, uniform, loss)
         _, input_grads = backward(model, trace, d_logits, param_grads=False)
         if not np.isfinite(input_grads).all():
             raise AttackError("non-finite input gradient during attack")

@@ -45,7 +45,7 @@ from srat.theory import (
     verify_theorem1,
     verify_theorem2,
 )
-from srat.training import STREAM_EVAL, TrainConfig, train_srat, write_history
+from srat.training import STREAM_EVAL, TrainConfig, resolve_loss, train_srat, write_history
 
 OUTPUT_ROOT_ENV = "SRAT_OUTPUT_ROOT"
 
@@ -252,9 +252,11 @@ def _attack_arg(text: str) -> AttackConfig:
 
 def _build_run_data(cfg: ExperimentConfig):
     """(train_set, test_set, under-represented classes) of ``cfg``, after
-    the checks that need the data: the classes and both attack boxes."""
+    the checks that need the data: the classes, the loss settings that read
+    the training class counts and both attack boxes."""
     train_set, test_set, partition = cfg.dataset.build()
     _check_classes(partition, test_set.num_classes, "dataset.under_classes")
+    resolve_loss(cfg.train, train_set.class_counts)
     cfg.train.attack.check_box(train_set.features, "train.attack")
     cfg.eval_attack.check_box(test_set.features, "eval_attack")
     return train_set, test_set, partition

@@ -15,7 +15,7 @@ import numpy as np
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset
 from srat.errors import DomainError
-from srat.losses import LossConfig
+from srat.losses import PredictionLoss
 from srat.mlp import MlpModel, forward
 
 _EVAL_CHUNK = 4096
@@ -53,12 +53,11 @@ def _predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 def _adversarial(model, test_set, attack_config, seed):
     out = np.empty_like(test_set.features)
-    loss = LossConfig(kind="ce", tau=0.1, lam=0.0)
     for start in range(0, len(test_set), _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         out[start:stop] = pgd_attack(
             model,
-            loss,
+            PredictionLoss(),
             test_set.features[start:stop],
             test_set.labels[start:stop],
             attack_config,

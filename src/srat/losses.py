@@ -6,9 +6,11 @@ margin loss of Cao et al. 2019 shifts each label's logit by its class
 margin and scales the logits before calling the core at gamma=0. So the
 documented reductions are bit-exact: focal with gamma=0 and LDAM with
 margin=0/scale=1 produce the identical floats as plain cross-entropy.
-``prediction_loss`` is the one entry to all three. Class weights are kept
-normalized to mean one so the feature-separation tradeoff keeps the same
-meaning under every weighting scheme.
+``prediction_loss`` is the one entry to all three; it takes a
+``PredictionLoss`` resolved once per run from the ``LossConfig`` and the
+training class counts. Class weights are kept normalized to mean one so
+the feature-separation tradeoff keeps the same meaning under every
+weighting scheme.
 
 The feature-separation loss pulls same-class feature vectors of a batch
 together: for each anchor i with positive set P(i) (same-class, not i)
@@ -110,15 +112,6 @@ def check_labels(labels, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _check_batch(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise DomainError("logits must be a non-empty n x C matrix")
-    if np.shape(labels) != (logits.shape[0],):
-        raise DomainError("labels must be one integer per row of logits")
-    return logits, check_labels(labels, logits.shape[1])
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -184,6 +177,32 @@ def effective_number_weights(class_counts, beta: float) -> ClassWeights:
     return ClassWeights.normalized(raw)
 
 
+@dataclass(frozen=True, eq=False)
+class PredictionLoss:
+    """A prediction loss with its settings resolved: the focal loss at
+    ``gamma`` (0 is cross-entropy, so ``PredictionLoss()`` is plain
+    cross-entropy) or, when ``margins`` holds one margin per class, the
+    LDAM margin loss with logit ``scale``."""
+
+    gamma: float = 0.0
+    margins: np.ndarray | None = None
+    scale: float = 1.0
+
+    @classmethod
+    def resolve(cls, config: LossConfig, class_counts) -> "PredictionLoss":
+        """The loss ``config`` names; rarer classes get larger margins
+        from ``class_counts``, which only ldam reads."""
+        if config.kind == "ldam":
+            margins = ldam_margins(class_counts, config.ldam_max_margin)
+            return cls(margins=margins, scale=config.ldam_scale)
+        return cls(gamma=config.focal_gamma if config.kind == "focal" else 0.0)
+
+    def check_width(self, num_classes: int) -> None:
+        """Raise DomainError unless the margins, if any, are ``num_classes`` wide."""
+        if self.margins is not None and self.margins.size != num_classes:
+            raise DomainError("margin count does not match logit width")
+
+
 def separation_loss(features, labels, tau: float):
     """Feature-separation loss over one batch (see module docstring).
 
@@ -247,42 +266,28 @@ def separation_loss(features, labels, tau: float):
     return loss, d_feats
 
 
-def prediction_loss(
-    logits,
-    labels,
-    weights: ClassWeights,
-    config: LossConfig,
-    class_counts=None,
-):
-    """The configured prediction loss; returns (loss, dlogits).
+def prediction_loss(logits, labels, weights: ClassWeights, loss: PredictionLoss):
+    """The resolved prediction loss; returns (loss, dlogits).
 
-    ce and focal run the softmax core with gamma 0 and ``focal_gamma``.
-    ldam subtracts each label's margin from its logit, scales the logits
-    by ``ldam_scale``, runs the core with gamma 0 and scales the gradient
-    back; rarer classes get larger margins from ``class_counts``.
+    Without margins this is the softmax core at ``loss.gamma``. With them
+    each label's margin is subtracted from its logit, the logits are scaled
+    by ``loss.scale``, the core runs at gamma 0 and the gradient is scaled
+    back.
 
     This is the inner-loop entry: ``logits`` must be a float64 n x C
-    matrix with n >= 1 and ``labels`` int64 indices in [0, C), as
-    ``check_labels`` returns them. ``pgd_attack`` and
-    ``combined_objective`` check once per call, not once per step;
-    ``LossConfig`` checks its own values.
+    matrix with n >= 1, ``labels`` int64 indices in [0, C), as
+    ``check_labels`` returns them, and the weights and margins C wide.
+    ``pgd_attack`` and ``combined_objective`` check once per call, not
+    once per step.
     """
-    if weights.weights.size != logits.shape[1]:
-        raise DomainError("class weight count does not match logit width")
-    if config.kind != "ldam":
-        gamma = config.focal_gamma if config.kind == "focal" else 0.0
-        return _softmax_loss(logits, labels, weights, gamma)
-    if class_counts is None:
-        raise DomainError("the margin loss needs per-class training counts")
-    margins = ldam_margins(class_counts, config.ldam_max_margin)
-    if margins.size != logits.shape[1]:
-        raise DomainError("class_counts length does not match logit width")
+    if loss.margins is None:
+        return _softmax_loss(logits, labels, weights, loss.gamma)
     adjusted = logits.copy()
-    adjusted[np.arange(len(labels)), labels] -= margins[labels]
-    adjusted *= config.ldam_scale
-    loss, grad = _softmax_loss(adjusted, labels, weights, 0.0)
-    grad *= config.ldam_scale
-    return loss, grad
+    adjusted[np.arange(len(labels)), labels] -= loss.margins[labels]
+    adjusted *= loss.scale
+    value, grad = _softmax_loss(adjusted, labels, weights, 0.0)
+    grad *= loss.scale
+    return value, grad
 
 
 class ObjectiveValue(NamedTuple):
@@ -299,18 +304,28 @@ def combined_objective(
     labels,
     weights: ClassWeights,
     config: LossConfig,
-    class_counts=None,
+    loss: PredictionLoss,
 ) -> ObjectiveValue:
     """prediction_loss + lam * separation_loss, with both gradients.
 
+    ``config`` gives lam and tau; ``loss`` is the resolved prediction loss.
     Class weights enter only the prediction term. With lam = 0, or a
     batch of fewer than two rows (no pairs to separate), the separation
     head is skipped entirely: its term is zero and ``d_features`` is None.
     A non-finite total is returned as is; ``train_srat`` stops on it.
-    The logits and labels are checked here, once per training step.
+    The logits, labels, weights and margins are checked here, once per
+    training step.
     """
-    logits, labels = _check_batch(logits, labels)
-    pred, d_logits = prediction_loss(logits, labels, weights, config, class_counts)
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise DomainError("logits must be a non-empty n x C matrix")
+    if np.shape(labels) != (logits.shape[0],):
+        raise DomainError("labels must be one integer per row of logits")
+    labels = check_labels(labels, logits.shape[1])
+    if weights.weights.size != logits.shape[1]:
+        raise DomainError("class weight count does not match logit width")
+    loss.check_width(logits.shape[1])
+    pred, d_logits = prediction_loss(logits, labels, weights, loss)
     sep, d_feats = 0.0, None
     if config.lam != 0.0 and len(labels) >= 2:
         sep, d_feats = separation_loss(features, labels, config.tau)

@@ -85,10 +85,6 @@ class MlpModel:
     def num_classes(self) -> int:
         return self.layers[-1].fan_out
 
-    @property
-    def feature_dim(self) -> int:
-        return self.layers[self.penultimate_index].fan_out
-
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:

@@ -54,22 +54,6 @@ import numpy as np
 from srat.errors import DomainError
 from srat.rand import derive_rng
 
-__all__ = [
-    "GaussianMixtureSpec",
-    "LinearClassifier",
-    "StdConvention",
-    "TheoremReport",
-    "classwise_error",
-    "grid_search_bias",
-    "monte_carlo_classwise_error",
-    "normal_cdf",
-    "optimal_bias",
-    "optimal_classifier",
-    "reweighted_risk",
-    "verify_theorem1",
-    "verify_theorem2",
-]
-
 
 class StdConvention(Enum):
     """Which standard deviation enters the Z-scores (see module docstring)."""
@@ -374,20 +358,6 @@ def classwise_error(
         )
     z_minus, z_plus = _error_zscores(clf, spec, conv)
     return normal_cdf(z_plus if label == 1 else z_minus)
-
-
-def reweighted_risk(
-    clf: LinearClassifier,
-    spec: GaussianMixtureSpec,
-    rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
-) -> float:
-    """rho * err(-1) * Pr(y=-1) + err(+1) * Pr(y=+1)."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be > 0, got {rho!r}")
-    err_minus = classwise_error(clf, spec, -1, conv)
-    err_plus = classwise_error(clf, spec, 1, conv)
-    return rho * err_minus * spec.minority_prior + err_plus * spec.majority_prior
 
 
 def optimal_bias(

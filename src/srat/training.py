@@ -19,6 +19,7 @@ from srat.errors import AttackError, DomainError, TrainingError
 from srat.losses import (
     ClassWeights,
     LossConfig,
+    PredictionLoss,
     combined_objective,
     effective_number_weights,
 )
@@ -111,15 +112,28 @@ def write_history(records, path) -> None:
     write_rows(path, rows)
 
 
-def weight_schedule(config: TrainConfig, epoch: int, class_counts) -> ClassWeights:
-    """Class weights for ``epoch``: uniform before ``config.defer_epoch``
-    (and throughout under weighting 'none'), then effective-number
-    class-balanced or the normalized manual weights."""
-    if config.weighting == "none" or epoch < config.defer_epoch:
-        return ClassWeights.uniform(len(class_counts))
-    if config.weighting == "class_balanced":
-        return effective_number_weights(class_counts, config.loss.cb_beta)
-    return ClassWeights.normalized(np.asarray(config.manual_weights))
+def resolve_loss(config: TrainConfig, class_counts):
+    """The run's prediction loss and its class weights from
+    ``config.defer_epoch`` on, built once from the config and the training
+    class counts: a ``(PredictionLoss, ClassWeights)`` pair, the weights
+    uniform under weighting 'none'. A setting the counts cannot serve
+    raises DomainError naming its key in the ``train`` section of an
+    experiment config."""
+    if 0 in class_counts and config.loss.kind == "ldam":
+        raise DomainError("train.loss.kind: 'ldam' needs a training row of every class")
+    loss = PredictionLoss.resolve(config.loss, class_counts)
+    if config.weighting == "none":
+        return loss, ClassWeights.uniform(len(class_counts))
+    if config.weighting == "manual":
+        if len(config.manual_weights) != len(class_counts):
+            raise DomainError(
+                f"train.manual_weights: {len(config.manual_weights)} weights for "
+                f"{len(class_counts)} classes"
+            )
+        return loss, ClassWeights.normalized(config.manual_weights)
+    if 0 in class_counts:
+        raise DomainError("train.weighting: 'class_balanced' needs a training row of every class")
+    return loss, effective_number_weights(class_counts, config.loss.cb_beta)
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -144,8 +158,8 @@ def train_srat(
     """
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
-    if config.manual_weights is not None and len(config.manual_weights) != dataset.num_classes:
-        raise DomainError("manual_weights length must equal the number of classes")
+    loss, deferred = resolve_loss(config, dataset.class_counts)
+    uniform = ClassWeights.uniform(dataset.num_classes)
 
     model = build_mlp(
         dataset.dim,
@@ -153,7 +167,6 @@ def train_srat(
         dataset.num_classes,
         seed=(config.seed, STREAM_MODEL_INIT),
     )
-    counts = dataset.class_counts
     # One update path: at momentum 0 the velocity equals the gradient except
     # that a zero may change sign, and the sign of a zero step matters only
     # to a -0.0 parameter, which neither the initialization nor an update
@@ -163,7 +176,7 @@ def train_srat(
 
     for epoch in range(1, config.total_epochs + 1):
         lr = _epoch_lr(config, epoch)
-        weights = weight_schedule(config, epoch, counts)
+        weights = uniform if epoch < config.defer_epoch else deferred
         epoch_batches = batches(
             dataset, config.batch_size, (config.seed, STREAM_SHUFFLE, epoch)
         )
@@ -175,18 +188,17 @@ def train_srat(
             try:
                 adv = pgd_attack(
                     model,
-                    config.loss,
+                    loss,
                     xb,
                     yb,
                     config.attack,
                     seed=(config.seed, STREAM_ATTACK, epoch, b_idx),
-                    class_counts=counts,
                 )
                 if np.abs(adv - xb).max() > config.attack.epsilon * (1 + 1e-12) + 1e-300:
                     raise TrainingError("attack left the epsilon ball")
                 trace = forward(model, adv)
                 obj = combined_objective(
-                    trace.logits, trace.features, yb, weights, config.loss, counts
+                    trace.logits, trace.features, yb, weights, config.loss, loss
                 )
                 if not math.isfinite(obj.total):
                     raise TrainingError("non-finite loss")

@@ -23,6 +23,7 @@ from srat.evaluation import evaluate
 from srat.losses import (
     ClassWeights,
     LossConfig,
+    PredictionLoss,
     combined_objective,
     prediction_loss,
 )
@@ -178,7 +179,7 @@ def _case_objective(kind, rng):
         cfg = LossConfig(kind="ce", tau=0.4, lam=0.9)
     else:
         cfg = LossConfig(kind=kind, tau=0.4, lam=0.0, ldam_scale=5.0)
-    return model, x, y, weights, counts, cfg
+    return model, x, y, weights, cfg, PredictionLoss.resolve(cfg, counts)
 
 
 def test_criterion_4_gradients_vs_finite_differences():
@@ -188,16 +189,16 @@ def test_criterion_4_gradients_vs_finite_differences():
     worst = 0.0
     for case in range(50):
         kind = kinds[case % 4]
-        model, x, y, weights, counts, cfg = _case_objective(kind, rng)
+        model, x, y, weights, cfg, loss = _case_objective(kind, rng)
 
         def total_from_params(flat):
             trace = forward(unflatten_params(model, flat), x)
             return combined_objective(
-                trace.logits, trace.features, y, weights, cfg, counts
+                trace.logits, trace.features, y, weights, cfg, loss
             ).total
 
         trace = forward(model, x)
-        obj = combined_objective(trace.logits, trace.features, y, weights, cfg, counts)
+        obj = combined_objective(trace.logits, trace.features, y, weights, cfg, loss)
         grads, input_grads = backward(model, trace, obj.d_logits, obj.d_features)
         analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         fd = central_diff(total_from_params, flatten_params(model))
@@ -206,7 +207,7 @@ def test_criterion_4_gradients_vs_finite_differences():
         def total_from_inputs(flat):
             trace = forward(model, flat.reshape(x.shape))
             return combined_objective(
-                trace.logits, trace.features, y, weights, cfg, counts
+                trace.logits, trace.features, y, weights, cfg, loss
             ).total
 
         fd_inputs = central_diff(total_from_inputs, x.ravel())
@@ -236,11 +237,11 @@ def test_criterion_5_reductions_bit_exact():
         labels = rng.integers(0, c, size=n)
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
         counts = tuple(int(v) for v in rng.integers(1, 500, size=c))
-        l_ce, g_ce = prediction_loss(logits, labels, weights, LossConfig(kind="ce"))
-        focal = LossConfig(kind="focal", focal_gamma=0.0)
+        l_ce, g_ce = prediction_loss(logits, labels, weights, PredictionLoss())
+        focal = PredictionLoss.resolve(LossConfig(kind="focal", focal_gamma=0.0), counts)
         l_f, g_f = prediction_loss(logits, labels, weights, focal)
         ldam = LossConfig(kind="ldam", ldam_max_margin=0.0, ldam_scale=1.0)
-        l_m, g_m = prediction_loss(logits, labels, weights, ldam, counts)
+        l_m, g_m = prediction_loss(logits, labels, weights, PredictionLoss.resolve(ldam, counts))
         assert l_ce == l_f and np.array_equal(g_ce, g_f)
         assert l_ce == l_m and np.array_equal(g_ce, g_m)
     _criterion(
@@ -257,7 +258,7 @@ def test_criterion_5_reductions_bit_exact():
 
 def test_criterion_6_pgd_contracts():
     rng = derive_rng(61)
-    ce = LossConfig(kind="ce", tau=0.1, lam=0.0)
+    ce = PredictionLoss()
     slack = 4 * np.finfo(np.float64).eps
     cases = 0
     for model_idx in range(100):

@@ -7,11 +7,11 @@ from attack_reference import linear_oracle
 import srat.attack
 from srat.attack import AttackConfig, pgd_attack
 from srat.errors import DomainError
-from srat.losses import ClassWeights, LossConfig, prediction_loss
+from srat.losses import ClassWeights, PredictionLoss, prediction_loss
 from srat.mlp import DenseLayer, MlpModel, build_mlp, forward
 from srat.rand import derive_rng
 
-CE = LossConfig(kind="ce", tau=0.1, lam=0.0)
+CE = PredictionLoss()
 
 
 def linear_binary_model(w: np.ndarray, b: float) -> MlpModel:

@@ -66,6 +66,22 @@ def _experiment_doc(out_dir, **overrides):
     return doc
 
 
+def _csv_doc(tmp_path, out_dir):
+    """An experiment on CSV splits whose rows hold only classes 0 and 1."""
+    rng = derive_rng(4)
+    for name in ("train", "test"):
+        ds = LabeledDataset(rng.normal(size=(8, 3)), np.repeat([0, 1], 4), 2)
+        save_csv(ds, tmp_path / f"{name}.csv")
+    doc = _experiment_doc(out_dir)
+    doc["dataset"] = {
+        "kind": "csv",
+        "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+        "num_classes": 2,
+    }
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # theory
 # ---------------------------------------------------------------------------
@@ -557,6 +573,38 @@ def test_train_attack_box_excluding_the_data_exits_2_writing_nothing(tmp_path, c
     assert not (tmp_path / "x").exists()
 
 
+_EMPTY_CLASS_BALANCED = "train.weighting: 'class_balanced' needs a training row of every class"
+
+
+@pytest.mark.parametrize(
+    "change,named",
+    [
+        ({}, _EMPTY_CLASS_BALANCED),
+        ({"defer_epoch": 4}, _EMPTY_CLASS_BALANCED),
+        (
+            {"weighting": "none", "loss": {"kind": "ldam", "tau": 0.1, "lam": 0.5}},
+            "train.loss.kind: 'ldam' needs a training row of every class",
+        ),
+        (
+            {"weighting": "manual", "manual_weights": [1.0, 2.0]},
+            "train.manual_weights: 2 weights for 3 classes",
+        ),
+    ],
+    ids=["class_balanced", "class_balanced_never_deferred", "ldam", "manual_weights"],
+)
+def test_train_loss_settings_the_counts_cannot_serve_exit_2_writing_nothing(
+    tmp_path, capsys, change, named
+):
+    doc = _csv_doc(tmp_path, tmp_path / "x")
+    doc["dataset"]["num_classes"] = 3
+    doc["train"].update(change)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("bad", ["config_is_a_directory", "config_bytes", "csv_bytes"])
 def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, bad):
     doc = _experiment_doc(tmp_path / "x")
@@ -664,6 +712,7 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
 
 def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
     base = _experiment_doc(tmp_path / "unused")
+    csv_base = _csv_doc(tmp_path, tmp_path / "unused")
     for key, values, named in [
         ("train.lr", [0.05, -1], "train: lr must be > 0"),
         ("dataset.n_test_per_class", [40, 0], "dataset: n_test_per_class must be >= 1"),
@@ -671,9 +720,10 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
         # checks that need the run's data
         ("dataset.under_classes", [[1], [5]], "dataset.under_classes: [5] not all in [0, 2)"),
         ("train.attack.clip_min", [None, 0], "train.attack.clip_min/clip_max: the box [0.0, None]"),
+        ("dataset.num_classes", [2, 3], _EMPTY_CLASS_BALANCED),
     ]:
         grid = {
-            "base": base,
+            "base": csv_base if key == "dataset.num_classes" else base,
             "vary": {key: values},
             "seeds": [0],
             "output_dir": str(tmp_path / "sweep"),

@@ -120,10 +120,10 @@ def test_export_row_count_and_determinism(tmp_path):
     lines = first.read_text().splitlines()
     assert len(lines) == len(ds)
     assert first.read_bytes() == second.read_bytes()
-    # rows carry the label then feature_dim coordinates, dataset order
+    # rows carry the label then the 4 penultimate coordinates, dataset order
     cells = lines[0].split(",")
     assert int(cells[0]) == int(ds.labels[0])
-    assert len(cells) == 1 + model.feature_dim
+    assert len(cells) == 1 + 4
 
 
 def test_export_clean_vs_adversarial_differ(tmp_path):

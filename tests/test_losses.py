@@ -6,22 +6,29 @@ import numpy as np
 import pytest
 
 from gradcheck import central_diff, max_rel_err
+from srat.attack import AttackConfig, pgd_attack
 from srat.errors import DomainError
 from srat.losses import (
     ClassWeights,
     LossConfig,
+    PredictionLoss,
     combined_objective,
     effective_number_weights,
     ldam_margins,
     prediction_loss,
     separation_loss,
 )
+from srat.mlp import build_mlp
 from srat.rand import derive_rng
+
+CE = PredictionLoss()
 
 
 def _loss(kind, logits, labels, weights, counts=None, **knobs):
-    """``prediction_loss`` under ``LossConfig(kind=kind, **knobs)``."""
-    return prediction_loss(logits, labels, weights, LossConfig(kind=kind, **knobs), counts)
+    """``prediction_loss`` under the loss that ``LossConfig(kind=kind,
+    **knobs)`` resolves to on the training class ``counts``."""
+    loss = PredictionLoss.resolve(LossConfig(kind=kind, **knobs), counts)
+    return prediction_loss(logits, labels, weights, loss)
 
 
 def _random_batch(rng, n=6, c=4, spread=2.0):
@@ -81,9 +88,11 @@ def test_ce_rejects_empty_and_bad_labels():
     cfg = LossConfig(kind="ce", lam=0.0)
     uniform = ClassWeights.uniform(2)
     with pytest.raises(DomainError, match="non-empty"):
-        combined_objective(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), uniform, cfg)
+        combined_objective(
+            np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int), uniform, cfg, CE
+        )
     with pytest.raises(DomainError, match="out of range"):
-        combined_objective(np.zeros((2, 2)), np.zeros((2, 3)), np.array([0, 2]), uniform, cfg)
+        combined_objective(np.zeros((2, 2)), np.zeros((2, 3)), np.array([0, 2]), uniform, cfg, CE)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +361,7 @@ def test_combined_lambda_zero_is_prediction_alone():
     feats = rng.normal(size=(6, 5))
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=0.0)
-    obj = combined_objective(logits, feats, labels, weights, cfg)
+    obj = combined_objective(logits, feats, labels, weights, cfg, CE)
     pred, d_logits = _loss("ce", logits, labels, weights)
     assert obj.total == pred
     assert np.array_equal(obj.d_logits, d_logits)
@@ -365,7 +374,7 @@ def test_combined_is_additive():
     feats = rng.normal(size=(6, 5))
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=1.0)
-    obj = combined_objective(logits, feats, labels, weights, cfg)
+    obj = combined_objective(logits, feats, labels, weights, cfg, CE)
     pred, _ = _loss("ce", logits, labels, weights)
     sep, _ = separation_loss(feats, labels, 0.5)
     assert obj.total == pytest.approx(pred + sep, rel=1e-15)
@@ -377,16 +386,25 @@ def test_combined_single_row_batch_has_zero_separation():
     logits, labels = _random_batch(rng)
     weights = ClassWeights.uniform(4)
     cfg = LossConfig(kind="ce", tau=0.5, lam=1.0)
-    obj = combined_objective(logits[:1], rng.normal(size=(1, 5)), labels[:1], weights, cfg)
+    obj = combined_objective(logits[:1], rng.normal(size=(1, 5)), labels[:1], weights, cfg, CE)
     pred, _ = _loss("ce", logits[:1], labels[:1], weights)
     assert obj.separation == 0.0 and obj.total == pred
     assert obj.d_features is None
 
 
 def test_combined_needs_counts_for_margin_loss():
+    # one margin per class: margins resolved from counts of another width
+    # are refused once per call, by both entries to the prediction loss
     cfg = LossConfig(kind="ldam", tau=0.5, lam=0.0)
-    with pytest.raises(DomainError):
-        prediction_loss(np.zeros((2, 2)), np.array([0, 1]), ClassWeights.uniform(2), cfg)
+    loss = PredictionLoss.resolve(cfg, (5, 7, 9))
+    labels = np.array([0, 1])
+    with pytest.raises(DomainError, match="margin count does not match logit width"):
+        combined_objective(
+            np.zeros((2, 2)), np.zeros((2, 3)), labels, ClassWeights.uniform(2), cfg, loss
+        )
+    attack = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=1)
+    with pytest.raises(DomainError, match="margin count does not match logit width"):
+        pgd_attack(build_mlp(3, (4,), 2, seed=0), loss, np.zeros((2, 3)), labels, attack, seed=0)
 
 
 def test_combined_gradients_match_finite_differences():
@@ -397,11 +415,12 @@ def test_combined_gradients_match_finite_differences():
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
         cfg = LossConfig(kind=kind, tau=0.4, lam=0.8, ldam_scale=5.0)
         counts = (20, 7, 55)
-        obj = combined_objective(logits, feats, labels, weights, cfg, counts)
+        loss = PredictionLoss.resolve(cfg, counts)
+        obj = combined_objective(logits, feats, labels, weights, cfg, loss)
 
         fd_logits = central_diff(
             lambda flat: combined_objective(
-                flat.reshape(logits.shape), feats, labels, weights, cfg, counts
+                flat.reshape(logits.shape), feats, labels, weights, cfg, loss
             ).total,
             logits.ravel(),
         )
@@ -409,7 +428,7 @@ def test_combined_gradients_match_finite_differences():
 
         fd_feats = central_diff(
             lambda flat: combined_objective(
-                logits, flat.reshape(feats.shape), labels, weights, cfg, counts
+                logits, flat.reshape(feats.shape), labels, weights, cfg, loss
             ).total,
             feats.ravel(),
         )

@@ -7,7 +7,7 @@ import pytest
 
 from gradcheck import central_diff, max_rel_err
 from srat.errors import DomainError, IngestionError, TrainingError
-from srat.losses import ClassWeights, LossConfig, prediction_loss
+from srat.losses import ClassWeights, PredictionLoss, prediction_loss
 from srat.mlp import (
     DenseLayer,
     MlpModel,
@@ -23,7 +23,7 @@ from srat.mlp import (
 )
 from srat.rand import derive_rng
 
-CE = LossConfig(kind="ce")
+CE = PredictionLoss()
 
 
 def _random_model(rng, sizes):

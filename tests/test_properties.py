@@ -22,7 +22,7 @@ from separation_reference import reference_separation_loss
 from srat import theory
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, load_csv, save_csv
-from srat.losses import ClassWeights, LossConfig, prediction_loss, separation_loss
+from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss, separation_loss
 from srat.mlp import (
     backward,
     build_mlp,
@@ -103,8 +103,8 @@ def test_prediction_loss_matches_reference_bit_for_bit(batch, gamma, max_margin,
     logits, labels, weights, counts = batch
 
     def ours(kind, **knobs):
-        cfg = LossConfig(kind=kind, **knobs)
-        loss, grad = prediction_loss(logits, labels, weights, cfg, counts)
+        resolved = PredictionLoss.resolve(LossConfig(kind=kind, **knobs), counts)
+        loss, grad = prediction_loss(logits, labels, weights, resolved)
         return np.float64(loss).tobytes(), grad
 
     ce = ours("ce")
@@ -137,9 +137,10 @@ def test_prediction_loss_matches_reference_bit_for_bit(batch, gamma, max_margin,
 def test_prediction_loss_gradients_match_finite_differences(batch, kind, gamma, max_margin, scale):
     logits, labels, weights, counts = batch
     cfg = LossConfig(kind=kind, focal_gamma=gamma, ldam_max_margin=max_margin, ldam_scale=scale)
-    _, grad = prediction_loss(logits, labels, weights, cfg, counts)
+    loss = PredictionLoss.resolve(cfg, counts)
+    _, grad = prediction_loss(logits, labels, weights, loss)
     fd = central_diff(
-        lambda flat: prediction_loss(flat.reshape(logits.shape), labels, weights, cfg, counts)[0],
+        lambda flat: prediction_loss(flat.reshape(logits.shape), labels, weights, loss)[0],
         logits.ravel(),
     )
     assert max_rel_err(grad.ravel(), fd) <= 1e-5
@@ -193,8 +194,8 @@ def test_pgd_stays_in_the_ball_and_the_box(
         clip_min=0.0 if box else None,
         clip_max=1.0 if box else None,
     )
-    loss = LossConfig(kind=kind, tau=0.1, lam=0.0)
-    adv = pgd_attack(model, loss, x, y, cfg, seed=seed, class_counts=range(1, classes + 1))
+    loss = PredictionLoss.resolve(LossConfig(kind=kind), range(1, classes + 1))
+    adv = pgd_attack(model, loss, x, y, cfg, seed=seed)
     assert adv.shape == x.shape
     assert np.abs(adv - x).max() <= eps + 4 * np.finfo(np.float64).eps
     if box:

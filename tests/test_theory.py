@@ -18,10 +18,10 @@ from srat.theory import (
     normal_cdf,
     optimal_bias,
     optimal_classifier,
-    reweighted_risk,
     verify_theorem1,
     verify_theorem2,
 )
+from theory_reference import reweighted_risk
 
 BOTH = (StdConvention.SUMMED, StdConvention.EXACT)
 

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+import srat.losses
 from srat.attack import AttackConfig
 from srat.data import LabeledDataset, batches, sample_gaussian_mixture
 from srat.errors import DomainError, TrainingError
-from srat.losses import ClassWeights, LossConfig, effective_number_weights, prediction_loss
+from srat.losses import (
+    ClassWeights,
+    LossConfig,
+    PredictionLoss,
+    effective_number_weights,
+    prediction_loss,
+)
 from srat.mlp import ModelSpec, backward, build_mlp, flatten_params, forward, sgd_step
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
@@ -15,7 +22,6 @@ from srat.training import (
     STREAM_SHUFFLE,
     TrainConfig,
     train_srat,
-    weight_schedule,
     write_history,
 )
 
@@ -44,26 +50,31 @@ def _config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# weight schedule
+# class weights per epoch
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_uniform_before_defer_epoch():
-    cfg = _config(total_epochs=200, defer_epoch=160)
-    w = weight_schedule(cfg, 1, (5000, 50))
-    assert np.array_equal(w.weights, np.ones(2))
-    w = weight_schedule(cfg, 159, (5000, 50))
-    assert np.array_equal(w.weights, np.ones(2))
-    w = weight_schedule(_config(weighting="none", defer_epoch=1), 4, (5000, 50))
-    assert np.array_equal(w.weights, np.ones(2))
+def _tiny_run_weights(**overrides):
+    """(class counts, class_weights of each epoch) of a 4-epoch run."""
+    ds = _small_dataset(n_minority=4)
+    cfg = _config(batch_size=64, lr_milestones=(), **overrides)
+    _, history = train_srat(ds, ModelSpec((4,)), cfg)
+    return ds.class_counts, [r.class_weights for r in history]
 
 
-def test_schedule_class_balanced_at_defer_epoch():
-    cfg = _config(total_epochs=200, defer_epoch=160)
-    w = weight_schedule(cfg, 160, (5000, 50))
-    assert w.weights[1] > w.weights[0]  # minority upweighted
-    expected = effective_number_weights((5000, 50), cfg.loss.cb_beta)
-    assert np.array_equal(w.weights, expected.weights)
+def test_class_weights_uniform_before_defer_epoch():
+    _, weights = _tiny_run_weights(defer_epoch=4)
+    assert weights[:3] == [(1.0, 1.0)] * 3
+    _, weights = _tiny_run_weights(weighting="none", defer_epoch=1)
+    assert weights == [(1.0, 1.0)] * 4
+
+
+def test_class_weights_effective_number_from_defer_epoch():
+    loss = LossConfig(kind="ce", tau=0.1, lam=0.5, cb_beta=0.99)
+    counts, weights = _tiny_run_weights(defer_epoch=3, loss=loss)
+    expected = tuple(effective_number_weights(counts, 0.99).weights)
+    assert expected[1] > expected[0]  # minority upweighted
+    assert weights == [(1.0, 1.0)] * 2 + [expected] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +99,7 @@ def test_disabled_knobs_reduce_to_natural_training():
     for epoch in range(1, cfg.total_epochs + 1):
         for idx in batches(ds, cfg.batch_size, (cfg.seed, STREAM_SHUFFLE, epoch)):
             trace = forward(ref, ds.features[idx])
-            _, d_logits = prediction_loss(trace.logits, ds.labels[idx], uniform, cfg.loss)
+            _, d_logits = prediction_loss(trace.logits, ds.labels[idx], uniform, PredictionLoss())
             grads, _ = backward(ref, trace, d_logits)
             ref = sgd_step(ref, grads, cfg.lr)
 
@@ -116,6 +127,26 @@ def test_phase_flips_once_and_weights_follow_schedule():
             assert record.class_weights == (1.0, 1.0)
         else:
             assert record.class_weights == tuple(cb.weights)
+
+
+def test_ldam_margins_are_built_once_per_run(monkeypatch):
+    calls = []
+    real = srat.losses.ldam_margins
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(srat.losses, "ldam_margins", spy)
+    ds = _small_dataset()  # 60 rows: 20 batches of 3
+    cfg = _config(
+        total_epochs=6,
+        batch_size=3,
+        loss=LossConfig(kind="ldam", tau=0.1, lam=0.5),
+        attack=AttackConfig(epsilon=0.1, step_size=0.05, num_steps=5),
+    )
+    train_srat(ds, ModelSpec((6,)), cfg)
+    assert len(calls) == 1
 
 
 def test_lr_follows_milestones():

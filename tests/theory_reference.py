@@ -4,7 +4,8 @@
 were before ``srat.theory`` evaluated them in fixed-size blocks: whole-array
 temporaries and one (chunk, dim) sample array per Monte Carlo chunk, and
 a grid search that scans every point. The blocked versions, and the
-bounded grid search, must match them bit for bit."""
+bounded grid search, must match them bit for bit. ``reweighted_risk`` is
+the scalar risk of one classifier, which only the tests evaluate."""
 
 import math
 
@@ -25,6 +26,7 @@ from srat.theory import (
     LinearClassifier,
     StdConvention,
     _sum_scale,
+    classwise_error,
     optimal_bias,
 )
 
@@ -172,3 +174,17 @@ def monte_carlo_classwise_error(
             wrong += int(np.count_nonzero(scores >= 0.0))
         remaining -= m
     return wrong / n_samples
+
+
+def reweighted_risk(
+    clf: LinearClassifier,
+    spec: GaussianMixtureSpec,
+    rho: float,
+    conv: StdConvention = StdConvention.SUMMED,
+) -> float:
+    """rho * err(-1) * Pr(y=-1) + err(+1) * Pr(y=+1)."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise DomainError(f"rho must be > 0, got {rho!r}")
+    err_minus = classwise_error(clf, spec, -1, conv)
+    err_plus = classwise_error(clf, spec, 1, conv)
+    return rho * err_minus * spec.minority_prior + err_plus * spec.majority_prior
