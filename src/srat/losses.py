@@ -88,9 +88,10 @@ class ClassWeights:
     def normalized(cls, raw) -> "ClassWeights":
         raw = np.asarray(raw, dtype=np.float64)
         # __post_init__ checks the rest; all-negative input would pass it
-        # once divided by its own (negative) mean.
-        if (raw <= 0).any():
-            raise DomainError("class weights must be positive")
+        # once divided by its own (negative) mean, and an infinite weight
+        # would reach it as NaN after a NumPy warning.
+        if not np.isfinite(raw).all() or (raw <= 0).any():
+            raise DomainError("class weights must be positive and finite")
         return cls(raw / raw.mean())
 
     @classmethod

@@ -8,8 +8,9 @@ consumed by the feature-separation objective; input gradients are exposed
 for adversarial example generation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,30 +20,12 @@ from srat.rand import derive_rng
 _CHECKPOINT_FORMAT = "srat-mlp-f64le-v1"
 
 
-@dataclass(frozen=True, eq=False)
-class DenseLayer:
-    """One affine layer: weights (fan_in, fan_out), bias (fan_out,)."""
+class Layer(NamedTuple):
+    """One affine layer's read-only views into its model's parameter
+    vector: weights (fan_in, fan_out), bias (fan_out,)."""
 
     weights: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2:
-            raise DomainError("layer weights must be 2-D")
-        if b.shape != (w.shape[1],):
-            raise DomainError(
-                f"bias shape {b.shape} does not match fan_out {w.shape[1]}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise DomainError("layer parameters must be finite")
-        w = w.copy()
-        b = b.copy()
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
 
     @property
     def fan_in(self) -> int:
@@ -53,37 +36,83 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
+def _split(shapes, flat: np.ndarray) -> tuple:
+    """Views of a parameter-layout vector as one Layer per (fan_in,
+    fan_out) shape: per layer, W row-major then b. Parameters, gradients
+    and SGD velocities all use this layout, as does the checkpoint blob."""
+    layers = []
+    offset = 0
+    for fi, fo in shapes:
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        layers.append(Layer(w, flat[offset : offset + fo]))
+        offset += fo
+    return tuple(layers)
+
+
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """A stack of DenseLayers with ReLU after every layer but the last,
-    whose output is the logits."""
+    """A ReLU MLP with identity logits: layer shapes and one read-only
+    float64 parameter vector in checkpoint order. ``layers`` holds views
+    of that vector, one Layer per shape."""
 
-    layers: tuple
+    shapes: tuple
+    params: np.ndarray
+    layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        layers = tuple(self.layers)
-        if not layers:
+        shapes = tuple((int(fi), int(fo)) for fi, fo in self.shapes)
+        if not shapes:
             raise DomainError("model needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.fan_out != nxt.fan_in:
+        if any(fi < 1 or fo < 1 for fi, fo in shapes):
+            raise DomainError(f"layer widths must be >= 1, got {shapes}")
+        for (_, prev), (nxt, _) in zip(shapes, shapes[1:]):
+            if prev != nxt:
+                raise DomainError(f"layer shapes do not compose: {prev} -> {nxt}")
+        params = np.array(self.params, dtype=np.float64)
+        needed = sum(fi * fo + fo for fi, fo in shapes)
+        if params.shape != (needed,):
+            raise DomainError(
+                f"parameter vector of shape {params.shape}, model needs {needed} entries"
+            )
+        if not np.isfinite(params).all():
+            raise DomainError("layer parameters must be finite")
+        params.setflags(write=False)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "layers", _split(shapes, params))
+
+    @classmethod
+    def from_layers(cls, layers) -> "MlpModel":
+        """A model from (weights, bias) pairs in layer order: weights
+        (fan_in, fan_out), bias (fan_out,)."""
+        parts, shapes = [], []
+        for w, b in layers:
+            w = np.asarray(w, dtype=np.float64)
+            b = np.asarray(b, dtype=np.float64)
+            if w.ndim != 2:
+                raise DomainError("layer weights must be 2-D")
+            if b.shape != (w.shape[1],):
                 raise DomainError(
-                    f"layer shapes do not compose: {prev.fan_out} -> {nxt.fan_in}"
+                    f"bias shape {b.shape} does not match fan_out {w.shape[1]}"
                 )
-        object.__setattr__(self, "layers", layers)
+            parts += [w.ravel(), b]
+            shapes.append(w.shape)
+        return cls(tuple(shapes), np.concatenate(parts) if parts else np.empty(0))
 
     @property
     def penultimate_index(self) -> int:
         """The layer whose output is the feature representation: the last
         hidden layer, or the logit layer of a model without one."""
-        return max(len(self.layers) - 2, 0)
+        return max(len(self.shapes) - 2, 0)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].fan_in
+        return self.shapes[0][0]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].fan_out
+        return self.shapes[-1][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +151,8 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
     layers = []
     for fi, fo in zip(sizes, sizes[1:]):
         bound = np.sqrt(6.0 / fi)
-        w = rng.uniform(-bound, bound, size=(fi, fo))
-        layers.append(DenseLayer(w, np.zeros(fo)))
-    return MlpModel(tuple(layers))
+        layers.append((rng.uniform(-bound, bound, size=(fi, fo)), np.zeros(fo)))
+    return MlpModel.from_layers(layers)
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
@@ -163,8 +191,8 @@ def backward(
     ``d_logits`` is dLoss/dlogits; ``d_features``, when given, is an extra
     dLoss/dfeatures injected at the penultimate layer's post-activation
     (used by objectives with a feature head). Returns
-    (param_grads, input_grads) where param_grads is a list of (dW, db) in
-    layer order. The ReLU derivative at exactly 0 is 0.
+    (param_grads, input_grads) where param_grads is one vector in the
+    layout of ``model.params``. The ReLU derivative at exactly 0 is 0.
 
     With ``param_grads=False`` only the input gradient is computed (the
     same floats) and the first element is None: an attack needs nothing
@@ -181,83 +209,35 @@ def backward(
             raise DomainError("d_features shape does not match features")
 
     n_layers = len(model.layers)
-    grads = [None] * n_layers
+    grads = np.empty_like(model.params) if param_grads else None
+    grad_layers = _split(model.shapes, grads) if param_grads else None
     layer_inputs = (trace.inputs, *trace.post[:-1])
     for l in range(n_layers - 1, -1, -1):
         if d_features is not None and l == model.penultimate_index:
             g = g + d_features
-        layer = model.layers[l]
         g_pre = g * (trace.pre[l] > 0.0) if l < n_layers - 1 else g
         if param_grads:
-            grads[l] = (layer_inputs[l].T @ g_pre, g_pre.sum(axis=0))
-        g = g_pre @ layer.weights.T
-    return (grads if param_grads else None), g
+            dw, db = grad_layers[l]
+            np.matmul(layer_inputs[l].T, g_pre, out=dw)
+            np.sum(g_pre, axis=0, out=db)
+        g = g_pre @ model.layers[l].weights.T
+    return grads, g
 
 
-def sgd_step(model: MlpModel, param_grads, lr: float) -> MlpModel:
-    """new_param = old_param - lr * grad, as a fresh model. A non-finite
-    gradient or an overflowing step raises TrainingError."""
+def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
+    """new_params = params - lr * grad, as a fresh model; ``grad`` has the
+    layout of ``model.params``. A non-finite gradient or an overflowing
+    step raises TrainingError."""
     if lr < 0:
         raise DomainError(f"lr must be >= 0, got {lr}")
-    if len(param_grads) != len(model.layers):
-        raise DomainError("gradient list length does not match model")
-    new_layers = []
-    for layer, (dw, db) in zip(model.layers, param_grads):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise DomainError("gradient shapes do not match model")
-        w = layer.weights - lr * dw
-        b = layer.bias - lr * db
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise TrainingError("non-finite parameters after the update")
-        new_layers.append(_fresh_layer(w, b))
-    return MlpModel(tuple(new_layers))
-
-
-def _fresh_layer(weights: np.ndarray, bias: np.ndarray) -> DenseLayer:
-    """A DenseLayer owning arrays the caller just computed and checked,
-    without ``__post_init__``'s copies and rescans."""
-    weights.setflags(write=False)
-    bias.setflags(write=False)
-    layer = object.__new__(DenseLayer)
-    object.__setattr__(layer, "weights", weights)
-    object.__setattr__(layer, "bias", bias)
-    return layer
-
-
-def flatten_params(model: MlpModel) -> np.ndarray:
-    """All parameters as one vector: per layer, W row-major then b."""
-    return np.concatenate(
-        [np.concatenate([l.weights.ravel(), l.bias]) for l in model.layers]
-    )
-
-
-def _assemble(shapes, flat: np.ndarray) -> MlpModel:
-    """Slice a flat parameter vector into layers of the given
-    (fan_in, fan_out) shapes, in ``flatten_params`` order."""
-    needed = sum(fi * fo + fo for fi, fo in shapes)
-    if flat.size != needed:
-        raise DomainError(f"flat vector has {flat.size} entries, model needs {needed}")
-    layers = []
-    offset = 0
-    for fi, fo in shapes:
-        w = flat[offset : offset + fi * fo].reshape(fi, fo)
-        offset += fi * fo
-        layers.append(DenseLayer(w, flat[offset : offset + fo]))
-        offset += fo
-    return MlpModel(tuple(layers))
-
-
-def unflatten_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    """Rebuild a model with the same shapes from a flat parameter vector."""
-    return _assemble(
-        [l.weights.shape for l in model.layers], np.asarray(flat, dtype=np.float64)
-    )
-
-
-def zero_grads(model: MlpModel):
-    return [
-        (np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
-    ]
+    if np.shape(grad) != model.params.shape:
+        raise DomainError(
+            f"gradient of shape {np.shape(grad)} does not match {model.params.shape}"
+        )
+    try:
+        return MlpModel(model.shapes, model.params - lr * grad)
+    except DomainError as exc:  # the shapes are the model's: only finiteness fails
+        raise TrainingError("non-finite parameters after the update") from exc
 
 
 def _architecture(n_layers: int) -> dict:
@@ -271,14 +251,14 @@ def _architecture(n_layers: int) -> dict:
 
 def save_model(model: MlpModel, path, seed: int | None = None) -> None:
     """Checkpoint: one JSON header line, then the flat little-endian
-    float64 parameter blob in ``flatten_params`` order."""
+    float64 parameter blob, ``model.params``."""
     header = {
         "format": _CHECKPOINT_FORMAT,
-        "shapes": [list(l.weights.shape) for l in model.layers],
-        **_architecture(len(model.layers)),
+        "shapes": [list(s) for s in model.shapes],
+        **_architecture(len(model.shapes)),
         "seed": seed,
     }
-    blob = flatten_params(model).astype("<f8").tobytes()
+    blob = model.params.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -307,6 +287,6 @@ def load_model(path) -> MlpModel:
     if len(blob) % 8:
         raise IngestionError(f"{path}: blob of {len(blob)} bytes is not whole float64s")
     try:
-        return _assemble(shapes, np.frombuffer(blob, dtype="<f8"))
-    except ValueError as exc:  # DomainError, or shapes NumPy cannot reshape to
+        return MlpModel(shapes, np.frombuffer(blob, dtype="<f8"))
+    except DomainError as exc:
         raise IngestionError(f"{path}: {exc}") from exc

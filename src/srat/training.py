@@ -23,14 +23,7 @@ from srat.losses import (
     combined_objective,
     effective_number_weights,
 )
-from srat.mlp import (
-    ModelSpec,
-    backward,
-    build_mlp,
-    forward,
-    sgd_step,
-    zero_grads,
-)
+from srat.mlp import ModelSpec, backward, build_mlp, forward, sgd_step
 
 _WEIGHTINGS = ("none", "class_balanced", "manual")
 
@@ -74,6 +67,11 @@ class TrainConfig:
             raise DomainError(f"unknown weighting {self.weighting!r}")
         if (self.weighting == "manual") != (self.manual_weights is not None):
             raise DomainError("manual_weights must be given exactly when weighting='manual'")
+        if self.manual_weights is not None:
+            weights = tuple(float(w) for w in self.manual_weights)
+            if not all(math.isfinite(w) and w > 0 for w in weights):
+                raise DomainError("manual_weights must be positive and finite")
+            object.__setattr__(self, "manual_weights", weights)
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
         if self.seed < 0:
@@ -81,10 +79,6 @@ class TrainConfig:
         if self.eval_every < 1:
             raise DomainError("eval_every must be >= 1")
         object.__setattr__(self, "lr_milestones", tuple(int(m) for m in self.lr_milestones))
-        if self.manual_weights is not None:
-            object.__setattr__(
-                self, "manual_weights", tuple(float(w) for w in self.manual_weights)
-            )
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def train_srat(
     # that a zero may change sign, and the sign of a zero step matters only
     # to a -0.0 parameter, which neither the initialization nor an update
     # produces (x - y is -0.0 only when x is).
-    velocity = zero_grads(model)
+    velocity = np.zeros_like(model.params)
     history = []
 
     for epoch in range(1, config.total_epochs + 1):
@@ -203,10 +197,7 @@ def train_srat(
                 if not math.isfinite(obj.total):
                     raise TrainingError("non-finite loss")
                 grads, _ = backward(model, trace, obj.d_logits, obj.d_features)
-                velocity = [
-                    (config.momentum * vw + dw, config.momentum * vb + db)
-                    for (vw, vb), (dw, db) in zip(velocity, grads)
-                ]
+                velocity = config.momentum * velocity + grads
                 model = sgd_step(model, velocity, lr)
             except (AttackError, TrainingError) as exc:
                 raise TrainingError(f"{exc} at epoch {epoch} batch {b_idx}") from exc

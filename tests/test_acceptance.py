@@ -27,16 +27,7 @@ from srat.losses import (
     combined_objective,
     prediction_loss,
 )
-from srat.mlp import (
-    DenseLayer,
-    MlpModel,
-    ModelSpec,
-    backward,
-    build_mlp,
-    flatten_params,
-    forward,
-    unflatten_params,
-)
+from srat.mlp import MlpModel, ModelSpec, backward, build_mlp, forward
 from srat.rand import derive_rng
 from srat.theory import (
     GaussianMixtureSpec,
@@ -192,7 +183,7 @@ def test_criterion_4_gradients_vs_finite_differences():
         model, x, y, weights, cfg, loss = _case_objective(kind, rng)
 
         def total_from_params(flat):
-            trace = forward(unflatten_params(model, flat), x)
+            trace = forward(MlpModel(model.shapes, flat), x)
             return combined_objective(
                 trace.logits, trace.features, y, weights, cfg, loss
             ).total
@@ -200,9 +191,8 @@ def test_criterion_4_gradients_vs_finite_differences():
         trace = forward(model, x)
         obj = combined_objective(trace.logits, trace.features, y, weights, cfg, loss)
         grads, input_grads = backward(model, trace, obj.d_logits, obj.d_features)
-        analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-        fd = central_diff(total_from_params, flatten_params(model))
-        err_params = max_rel_err(analytic, fd)
+        fd = central_diff(total_from_params, model.params)
+        err_params = max_rel_err(grads, fd)
 
         def total_from_inputs(flat):
             trace = forward(model, flat.reshape(x.shape))
@@ -288,7 +278,7 @@ def test_criterion_6_pgd_contracts():
         w = rng.normal(size=d)
         b = float(rng.normal())
         W = np.column_stack([-w / 2.0, w / 2.0])
-        model = MlpModel((DenseLayer(W, np.array([b / 2.0, -b / 2.0])),))
+        model = MlpModel.from_layers([(W, np.array([b / 2.0, -b / 2.0]))])
         x = rng.normal(size=(6, d))
         y = rng.integers(0, 2, size=6)
         eps = float(rng.uniform(0.05, 0.4))
@@ -462,8 +452,8 @@ def test_criterion_8c_srat_beats_ce_on_minority(directional_arms):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_training_determinism(tmp_path):
-    doc = {
+def _criterion_9_doc():
+    return {
         "dataset": {
             "kind": "synthetic",
             "eta": 1.0,
@@ -490,6 +480,10 @@ def test_criterion_9_training_determinism(tmp_path):
         "eval_attack": {"epsilon": 0.2, "step_size": 0.1, "num_steps": 5},
         "output_dir": "",
     }
+
+
+def test_criterion_9_training_determinism(tmp_path):
+    doc = _criterion_9_doc()
     blobs = []
     for name in ("first", "second"):
         run_dir = tmp_path / name
@@ -523,3 +517,18 @@ def test_criterion_9_training_determinism(tmp_path):
         "metrics.json": "bdf77ea5826f849f2226a265d219ab4c5fc3c1922d6ebbfef45335e79caf815b",
         "per_class.csv": "973bbbb5f2a5bcadef93ef6166e6ddf8fff5902c8480187ae72c933cbe5d7823",
     }
+
+
+def test_criterion_9_momentum_golden_checkpoint(tmp_path):
+    # criterion 9's run with momentum, a margin loss and a trailing short
+    # batch: pins the SGD velocity's bits over many steps
+    doc = _criterion_9_doc()
+    doc["train"].update(momentum=0.9, batch_size=31)
+    doc["train"]["loss"].update(kind="ldam", ldam_scale=10.0)
+    doc["output_dir"] = str(tmp_path / "run")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert hashlib.sha256((tmp_path / "run" / "model.ckpt").read_bytes()).hexdigest() == (
+        "0d8904a371e324e8602c1ef5827b51f3204dc793f2661c5e796735cfe11631b3"
+    )

@@ -8,7 +8,7 @@ import srat.attack
 from srat.attack import AttackConfig, pgd_attack
 from srat.errors import DomainError
 from srat.losses import ClassWeights, PredictionLoss, prediction_loss
-from srat.mlp import DenseLayer, MlpModel, build_mlp, forward
+from srat.mlp import MlpModel, build_mlp, forward
 from srat.rand import derive_rng
 
 CE = PredictionLoss()
@@ -19,7 +19,7 @@ def linear_binary_model(w: np.ndarray, b: float) -> MlpModel:
     role of label +1 and class 0 of label -1."""
     W = np.column_stack([-w / 2.0, w / 2.0])
     bias = np.array([b / 2.0, -b / 2.0])
-    return MlpModel((DenseLayer(W, bias),))
+    return MlpModel.from_layers([(W, bias)])
 
 
 def _ce_loss(model, x, y):

@@ -61,3 +61,6 @@ def test_trace_sites_see_every_loss_call_of_a_training_run():
     assert calls.get("losses.prediction_loss.attack") == 3 * num_batches
     for name in ("losses.prediction_loss.objective", "attack.pgd_attack", "mlp.backward.attack"):
         assert calls.get(name, 0) > 0, name
+    # one update per batch, through the traced backward and sgd_step
+    for name in ("mlp.backward.training", "mlp.sgd_step"):
+        assert calls.get(name) == num_batches, name

@@ -589,8 +589,24 @@ _EMPTY_CLASS_BALANCED = "train.weighting: 'class_balanced' needs a training row 
             {"weighting": "manual", "manual_weights": [1.0, 2.0]},
             "train.manual_weights: 2 weights for 3 classes",
         ),
+        # refused by TrainConfig before any count is read
+        *(
+            (
+                {"weighting": "manual", "manual_weights": weights},
+                "error: train: manual_weights must be positive and finite",
+            )
+            for weights in ([1.0, -1.0], [0.0, 1.0], [1.0, float("inf")])
+        ),
     ],
-    ids=["class_balanced", "class_balanced_never_deferred", "ldam", "manual_weights"],
+    ids=[
+        "class_balanced",
+        "class_balanced_never_deferred",
+        "ldam",
+        "manual_weights",
+        "manual_weights_negative",
+        "manual_weights_zero",
+        "manual_weights_infinite",
+    ],
 )
 def test_train_loss_settings_the_counts_cannot_serve_exit_2_writing_nothing(
     tmp_path, capsys, change, named
@@ -600,7 +616,10 @@ def test_train_loss_settings_the_counts_cannot_serve_exit_2_writing_nothing(
     doc["train"].update(change)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(cfg)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg)]) == 2
+    assert [str(w.message) for w in caught] == []
     assert named in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
@@ -713,6 +732,8 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
 def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
     base = _experiment_doc(tmp_path / "unused")
     csv_base = _csv_doc(tmp_path, tmp_path / "unused")
+    manual_base = _experiment_doc(tmp_path / "unused")
+    manual_base["train"].update(weighting="manual", manual_weights=[1.0, 2.0])
     for key, values, named in [
         ("train.lr", [0.05, -1], "train: lr must be > 0"),
         ("dataset.n_test_per_class", [40, 0], "dataset: n_test_per_class must be >= 1"),
@@ -721,9 +742,16 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
         ("dataset.under_classes", [[1], [5]], "dataset.under_classes: [5] not all in [0, 2)"),
         ("train.attack.clip_min", [None, 0], "train.attack.clip_min/clip_max: the box [0.0, None]"),
         ("dataset.num_classes", [2, 3], _EMPTY_CLASS_BALANCED),
+        (
+            "train.manual_weights",
+            [[1.0, 2.0], [1.0, -1.0]],
+            "train: manual_weights must be positive and finite",
+        ),
     ]:
         grid = {
-            "base": csv_base if key == "dataset.num_classes" else base,
+            "base": {"dataset.num_classes": csv_base, "train.manual_weights": manual_base}.get(
+                key, base
+            ),
             "vary": {key: values},
             "seeds": [0],
             "output_dir": str(tmp_path / "sweep"),

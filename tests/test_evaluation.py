@@ -7,7 +7,7 @@ from srat.attack import AttackConfig
 from srat.data import LabeledDataset, sample_gaussian_mixture
 from srat.errors import DomainError
 from srat.evaluation import evaluate, export_features, per_class_csv
-from srat.mlp import DenseLayer, MlpModel, build_mlp
+from srat.mlp import MlpModel, build_mlp
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
 
@@ -19,7 +19,7 @@ def _mixture_classifier_model(dim):
     dataset convention class 0 = +mu, class 1 = -mu."""
     w = np.ones(dim)
     W = np.column_stack([w / 2.0, -w / 2.0])
-    return MlpModel((DenseLayer(W, np.zeros(2)),))
+    return MlpModel.from_layers([(W, np.zeros(2))])
 
 
 def test_zero_epsilon_attack_makes_robust_equal_standard():

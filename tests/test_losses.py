@@ -458,6 +458,8 @@ def test_class_weights_invariants():
         ClassWeights(np.array([2.0, 2.0]))  # mean != 1
     with pytest.raises(DomainError):
         ClassWeights.normalized(np.array([1.0, -1.0]))
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="finite"):
+        ClassWeights.normalized(np.array([1.0, np.inf]))
     w = ClassWeights.normalized(np.array([1.0, 3.0]))
     assert w.weights.mean() == pytest.approx(1.0)
     assert np.array_equal(w.per_example(np.array([1, 0, 1])), w.weights[[1, 0, 1]])

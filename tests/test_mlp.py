@@ -9,17 +9,13 @@ from gradcheck import central_diff, max_rel_err
 from srat.errors import DomainError, IngestionError, TrainingError
 from srat.losses import ClassWeights, PredictionLoss, prediction_loss
 from srat.mlp import (
-    DenseLayer,
     MlpModel,
     backward,
     build_mlp,
-    flatten_params,
     forward,
     load_model,
     save_model,
     sgd_step,
-    unflatten_params,
-    zero_grads,
 )
 from srat.rand import derive_rng
 
@@ -27,11 +23,9 @@ CE = PredictionLoss()
 
 
 def _random_model(rng, sizes):
-    layers = [
-        DenseLayer(rng.normal(size=(fi, fo)), rng.normal(size=fo))
-        for fi, fo in zip(sizes, sizes[1:])
-    ]
-    return MlpModel(tuple(layers))
+    return MlpModel.from_layers(
+        [(rng.normal(size=(fi, fo)), rng.normal(size=fo)) for fi, fo in zip(sizes, sizes[1:])]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -40,17 +34,15 @@ def _random_model(rng, sizes):
 
 
 def test_zero_model_gives_zero_logits():
-    layers = (
-        DenseLayer(np.zeros((3, 4)), np.zeros(4)),
-        DenseLayer(np.zeros((4, 2)), np.zeros(2)),
+    model = MlpModel.from_layers(
+        [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))]
     )
-    model = MlpModel(layers)
     trace = forward(model, np.ones((5, 3)))
     assert np.array_equal(trace.logits, np.zeros((5, 2)))
 
 
 def test_identity_single_layer_passes_batch_through():
-    model = MlpModel((DenseLayer(np.eye(3), np.zeros(3)),))
+    model = MlpModel.from_layers([(np.eye(3), np.zeros(3))])
     batch = derive_rng(1).normal(size=(4, 3))
     trace = forward(model, batch)
     assert np.array_equal(trace.logits, batch)
@@ -106,9 +98,22 @@ def test_forward_shape_mismatch():
 
 
 def test_model_validation():
-    good = DenseLayer(np.zeros((3, 4)), np.zeros(4))
-    with pytest.raises(DomainError):
-        MlpModel((good, DenseLayer(np.zeros((5, 2)), np.zeros(2))))
+    good = (np.zeros((3, 4)), np.zeros(4))
+    for layers, named in [
+        ([(np.zeros(3), np.zeros(3))], "2-D"),
+        ([(np.zeros((3, 4)), np.zeros(3))], "bias shape"),
+        ([(np.zeros((3, 4)), np.full(4, np.nan))], "finite"),
+        ([good, (np.zeros((5, 2)), np.zeros(2))], "compose"),
+    ]:
+        with pytest.raises(DomainError, match=named):
+            MlpModel.from_layers(layers)
+    with pytest.raises(DomainError, match="entries"):
+        MlpModel(((3, 4),), np.zeros(15))
+    # a negative fan_in whose slice sizes still add up
+    with pytest.raises(DomainError, match="widths"):
+        MlpModel(((-1, 2),), np.zeros(0))
+    with pytest.raises(DomainError, match="compose"):
+        MlpModel(((3, 4), (5, 2)), np.zeros(16 + 12))
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +127,14 @@ def test_zero_upstream_gradient_gives_zero_grads():
     trace = forward(model, rng.normal(size=(5, 3)))
     grads, input_grads = backward(model, trace, np.zeros_like(trace.logits))
     assert np.array_equal(input_grads, np.zeros((5, 3)))
-    for dw, db in grads:
-        assert not dw.any() and not db.any()
+    assert grads.shape == model.params.shape and not grads.any()
 
 
 def test_linear_softmax_input_gradient_closed_form():
     # single identity layer + CE: d loss/d x = (softmax - onehot) @ W.T / n
     rng = derive_rng(6)
     w = rng.normal(size=(4, 2))
-    model = MlpModel((DenseLayer(w, np.zeros(2)),))
+    model = MlpModel.from_layers([(w, np.zeros(2))])
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, size=6)
     trace = forward(model, x)
@@ -156,14 +160,13 @@ def test_backward_matches_finite_differences():
         trace = forward(model, x)
         _, d_logits = prediction_loss(trace.logits, y, weights, CE)
         grads, input_grads = backward(model, trace, d_logits)
-        flat_grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
         def loss_from_params(flat):
-            t = forward(unflatten_params(model, flat), x)
+            t = forward(MlpModel(model.shapes, flat), x)
             return prediction_loss(t.logits, y, weights, CE)[0]
 
-        fd = central_diff(loss_from_params, flatten_params(model))
-        assert max_rel_err(flat_grad, fd) <= 1e-5
+        fd = central_diff(loss_from_params, model.params)
+        assert max_rel_err(grads, fd) <= 1e-5
 
         def loss_from_inputs(flat):
             t = forward(model, flat.reshape(x.shape))
@@ -187,42 +190,36 @@ def test_backward_shape_mismatch():
 
 def test_sgd_zero_lr_keeps_model():
     model = build_mlp(3, (4,), 2, seed=1)
-    grads = [(np.ones_like(l.weights), np.ones_like(l.bias)) for l in model.layers]
-    stepped = sgd_step(model, grads, 0.0)
-    assert np.array_equal(flatten_params(stepped), flatten_params(model))
+    stepped = sgd_step(model, np.ones_like(model.params), 0.0)
+    assert np.array_equal(stepped.params, model.params)
 
 
 def test_sgd_scalar_arithmetic():
-    model = MlpModel((DenseLayer(np.array([[1.0]]), np.zeros(1)),))
-    stepped = sgd_step(model, [(np.array([[2.0]]), np.zeros(1))], 0.1)
+    model = MlpModel.from_layers([(np.array([[1.0]]), np.zeros(1))])
+    stepped = sgd_step(model, np.array([2.0, 0.0]), 0.1)
     assert stepped.layers[0].weights[0, 0] == pytest.approx(0.8)
 
 
 def test_sgd_two_steps_equal_summed_displacement():
     model = build_mlp(2, (3,), 2, seed=2)
     rng = derive_rng(8)
-    grads = [
-        (rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
-        for l in model.layers
-    ]
+    grads = rng.normal(size=model.params.shape)
     twice = sgd_step(sgd_step(model, grads, 0.05), grads, 0.05)
-    summed = sgd_step(model, [(2 * gw, 2 * gb) for gw, gb in grads], 0.05)
-    np.testing.assert_allclose(
-        flatten_params(twice), flatten_params(summed), rtol=0, atol=1e-15
-    )
+    summed = sgd_step(model, 2 * grads, 0.05)
+    np.testing.assert_allclose(twice.params, summed.params, rtol=0, atol=1e-15)
 
 
 def test_sgd_rejects_non_finite_grads():
     model = build_mlp(2, (3,), 2, seed=3)
-    grads = zero_grads(model)
-    grads[0] = (np.full_like(grads[0][0], np.nan), grads[0][1])
+    grads = np.zeros_like(model.params)
+    grads[: 2 * 3] = np.nan
     with pytest.raises(TrainingError):
         sgd_step(model, grads, 0.1)
 
 
 def test_sgd_rejects_overflowing_update():
     model = build_mlp(2, (3,), 2, seed=3)
-    grads = [(np.full_like(dw, 1e300), db) for dw, db in zero_grads(model)]
+    grads = np.full_like(model.params, 1e300)
     with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite"):
         sgd_step(model, grads, 1e10)
 
@@ -236,8 +233,8 @@ def test_build_mlp_is_seeded_and_bounded():
     a = build_mlp(5, (8, 8), 3, seed=11)
     b = build_mlp(5, (8, 8), 3, seed=11)
     c = build_mlp(5, (8, 8), 3, seed=12)
-    assert np.array_equal(flatten_params(a), flatten_params(b))
-    assert not np.array_equal(flatten_params(a), flatten_params(c))
+    assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(a.params, c.params)
     for layer in a.layers:
         bound = np.sqrt(6.0 / layer.fan_in)
         assert np.abs(layer.weights).max() <= bound
@@ -249,7 +246,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_model(model, path, seed=9)
     loaded = load_model(path)
-    assert np.array_equal(flatten_params(loaded), flatten_params(model))
+    assert np.array_equal(loaded.params, model.params)
     assert loaded.penultimate_index == model.penultimate_index
 
 
@@ -283,6 +280,4 @@ def test_checkpoint_layout(tmp_path):
     n_params = 2 * 3 + 3 + 3 * 2 + 2
     assert len(blob) == 8 * n_params
     # little-endian blob matches the flattened parameters
-    np.testing.assert_array_equal(
-        np.frombuffer(blob, dtype="<f8"), flatten_params(model)
-    )
+    np.testing.assert_array_equal(np.frombuffer(blob, dtype="<f8"), model.params)

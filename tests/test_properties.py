@@ -23,15 +23,7 @@ from srat import theory
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, load_csv, save_csv
 from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss, separation_loss
-from srat.mlp import (
-    backward,
-    build_mlp,
-    flatten_params,
-    forward,
-    load_model,
-    save_model,
-    unflatten_params,
-)
+from srat.mlp import MlpModel, backward, build_mlp, forward, load_model, save_model
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec, LinearClassifier, StdConvention
 
@@ -230,15 +222,15 @@ def _random_floats(rng, size, n_special):
 )
 def test_checkpoint_round_trip_is_bit_exact(dim, hidden, classes, n_special, ckpt_seed, seed):
     shape = build_mlp(dim, hidden, classes, seed=seed)
-    flat = _random_floats(derive_rng(seed), flatten_params(shape).size, n_special)
-    model = unflatten_params(shape, flat)
+    flat = _random_floats(derive_rng(seed), shape.params.size, n_special)
+    model = MlpModel(shape.shapes, flat)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first.ckpt"), Path(tmp, "second.ckpt")
         save_model(model, first, seed=ckpt_seed)
         loaded = load_model(first)
         save_model(loaded, second, seed=ckpt_seed)
         assert second.read_bytes() == first.read_bytes()
-    assert _same_bits(flatten_params(loaded), flat)
+    assert _same_bits(loaded.params, flat)
     sizes = [dim, *hidden, classes]
     assert [l.weights.shape for l in loaded.layers] == list(zip(sizes, sizes[1:]))
     assert loaded.penultimate_index == max(len(hidden) - 1, 0)

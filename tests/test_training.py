@@ -14,7 +14,7 @@ from srat.losses import (
     effective_number_weights,
     prediction_loss,
 )
-from srat.mlp import ModelSpec, backward, build_mlp, flatten_params, forward, sgd_step
+from srat.mlp import ModelSpec, backward, build_mlp, forward, sgd_step
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
 from srat.training import (
@@ -103,7 +103,7 @@ def test_disabled_knobs_reduce_to_natural_training():
             grads, _ = backward(ref, trace, d_logits)
             ref = sgd_step(ref, grads, cfg.lr)
 
-    assert np.array_equal(flatten_params(model), flatten_params(ref))
+    assert np.array_equal(model.params, ref.params)
 
 
 def test_defer_epoch_past_end_never_reweights():
@@ -162,7 +162,7 @@ def test_training_is_deterministic():
     cfg = _config()
     model_a, hist_a = train_srat(ds, ModelSpec((6,)), cfg)
     model_b, hist_b = train_srat(ds, ModelSpec((6,)), cfg)
-    assert np.array_equal(flatten_params(model_a), flatten_params(model_b))
+    assert np.array_equal(model_a.params, model_b.params)
     assert [r.prediction_loss for r in hist_a] == [r.prediction_loss for r in hist_b]
 
 
@@ -224,9 +224,7 @@ def test_momentum_accumulates_velocity():
     )
     model_plain, _ = train_srat(ds, ModelSpec((6,)), plain)
     model_momentum, _ = train_srat(ds, ModelSpec((6,)), with_momentum)
-    assert not np.array_equal(
-        flatten_params(model_plain), flatten_params(model_momentum)
-    )
+    assert not np.array_equal(model_plain.params, model_momentum.params)
     # first-step equivalence: with zero initial velocity the first update
     # is identical, so divergence only accumulates afterwards
     one_plain, _ = train_srat(
@@ -237,7 +235,7 @@ def test_momentum_accumulates_velocity():
         ModelSpec((6,)),
         _config(total_epochs=1, defer_epoch=2, batch_size=1000, momentum=0.9, lr_milestones=()),
     )
-    assert np.array_equal(flatten_params(one_plain), flatten_params(one_momentum))
+    assert np.array_equal(one_plain.params, one_momentum.params)
 
 
 def test_history_csv_round_trip(tmp_path):
