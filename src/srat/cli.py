@@ -356,7 +356,35 @@ def cmd_export_features(args) -> int:
     return 0
 
 
+# The flags that apply to some modes of a subcommand only, with their
+# defaults there. Given in another mode, a flag exits 2 naming it.
+_THEORY_MODE_FLAGS = {
+    ("lemma",): {
+        "sigma": [1.0], "log_rho_over_k": [-1.5, 0.0, 1.5], "K": 20.0, "points": 100_000
+    },
+    ("1", "2"): {"sigma1": [1.0], "sigma2": [2.0], "logK": [4.0]},
+}
+_DATASET_MODE_FLAGS = {
+    ("synthetic",): {"eta": 1.0, "sigma": 1.0, "dim": 10, "n_minority": 50, "n_test_per_class": 0},
+    ("step", "exp"): {"input": None},
+}
+
+
+def _fill_mode_flags(args, mode_flag: str, mode: str, table: dict) -> None:
+    """Set the unset flags of ``mode`` to their defaults in ``table``;
+    raise ConfigError naming a flag of another mode that was given."""
+    for modes, defaults in table.items():
+        for dest, default in defaults.items():
+            if mode in modes:
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+            elif getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise ConfigError(f"{flag} applies to {mode_flag} {' and '.join(modes)} only")
+
+
 def cmd_make_dataset(args) -> int:
+    _fill_mode_flags(args, "--kind", args.kind, _DATASET_MODE_FLAGS)
     out_dir = _resolve_out(args.out)
     if args.kind == "synthetic":
         spec = GaussianMixtureSpec(
@@ -405,6 +433,7 @@ def _grid_point(**point):
 # reject naming the grid point
 @np.errstate(over="ignore")
 def cmd_theory(args) -> int:
+    _fill_mode_flags(args, "--thm", args.thm, _THEORY_MODE_FLAGS)
     out_dir = _resolve_out(args.out)
     convs = _conventions(args.convention)
     rows: list[dict] = []
@@ -588,20 +617,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=["summed", "exact", "both"], default="both")
     p.add_argument("--eta", type=float, nargs="+", default=[1.0])
     p.add_argument("--d", type=int, nargs="+", default=[5])
-    p.add_argument("--sigma", type=float, nargs="+", default=[1.0], help="lemma mode")
-    p.add_argument("--sigma1", type=float, nargs="+", default=[1.0])
-    p.add_argument("--sigma2", type=float, nargs="+", default=[2.0])
-    p.add_argument("--logK", type=float, nargs="+", default=[4.0])
+    p.add_argument("--sigma", type=float, nargs="+", help="lemma mode")
+    p.add_argument("--sigma1", type=float, nargs="+", help="theorem modes")
+    p.add_argument("--sigma2", type=float, nargs="+", help="theorem modes")
+    p.add_argument("--logK", type=float, nargs="+", help="theorem modes")
     p.add_argument(
         "--log-rho-over-k",
         dest="log_rho_over_k",
         type=float,
         nargs="+",
-        default=[-1.5, 0.0, 1.5],
         help="lemma mode reweighting offsets",
     )
-    p.add_argument("--K", type=float, default=20.0, help="lemma mode imbalance ratio")
-    p.add_argument("--points", type=_int_at_least(3), default=100_000)
+    p.add_argument("--K", type=float, help="lemma mode imbalance ratio")
+    p.add_argument("--points", type=_int_at_least(3), help="lemma mode grid size")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_theory)
 
@@ -634,14 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-dataset", help="construct synthetic or imbalanced data")
     p.add_argument("--kind", choices=["synthetic", "step", "exp"], required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=10)
+    p.add_argument("--eta", type=float, help="synthetic")
+    p.add_argument("--sigma", type=float, help="synthetic")
+    p.add_argument("--dim", type=int, help="synthetic")
     p.add_argument("--ratio", type=float, default=10.0)
-    p.add_argument("--n-minority", dest="n_minority", type=_int_at_least(1), default=50)
+    p.add_argument("--n-minority", dest="n_minority", type=_int_at_least(1), help="synthetic")
     p.add_argument(
-        "--n-test-per-class", dest="n_test_per_class", type=_int_at_least(0), default=0,
-        help="0 writes no test split",
+        "--n-test-per-class", dest="n_test_per_class", type=_int_at_least(0),
+        help="synthetic; 0 writes no test split",
     )
     p.add_argument("--input", default=None, help="balanced CSV for step/exp")
     p.add_argument("--seed", type=_int_at_least(0), default=0)

@@ -3,9 +3,10 @@
 Everything is float64 numpy. Models are immutable values: forward and
 backward never mutate parameters, and ``sgd_step`` returns a fresh model.
 Every model is a ReLU MLP with identity logits: ReLU follows every layer
-but the last. The last hidden layer's output is the feature vector
-consumed by the feature-separation objective; input gradients are exposed
-for adversarial example generation.
+but the last. A forward pass returns the inputs and each layer's output,
+and backward reads its ReLU masks from those outputs. The last hidden
+layer's output is the feature vector consumed by the feature-separation
+objective; input gradients are exposed for adversarial example generation.
 """
 
 from dataclasses import dataclass, field
@@ -117,11 +118,10 @@ class MlpModel:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Per-layer pre/post activations for one batch."""
+    """One batch's inputs, then each layer's output; ``features`` is the
+    penultimate layer's output (the logits without a hidden layer)."""
 
-    inputs: np.ndarray
-    pre: tuple
-    post: tuple
+    activations: tuple
     logits: np.ndarray
     features: np.ndarray
 
@@ -156,26 +156,22 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
-    """Run the batch through the model, keeping every intermediate."""
+    """Run the batch through the model, keeping each layer's output."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DomainError(
             f"batch shape {x.shape} does not match model input width {model.input_dim}"
         )
-    pre, post = [], []
-    h = x
+    activations = [x]
     last = len(model.layers) - 1
     for l, layer in enumerate(model.layers):
-        z = h @ layer.weights + layer.bias
-        pre.append(z)
-        h = np.maximum(z, 0.0) if l < last else z
-        post.append(h)
+        h = activations[-1] @ layer.weights
+        h += layer.bias
+        if l < last:
+            np.maximum(h, 0.0, out=h)
+        activations.append(h)
     return ForwardTrace(
-        inputs=x,
-        pre=tuple(pre),
-        post=tuple(post),
-        logits=post[-1],
-        features=post[model.penultimate_index],
+        tuple(activations), logits=h, features=activations[model.penultimate_index + 1]
     )
 
 
@@ -189,10 +185,11 @@ def backward(
     """Backpropagate loss gradients through the trace.
 
     ``d_logits`` is dLoss/dlogits; ``d_features``, when given, is an extra
-    dLoss/dfeatures injected at the penultimate layer's post-activation
-    (used by objectives with a feature head). Returns
-    (param_grads, input_grads) where param_grads is one vector in the
-    layout of ``model.params``. The ReLU derivative at exactly 0 is 0.
+    dLoss/dfeatures injected at the penultimate layer's output (used by
+    objectives with a feature head). Returns (param_grads, input_grads)
+    where param_grads is one vector in the layout of ``model.params``. A
+    ReLU passes gradient where its output is > 0, so its derivative at
+    exactly 0 is 0.
 
     With ``param_grads=False`` only the input gradient is computed (the
     same floats) and the first element is None: an attack needs nothing
@@ -211,16 +208,17 @@ def backward(
     n_layers = len(model.layers)
     grads = np.empty_like(model.params) if param_grads else None
     grad_layers = _split(model.shapes, grads) if param_grads else None
-    layer_inputs = (trace.inputs, *trace.post[:-1])
+    acts = trace.activations
     for l in range(n_layers - 1, -1, -1):
         if d_features is not None and l == model.penultimate_index:
             g = g + d_features
-        g_pre = g * (trace.pre[l] > 0.0) if l < n_layers - 1 else g
+        if l < n_layers - 1:  # g is a fresh product or sum here, never d_logits
+            g *= acts[l + 1] > 0.0
         if param_grads:
             dw, db = grad_layers[l]
-            np.matmul(layer_inputs[l].T, g_pre, out=dw)
-            np.sum(g_pre, axis=0, out=db)
-        g = g_pre @ model.layers[l].weights.T
+            np.matmul(acts[l].T, g, out=dw)
+            np.sum(g, axis=0, out=db)
+        g = g @ model.layers[l].weights.T
     return grads, g
 
 

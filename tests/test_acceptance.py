@@ -519,16 +519,53 @@ def test_criterion_9_training_determinism(tmp_path):
     }
 
 
+def _criterion_9_variant_sha256(tmp_path, doc) -> dict:
+    """sha256 of the checkpoint and history of one ``srat train`` of ``doc``."""
+    doc["output_dir"] = str(tmp_path / "run")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    return {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in ("model.ckpt", "history.csv")
+    }
+
+
 def test_criterion_9_momentum_golden_checkpoint(tmp_path):
     # criterion 9's run with momentum, a margin loss and a trailing short
     # batch: pins the SGD velocity's bits over many steps
     doc = _criterion_9_doc()
     doc["train"].update(momentum=0.9, batch_size=31)
     doc["train"]["loss"].update(kind="ldam", ldam_scale=10.0)
-    doc["output_dir"] = str(tmp_path / "run")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(cfg)]) == 0
-    assert hashlib.sha256((tmp_path / "run" / "model.ckpt").read_bytes()).hexdigest() == (
-        "0d8904a371e324e8602c1ef5827b51f3204dc793f2661c5e796735cfe11631b3"
-    )
+    assert _criterion_9_variant_sha256(tmp_path, doc) == {
+        "model.ckpt": "0d8904a371e324e8602c1ef5827b51f3204dc793f2661c5e796735cfe11631b3",
+        "history.csv": "f55d76d9f4eaf976d1c2d3f62a7b090e003403f6022ae15a90ef1039a113f16c",
+    }
+
+
+# criterion 9's run at other depths: one hidden layer, and none, where the
+# separation loss reads the logits as the features
+@pytest.mark.parametrize(
+    "hidden,pins",
+    [
+        (
+            [],
+            {
+                "model.ckpt": "7dc10f455381e833c992ab9d0bf03b7d8f8396a685ddd2289f7b27198a439da7",
+                "history.csv": "85aa8063ca40a74b6b91f463e4b022667636d3e35b74cef9e5aa038d2a4639b7",
+            },
+        ),
+        (
+            [8],
+            {
+                "model.ckpt": "514b7a55971f00127b9829ae76a8830ec54ca6f9af6e4b1984e04fcdc882e43d",
+                "history.csv": "77450ee3c59d7ab095a38cdb7cb3278874a9d8b791fbe57e9d93dd99f14f3591",
+            },
+        ),
+    ],
+    ids=["no_hidden", "one_hidden"],
+)
+def test_criterion_9_feature_layer_depths(tmp_path, hidden, pins):
+    doc = _criterion_9_doc()
+    doc["model"]["hidden"] = hidden
+    assert _criterion_9_variant_sha256(tmp_path, doc) == pins

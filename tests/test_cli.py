@@ -296,6 +296,40 @@ def test_make_dataset_rejected_input_writes_nothing(tmp_path, flags):
     assert not out.exists()
 
 
+# Every flag that applies to some modes only, given in each other mode:
+# (mode argv, flag and value, the modes the message names). "{csv}" is a
+# balanced CSV, so that only the foreign flag is wrong.
+_LEMMA_ONLY = [["--sigma", "1"], ["--log-rho-over-k", "0"], ["--K", "20"], ["--points", "1000"]]
+_THEOREM_ONLY = [["--sigma1", "1"], ["--sigma2", "2"], ["--logK", "4"]]
+_SYNTHETIC_ONLY = [["--eta", "1"], ["--sigma", "2"], ["--dim", "3"], ["--n-minority", "5"],
+                   ["--n-test-per-class", "6"]]
+_FOREIGN_FLAGS = [
+    *((["theory", "--thm", thm], flag, "--thm lemma") for thm in ("1", "2") for flag in _LEMMA_ONLY),
+    *((["theory", "--thm", "lemma"], flag, "--thm 1 and 2") for flag in _THEOREM_ONLY),
+    *(
+        (["make-dataset", "--kind", kind, "--input", "{csv}"], flag, "--kind synthetic")
+        for kind in ("step", "exp")
+        for flag in _SYNTHETIC_ONLY
+    ),
+    (["make-dataset", "--kind", "synthetic"], ["--input", "{csv}"], "--kind step and exp"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,flag,modes",
+    _FOREIGN_FLAGS,
+    ids=[f"{mode[0]}_{mode[2]}{flag[0]}" for mode, flag, _ in _FOREIGN_FLAGS],
+)
+def test_flag_of_another_mode_exits_2_naming_it(tmp_path, capsys, mode, flag, modes):
+    balanced = tmp_path / "balanced.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 1.0), 30, seed=2), balanced)
+    out = tmp_path / "never"
+    argv = [str(balanced) if a == "{csv}" else a for a in [*mode, *flag, "--out", str(out)]]
+    assert main(argv) == 2
+    assert f"error: {flag[0]} applies to {modes} only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval / export
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense-net forward/backward against scalar and finite-difference oracles."""
 
+import itertools
 import json
 
 import numpy as np
@@ -74,11 +75,15 @@ def test_relu_trace_identity():
     rng = derive_rng(3)
     model = _random_model(rng, [4, 6, 5, 3])
     trace = forward(model, rng.normal(size=(7, 4)))
-    *hidden, (logit_pre, logit_post) = zip(trace.pre, trace.post)
-    for pre, post in hidden:
-        assert np.array_equal(post, np.maximum(pre, 0.0))
-    assert np.array_equal(logit_post, logit_pre)
-    assert trace.features is trace.post[1]
+    acts = trace.activations
+    assert len(acts) == len(model.layers) + 1
+    *hidden, logit_layer = model.layers
+    for a, out, layer in zip(acts, acts[1:], hidden):
+        assert np.array_equal(out, np.maximum(a @ layer.weights + layer.bias, 0.0))
+    assert np.array_equal(trace.logits, acts[-2] @ logit_layer.weights + logit_layer.bias)
+    assert trace.logits is acts[-1] and trace.features is acts[-2]
+    for a, b in itertools.combinations(acts, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_forward_is_pure():

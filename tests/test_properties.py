@@ -1,7 +1,8 @@
 """Hypothesis properties of the training inner loop (the prediction losses
 and the in-place separation loss against their references, the prediction
-losses' reductions to cross-entropy and their gradients, the input-only
-backward pass against the full one, and PGD containment), of the
+losses' reductions to cross-entropy and their gradients, the forward and
+backward passes against their reference, the input-only backward pass
+against the full one, and PGD containment), of the
 checkpoint and dataset CSV round trips, of the blocked and bounded theory
 oracles against their whole-array references, and of the monotonicity of
 ``normal_cdf`` that the bounded grid search relies on."""
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import loss_reference
+import mlp_reference
 import theory_reference
 from gradcheck import central_diff, max_rel_err
 from separation_reference import reference_separation_loss
@@ -156,6 +158,54 @@ def test_input_only_backward_matches_full_backward(dim, hidden, classes, n, with
     none, input_grads = backward(model, trace, d_logits, d_feats, param_grads=False)
     assert none is None
     assert _same_bits(input_grads, backward(model, trace, d_logits, d_feats)[1])
+
+
+@st.composite
+def relu_nets(draw):
+    """(model, batch, seed): 1-4 layers of widths 1-6 and 1-20 rows, with
+    exact-zero pre-activations: small-integer inputs and parameters, or
+    weight columns zeroed with a +0 or -0 bias, or both."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    n = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    integers, dead_columns = draw(
+        st.sampled_from([(True, False), (False, True), (True, True)])
+    )
+    rng = derive_rng(seed)
+
+    def values(shape):
+        if integers:
+            return rng.integers(-2, 3, size=shape).astype(np.float64)
+        return rng.normal(size=shape)
+
+    layers = []
+    for fi, fo in zip(sizes, sizes[1:]):
+        w, b = values((fi, fo)), values(fo)
+        if dead_columns:
+            dead = rng.random(fo) < 0.4
+            w[:, dead] = 0.0
+            b[dead] = rng.choice([0.0, -0.0], size=int(dead.sum()))
+        layers.append((w, b))
+    return MlpModel.from_layers(layers), values((n, sizes[0])), seed
+
+
+@PROPERTY
+@given(relu_nets(), st.booleans(), st.booleans())
+def test_forward_backward_match_reference_bit_for_bit(net, with_features, param_grads):
+    model, batch, seed = net
+    trace, ref = forward(model, batch), mlp_reference.forward(model, batch)
+    assert _same_bits(trace.logits, ref.logits) and _same_bits(trace.features, ref.features)
+    rng = derive_rng((seed, 1))
+    d_logits = rng.normal(size=ref.logits.shape)
+    d_feats = rng.normal(size=ref.features.shape) if with_features else None
+    passed = d_logits.copy()
+    grads, input_grads = backward(model, trace, d_logits, d_feats, param_grads=param_grads)
+    ref_grads, ref_input_grads = mlp_reference.backward(
+        model, ref, d_logits, d_feats, param_grads=param_grads
+    )
+    assert _same_bits(input_grads, ref_input_grads)
+    assert _same_bits(grads, ref_grads) if param_grads else grads is None
+    assert _same_bits(d_logits, passed)  # the in-place masks leave the caller's array
 
 
 @PROPERTY
