@@ -398,6 +398,11 @@ def cmd_make_dataset(args) -> int:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
         balanced = load_csv(args.input)
+        if len(set(balanced.class_counts)) > 1:
+            raise ConfigError(
+                f"--input {args.input}: --kind {args.kind} needs a balanced CSV, got "
+                f"class counts {list(balanced.class_counts)}"
+            )
         base = balanced.class_counts[0]
         imbalance = ImbalanceSpec(kind=args.kind, ratio=args.ratio, base_count=base)
         train_set = apply_imbalance(balanced, imbalance, seed=args.seed)

@@ -21,6 +21,8 @@ from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
 
 _IMBALANCE_KINDS = ("step", "exp")
+# labels are stored as int64
+_MAX_LABEL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +168,24 @@ def sample_gaussian_mixture(
 
     Class 0 is the majority (y = +1, mean +mu) with round(K * n_minority)
     rows; class 1 is the minority (y = -1, mean -mu) with n_minority rows.
+    Raises DomainError when that row count is not finite or the feature
+    matrix has more bytes than NumPy can index.
     """
     if n_minority < 1:
         raise DomainError("n_minority must be >= 1")
-    n_major = int(round(spec.imbalance_ratio * n_minority))
+    try:
+        n_major = int(round(spec.imbalance_ratio * n_minority))
+    except OverflowError:  # K * n_minority is inf, or n_minority exceeds a float
+        raise DomainError(
+            f"the majority row count K * n_minority = {spec.imbalance_ratio} * "
+            f"{n_minority} is not finite"
+        ) from None
+    # NumPy refuses an array of more bytes (8 per float64) than intp holds
+    if (n_major + n_minority) * spec.dim * 8 > np.iinfo(np.intp).max:
+        raise DomainError(
+            f"{n_major + n_minority:.4g} rows of dim {spec.dim} exceed NumPy's "
+            "array size limit"
+        )
     rng = derive_rng(seed)
     major = spec.eta + spec.sigma * rng.standard_normal((n_major, spec.dim))
     minor = -spec.eta + spec.sigma * rng.standard_normal((n_minority, spec.dim))
@@ -254,6 +270,8 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
             raise IngestionError(f"{path}: line {lineno}: non-finite cell")
         if label < 0:
             raise IngestionError(f"{path}: line {lineno}: negative label")
+        if label > _MAX_LABEL:
+            raise IngestionError(f"{path}: line {lineno}: label {label} exceeds int64")
         if num_classes is not None and label >= num_classes:
             raise IngestionError(f"{path}: line {lineno}: label out of range")
         features.append(row)

@@ -5,6 +5,12 @@ predictions on PGD-perturbed inputs (evaluation attacks use more steps
 than training ones). Argmax ties resolve to the lowest class index.
 Accuracies are percentages; classes absent from the test set are flagged
 and excluded from the per-class means.
+
+Both ``evaluate`` and ``export_features`` make one pass over the data in
+chunks of ``_EVAL_CHUNK`` rows: each chunk is attacked, if at all, right
+before it is scored, and ``evaluate`` adds its hits to one per-class
+``np.bincount`` tally from which, with the class counts, every accuracy
+is read.
 """
 
 from dataclasses import asdict, dataclass
@@ -43,34 +49,25 @@ def _json_value(v):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def _predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    preds = []
-    for start in range(0, features.shape[0], _EVAL_CHUNK):
-        logits = forward(model, features[start : start + _EVAL_CHUNK]).logits
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds)
+def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
+    """Yield (labels, clean rows, PGD rows or None) per ``_EVAL_CHUNK`` rows.
 
-
-def _adversarial(model, test_set, attack_config, seed):
-    out = np.empty_like(test_set.features)
-    for start in range(0, len(test_set), _EVAL_CHUNK):
+    Each chunk is attacked with cross-entropy PGD under the key
+    ``(seed, start)``, so its perturbation does not depend on the others.
+    """
+    for start in range(0, len(dataset), _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
-        out[start:stop] = pgd_attack(
-            model,
-            PredictionLoss(),
-            test_set.features[start:stop],
-            test_set.labels[start:stop],
-            attack_config,
-            seed=(seed, start),
-        )
-    return out
+        labels, rows = dataset.labels[start:stop], dataset.features[start:stop]
+        adv = None
+        if attack_config is not None:
+            adv = pgd_attack(
+                model, PredictionLoss(), rows, labels, attack_config, seed=(seed, start)
+            )
+        yield labels, rows, adv
 
 
-def _subgroup_accuracy(correct: np.ndarray, mask: np.ndarray) -> float:
-    total = int(mask.sum())
-    if total == 0:
-        return float("nan")
-    return 100.0 * float(correct[mask].sum()) / total
+def _percent(hits, total) -> float:
+    return 100.0 * float(hits) / int(total) if total else float("nan")
 
 
 def evaluate(
@@ -90,35 +87,25 @@ def evaluate(
     if any(not 0 <= c < test_set.num_classes for c in partition):
         raise DomainError("partition contains class indices outside the test set")
 
-    clean_preds = _predict(model, test_set.features)
-    adv = _adversarial(model, test_set, attack_config, seed)
-    robust_preds = _predict(model, adv)
-
-    labels = test_set.labels
-    clean_ok = clean_preds == labels
-    robust_ok = robust_preds == labels
-
-    per_std, per_rob, empty = [], [], []
-    for c in range(test_set.num_classes):
-        mask = labels == c
-        if not mask.any():
-            empty.append(c)
-            per_std.append(float("nan"))
-            per_rob.append(float("nan"))
-            continue
-        per_std.append(_subgroup_accuracy(clean_ok, mask))
-        per_rob.append(_subgroup_accuracy(robust_ok, mask))
-
-    under_mask = np.isin(labels, partition)
+    # clean and robust hits per class
+    n = test_set.num_classes
+    tally = np.zeros((2, n), dtype=np.int64)
+    for labels, rows, adv in _chunks(model, test_set, attack_config, seed):
+        for hits, x in zip(tally, (rows, adv)):
+            preds = np.argmax(forward(model, x).logits, axis=1)
+            hits += np.bincount(labels[preds == labels], minlength=n)
+    std, rob = tally
+    totals = np.array(test_set.class_counts)
+    under = np.isin(np.arange(n), partition)
     return EvalReport(
-        per_class_standard=tuple(per_std),
-        per_class_robust=tuple(per_rob),
-        overall_standard=_subgroup_accuracy(clean_ok, np.ones_like(clean_ok)),
-        overall_robust=_subgroup_accuracy(robust_ok, np.ones_like(robust_ok)),
-        under_represented_standard=_subgroup_accuracy(clean_ok, under_mask),
-        under_represented_robust=_subgroup_accuracy(robust_ok, under_mask),
+        per_class_standard=tuple(map(_percent, std, totals)),
+        per_class_robust=tuple(map(_percent, rob, totals)),
+        overall_standard=_percent(std.sum(), totals.sum()),
+        overall_robust=_percent(rob.sum(), totals.sum()),
+        under_represented_standard=_percent(std[under].sum(), totals[under].sum()),
+        under_represented_robust=_percent(rob[under].sum(), totals[under].sum()),
         partition=partition,
-        empty_classes=tuple(empty),
+        empty_classes=tuple(int(c) for c in np.flatnonzero(totals == 0)),
     )
 
 
@@ -145,13 +132,10 @@ def export_features(
     """Write penultimate-layer features as CSV rows: label, then
     coordinates, in dataset order. With an attack config the features of
     the perturbed inputs are exported instead."""
-    inputs = dataset.features
-    if attack_config is not None:
-        inputs = _adversarial(model, dataset, attack_config, seed)
     lines = []
-    for start in range(0, len(dataset), _EVAL_CHUNK):
-        feats = forward(model, inputs[start : start + _EVAL_CHUNK]).features
-        for label, row in zip(dataset.labels[start : start + _EVAL_CHUNK], feats):
+    for labels, rows, adv in _chunks(model, dataset, attack_config, seed):
+        feats = forward(model, rows if adv is None else adv).features
+        for label, row in zip(labels, feats):
             lines.append(",".join([str(int(label)), *(repr(float(v)) for v in row)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -332,15 +332,19 @@ def _sum_scale(weights: np.ndarray, spec: GaussianMixtureSpec, conv: StdConventi
     return sw, scale
 
 
-def _error_zscores(
-    clf: LinearClassifier, spec: GaussianMixtureSpec, conv: StdConvention
-):
-    """Z-scores (z_minus, z_plus) with err(-1) = Phi(z_minus),
-    err(+1) = Phi(z_plus)."""
-    sw, scale = _sum_scale(clf.weights, spec, conv)
-    z_minus = -(clf.bias + spec.eta * sw) / scale
-    z_plus = (clf.bias - spec.eta * sw) / scale
-    return z_minus, z_plus
+def _all_ones_scale(spec: GaussianMixtureSpec, conv: StdConvention):
+    """``_sum_scale`` of the all-ones vector as (shift, scale): the mean of
+    w.x is y*shift with shift = eta*d, and the scale is d*sigma (SUMMED)
+    or sqrt(d)*sigma (EXACT)."""
+    d = float(spec.dim)
+    return spec.eta * d, spec.sigma * (d if conv is StdConvention.SUMMED else math.sqrt(d))
+
+
+def _zscore(bias, label, shift, scale):
+    """Z-score of the class-``label`` error of sign(w.x - b) at the bias
+    ``bias`` (a float or an array): err(label) = Phi(z), where w.x has
+    mean label*shift and deviation ``scale``."""
+    return (label * bias - shift) / scale
 
 
 def classwise_error(
@@ -356,8 +360,8 @@ def classwise_error(
         raise DomainError(
             f"classifier has {clf.weights.size} weights, distribution dim is {spec.dim}"
         )
-    z_minus, z_plus = _error_zscores(clf, spec, conv)
-    return normal_cdf(z_plus if label == 1 else z_minus)
+    sw, scale = _sum_scale(clf.weights, spec, conv)
+    return normal_cdf(_zscore(clf.bias, label, spec.eta * sw, scale))
 
 
 def optimal_bias(
@@ -400,15 +404,10 @@ def _weighted_risk(
     Pr(y=+1) * err(+1) at the biases ``b_plus``, for the all-ones
     classifier whose w.x has mean multiplier ``shift`` and Z-score
     ``scale``. With one grid block as both it is that block's risk."""
-    z = b_minus + shift
-    np.negative(z, out=z)
-    z /= scale
-    risk = normal_cdf(z)  # err(-1)
+    risk = normal_cdf(_zscore(b_minus, -1, shift, scale))  # err(-1)
     risk *= rho
     risk *= spec.minority_prior
-    z = b_plus - shift
-    z /= scale
-    err_plus = normal_cdf(z)
+    err_plus = normal_cdf(_zscore(b_plus, 1, shift, scale))
     err_plus *= spec.majority_prior
     risk += err_plus
     return risk
@@ -442,18 +441,15 @@ def grid_search_bias(
     """
     if num_points < 3:
         raise DomainError("num_points must be >= 3")
-    if not (math.isfinite(rho) and rho > 0):
-        raise DomainError(f"rho must be > 0, got {rho!r}")
     center = abs(optimal_bias(spec, rho, conv))
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
     if not math.isfinite(hi - lo):
         raise DomainError(f"the bias bracket [{lo}, {hi}] or its width is not finite")
-    sw, scale = _sum_scale(np.ones(spec.dim), spec, conv)
-    shift = spec.eta * sw
+    shift, scale = _all_ones_scale(spec, conv)
     # both Z-scores are monotone in the bias, so the bracket's ends bound
-    # them over the whole grid; computed as _weighted_risk does
-    ends_z = [-(b + shift) / scale for b in (lo, hi)] + [(b - shift) / scale for b in (lo, hi)]
-    if not all(map(math.isfinite, ends_z)):
+    # them over the whole grid
+    bracket_z = (_zscore(b, y, shift, scale) for b in (lo, hi) for y in (-1, 1))
+    if not all(map(math.isfinite, bracket_z)):
         raise DomainError(
             f"the Z-scores of the bias bracket [{lo}, {hi}] overflow at scale {scale}"
         )
@@ -623,12 +619,13 @@ def verify_theorem1(
     """
     spec2c = _canonical_pair(spec1, spec2)
 
-    def zscores(s: GaussianMixtureSpec):
-        return _error_zscores(optimal_classifier(s, 1.0, conv), s, conv)
+    def zscore(s: GaussianMixtureSpec, label: int) -> float:
+        """err(label) Z-score of the unweighted optimal classifier."""
+        return _zscore(optimal_bias(s, 1.0, conv), label, *_all_ones_scale(s, conv))
 
-    zm1, zp1 = zscores(spec1)
-    zm2, zp2 = zscores(spec2c)
-    (em1, em2, dm), (ep1, ep2, dp) = _cdf_pairs((zm1, zm2), (zp1, zp2))
+    (em1, em2, dm), (ep1, ep2, dp) = _cdf_pairs(
+        (zscore(spec1, -1), zscore(spec2c, -1)), (zscore(spec1, 1), zscore(spec2c, 1))
+    )
     lhs = em1 - ep1
     rhs = em2 - ep2
     # rhs - lhs = [err2(-1) - err1(-1)] - [err2(+1) - err1(+1)], each piece
@@ -664,9 +661,11 @@ def verify_theorem2(
 
     def plus_zscores(s: GaussianMixtureSpec) -> tuple[float, float]:
         """err(+1) Z-scores at rho = 1 and at rho = K."""
-        base = optimal_classifier(s, rho=1.0, conv=conv)
-        rebal = optimal_classifier(s, rho=s.imbalance_ratio, conv=conv)
-        return _error_zscores(base, s, conv)[1], _error_zscores(rebal, s, conv)[1]
+        shift, scale = _all_ones_scale(s, conv)
+        return tuple(
+            _zscore(optimal_bias(s, rho, conv), 1, shift, scale)
+            for rho in (1.0, s.imbalance_ratio)
+        )
 
     (_, _, lhs), (_, _, rhs) = _cdf_pairs(plus_zscores(spec1), plus_zscores(spec2c))
     return TheoremReport(

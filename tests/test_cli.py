@@ -296,6 +296,58 @@ def test_make_dataset_rejected_input_writes_nothing(tmp_path, flags):
     assert not out.exists()
 
 
+def test_make_dataset_refuses_an_unbalanced_input_naming_it(tmp_path, capsys):
+    src = tmp_path / "train.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 10.0), 3, seed=0), src)
+    out = tmp_path / "imb"
+    argv = ["make-dataset", "--kind", "exp", "--ratio", "1000", "--input", str(src)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --input {src}: --kind exp needs a balanced CSV" in err
+    assert "class counts [30, 3]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["make-dataset", "--kind", "synthetic", "--ratio", "1e300", "--n-minority", "1",
+          "--out", "{out}"], "1e+300 rows of dim 10 exceed NumPy's array size limit"),
+        (["train", "--config", "{config}"], "K * n_minority = 1e+308 * 10 is not finite"),
+    ],
+    ids=["make_dataset", "train"],
+)
+def test_overflowing_majority_row_count_exits_2_writing_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "never"
+    doc = _experiment_doc(out)
+    doc["dataset"]["imbalance_ratio"] = 1e308
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    fill = {"{out}": str(out), "{config}": str(cfg)}
+    assert main([fill.get(a, a) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["make-dataset", "train"])
+def test_label_beyond_int64_exits_2_naming_the_line(tmp_path, capsys, command):
+    src = tmp_path / "train.csv"
+    src.write_text("dim=1,label_col=1\n0.5,0\n0.25,99999999999999999999\n")
+    out = tmp_path / "never"
+    if command == "train":
+        doc = _experiment_doc(out)
+        doc["dataset"] = {"kind": "csv", "train_path": str(src), "test_path": str(src)}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(cfg)]
+    else:
+        argv = ["make-dataset", "--kind", "step", "--ratio", "1", "--input", str(src),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert "line 3: label 99999999999999999999 exceeds int64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every flag that applies to some modes only, given in each other mode:
 # (mode argv, flag and value, the modes the message names). "{csv}" is a
 # balanced CSV, so that only the foreign flag is wrong.

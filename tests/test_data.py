@@ -130,6 +130,21 @@ def test_mixture_sigma_to_zero_is_separable():
     )
 
 
+@pytest.mark.parametrize(
+    "ratio, n_minority, dim, message",
+    [
+        (1e308, 50, 1, r"K \* n_minority = 1e\+308 \* 50 is not finite"),
+        (2.0, 10**400, 1, "is not finite"),
+        (1e300, 1, 10, r"1e\+300 rows of dim 10 exceed"),
+        (3e17, 1, 4, r"3e\+17 rows of dim 4 exceed"),  # past the byte limit only
+    ],
+    ids=["ratio_overflows", "n_minority_beyond_float", "beyond_index_range", "beyond_bytes"],
+)
+def test_mixture_refuses_a_row_count_numpy_cannot_hold(ratio, n_minority, dim, message):
+    with pytest.raises(DomainError, match=message):
+        sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, dim, ratio), n_minority, seed=0)
+
+
 def test_mixture_is_deterministic_per_seed():
     spec = GaussianMixtureSpec(1.0, 2.0, 2, 5.0)
     a = sample_gaussian_mixture(spec, 8, seed=9)
@@ -187,7 +202,11 @@ def test_csv_reports_label_out_of_range(tmp_path):
 
 @pytest.mark.parametrize(
     "label, num_classes, message",
-    [("-1", None, "line 4: negative label"), ("7", 2, "line 4: label out of range")],
+    [
+        ("-1", None, "line 4: negative label"),
+        ("7", 2, "line 4: label out of range"),
+        ("99999999999999999999", None, "line 4: label 99999999999999999999 exceeds int64"),
+    ],
 )
 def test_csv_label_errors_count_blank_lines(tmp_path, label, num_classes, message):
     path = tmp_path / "bad.csv"

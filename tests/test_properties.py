@@ -3,12 +3,15 @@ and the in-place separation loss against their references, the prediction
 losses' reductions to cross-entropy and their gradients, the forward and
 backward passes against their reference, the input-only backward pass
 against the full one, and PGD containment), of the
-checkpoint and dataset CSV round trips, of the blocked and bounded theory
-oracles against their whole-array references, and of the monotonicity of
-``normal_cdf`` that the bounded grid search relies on."""
+checkpoint and dataset CSV round trips, of the one-pass evaluation and
+feature export against their reference across chunk seams, of the blocked
+and bounded theory oracles against their whole-array references, and of
+the monotonicity of ``normal_cdf`` that the bounded grid search relies
+on."""
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +19,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+import evaluation_reference
 import loss_reference
 import mlp_reference
 import theory_reference
 from gradcheck import central_diff, max_rel_err
 from separation_reference import reference_separation_loss
-from srat import theory
+from srat import evaluation, theory
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, load_csv, save_csv
 from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss, separation_loss
@@ -349,6 +353,44 @@ _EDGES = np.array(
 def _reference_cdf(z):
     with np.errstate(over="ignore"):  # the reference warns where |z| squares to inf
         return theory_reference.normal_cdf(z)
+
+
+@PROPERTY
+@given(
+    st.integers(2, 7),
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+# four full chunks and a partial one, class 2 absent: an empty partition,
+# then one holding only the absent class
+@example(5, 23, 2, 1, [], 2, 0)
+@example(5, 23, 2, 1, [2], 2, 0)
+def test_one_pass_evaluation_matches_reference(
+    chunk, n, used_classes, unused_classes, partition, num_steps, seed
+):
+    rng = derive_rng(seed)
+    classes = used_classes + unused_classes
+    partition = [c for c in partition if c < classes]
+    ds = LabeledDataset(
+        rng.normal(size=(n, 3)), rng.integers(0, used_classes, size=n), classes
+    )
+    model = build_mlp(3, (5,), classes, seed=seed)
+    cfg = AttackConfig(epsilon=0.3, step_size=0.1, num_steps=num_steps)
+    ref = evaluation_reference.evaluate(model, ds, cfg, partition, 7, chunk)
+    with mock.patch.object(evaluation, "_EVAL_CHUNK", chunk):
+        got = evaluation.evaluate(model, ds, cfg, partition, seed=7)
+        with tempfile.TemporaryDirectory() as tmp:
+            for attack in (None, cfg):
+                new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+                evaluation.export_features(model, ds, new, attack, seed=7)
+                evaluation_reference.export_features(model, ds, old, attack, 7, chunk)
+                assert new.read_bytes() == old.read_bytes()
+    assert repr(got) == repr(ref)
+    assert set(range(used_classes, classes)) <= set(got.empty_classes)
 
 
 @st.composite
