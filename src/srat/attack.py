@@ -31,8 +31,9 @@ class AttackConfig:
     clip_max: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise DomainError("epsilon must be >= 0")
+        # the random start's uniform(-epsilon, epsilon) needs a finite width
+        if not (math.isfinite(2 * self.epsilon) and self.epsilon >= 0):
+            raise DomainError("epsilon must lie in [0, 2^1023)")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise DomainError("step_size must be > 0")
         if not isinstance(self.num_steps, int) or self.num_steps < 0:

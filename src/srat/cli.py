@@ -110,14 +110,16 @@ def _from_dict(cls, doc, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _synthetic_splits(spec: GaussianMixtureSpec, n_minority: int, n_test_per_class, seed: int):
-    """The imbalanced train split drawn on ``seed`` and the balanced test
-    split on ``seed + 1`` (None when ``n_test_per_class`` is None)."""
-    train_set = sample_gaussian_mixture(spec, n_minority, seed=seed)
-    if n_test_per_class is None:
-        return train_set, None
-    balanced = dataclasses.replace(spec, imbalance_ratio=1.0)
-    return train_set, sample_gaussian_mixture(balanced, n_test_per_class, seed=seed + 1)
+@contextlib.contextmanager
+def _prefixed(prefix: str, **point):
+    """Puts ``prefix`` and the ``key=value`` pairs of ``point`` in front of
+    the message of a DomainError raised inside: the file a dataset was read
+    from, or "grid point" and the point."""
+    try:
+        yield
+    except DomainError as exc:
+        where = " ".join([prefix, *(f"{k}={v}" for k, v in point.items())])
+        raise DomainError(f"{where}: {exc}") from None
 
 
 def _check_at_least(section, **minimum) -> None:
@@ -131,7 +133,8 @@ def _check_at_least(section, **minimum) -> None:
 @dataclasses.dataclass(frozen=True)
 class SyntheticData:
     """``dataset.kind: "synthetic"``: the binary Gaussian mixture, with an
-    imbalanced train split and a balanced test split."""
+    imbalanced train split and a balanced test split. ``srat make-dataset
+    --kind synthetic`` builds one from its flags."""
 
     kind: str
     eta: float
@@ -152,11 +155,15 @@ class SyntheticData:
         return GaussianMixtureSpec(self.eta, self.sigma, self.dim, self.imbalance_ratio)
 
     def build(self):
-        """Returns (train_set, test_set, under-represented classes)."""
-        train_set, test_set = _synthetic_splits(
-            self.mixture, self.n_minority_train, self.n_test_per_class, self.seed
+        """Returns (train_set, test_set, under-represented classes): the
+        imbalanced train split drawn on ``seed`` and the balanced test split
+        on ``seed + 1``."""
+        balanced = GaussianMixtureSpec(self.eta, self.sigma, self.dim, 1.0)
+        return (
+            sample_gaussian_mixture(self.mixture, self.n_minority_train, seed=self.seed),
+            sample_gaussian_mixture(balanced, self.n_test_per_class, seed=self.seed + 1),
+            self.under_classes,
         )
-        return train_set, test_set, self.under_classes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,7 +190,8 @@ class CsvData:
         test_set = load_csv(self.test_path, self.num_classes or train_set.num_classes)
         partition = []
         if self.imbalance is not None:
-            train_set = apply_imbalance(train_set, self.imbalance, self.seed)
+            with _prefixed(self.train_path):
+                train_set = apply_imbalance(train_set, self.imbalance, self.seed)
             partition = reduced_classes(self.imbalance, train_set.num_classes)
         return train_set, test_set, partition if self.under_classes is None else self.under_classes
 
@@ -232,8 +240,9 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _attack_arg(text: str) -> AttackConfig:
-    """Attack given inline as JSON or as a path to a JSON file."""
+def _attack_arg(text: str, features) -> AttackConfig:
+    """Attack given inline as JSON or as a path to a JSON file, refused
+    unless its box contains the clean rows ``features``."""
     candidate = Path(text)
     if candidate.suffix == ".json" and candidate.exists():
         doc = _load_json(candidate)
@@ -242,7 +251,9 @@ def _attack_arg(text: str) -> AttackConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--attack: invalid JSON ({exc})") from exc
-    return _from_dict(AttackConfig, doc, "attack")
+    attack = _from_dict(AttackConfig, doc, "attack")
+    attack.check_box(features)
+    return attack
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +336,12 @@ def _model_and_data(args):
 
 def cmd_eval(args) -> int:
     model, data = _model_and_data(args)
-    attack = _attack_arg(args.attack)
+    attack = _attack_arg(args.attack, data.features)
     try:
         partition = [int(c) for c in args.under.split(",") if c != ""]
     except ValueError:
         raise ConfigError(f"--under: expected class indices, got {args.under!r}") from None
     _check_classes(partition, model.num_classes, "--under")
-    attack.check_box(data.features)
     report = evaluate(model, data, attack, partition, seed=args.seed)
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,9 +356,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_features(args) -> int:
     model, data = _model_and_data(args)
-    attack = _attack_arg(args.attack) if args.attack else None
-    if attack is not None:
-        attack.check_box(data.features)
+    attack = _attack_arg(args.attack, data.features) if args.attack else None
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     export_features(model, data, out, attack_config=attack, seed=args.seed)
@@ -387,25 +395,22 @@ def cmd_make_dataset(args) -> int:
     _fill_mode_flags(args, "--kind", args.kind, _DATASET_MODE_FLAGS)
     out_dir = _resolve_out(args.out)
     if args.kind == "synthetic":
-        spec = GaussianMixtureSpec(
-            eta=args.eta, sigma=args.sigma, dim=args.dim, imbalance_ratio=args.ratio
+        # --n-test-per-class 0 writes no test split: a one-row-per-class
+        # split is drawn on its own stream and dropped
+        data = SyntheticData(
+            "synthetic", args.eta, args.sigma, args.dim, args.ratio, args.n_minority,
+            args.n_test_per_class or 1, args.seed,
         )
-        train_set, test_set = _synthetic_splits(
-            spec, args.n_minority, args.n_test_per_class or None, args.seed
-        )
-        imbalance, extra = None, {"mixture": dataclasses.asdict(spec)}
+        train_set, test_set, _ = data.build()
+        test_set = test_set if args.n_test_per_class else None
+        imbalance, extra = None, {"mixture": dataclasses.asdict(data.mixture)}
     else:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
         balanced = load_csv(args.input)
-        if len(set(balanced.class_counts)) > 1:
-            raise ConfigError(
-                f"--input {args.input}: --kind {args.kind} needs a balanced CSV, got "
-                f"class counts {list(balanced.class_counts)}"
-            )
-        base = balanced.class_counts[0]
-        imbalance = ImbalanceSpec(kind=args.kind, ratio=args.ratio, base_count=base)
-        train_set = apply_imbalance(balanced, imbalance, seed=args.seed)
+        imbalance = ImbalanceSpec(args.kind, args.ratio, base_count=balanced.class_counts[0])
+        with _prefixed(args.input):
+            train_set = apply_imbalance(balanced, imbalance, seed=args.seed)
         test_set, extra = None, None
     out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(train_set, out_dir / "train.csv")
@@ -418,29 +423,13 @@ def cmd_make_dataset(args) -> int:
     return 0
 
 
-def _conventions(name: str):
-    if name == "both":
-        return [StdConvention.SUMMED, StdConvention.EXACT]
-    return [StdConvention(name)]
-
-
-@contextlib.contextmanager
-def _grid_point(**point):
-    """Adds the grid point to the message of a DomainError raised inside."""
-    try:
-        yield
-    except DomainError as exc:
-        where = " ".join(f"{k}={v}" for k, v in point.items())
-        raise DomainError(f"grid point {where}: {exc}") from None
-
-
 # np.exp of a large log ratio is inf, which the mixture and bias checks
 # reject naming the grid point
 @np.errstate(over="ignore")
 def cmd_theory(args) -> int:
     _fill_mode_flags(args, "--thm", args.thm, _THEORY_MODE_FLAGS)
     out_dir = _resolve_out(args.out)
-    convs = _conventions(args.convention)
+    convs = list(StdConvention) if args.convention == "both" else [StdConvention(args.convention)]
     rows: list[dict] = []
     reports: list[dict] = []
     failures = 0
@@ -449,8 +438,8 @@ def cmd_theory(args) -> int:
         for conv, eta, sigma, d, log_ratio in itertools.product(
             convs, args.eta, args.sigma, args.d, args.log_rho_over_k
         ):
-            with _grid_point(
-                convention=conv.value, eta=eta, sigma=sigma, d=d, K=args.K,
+            with _prefixed(
+                "grid point", convention=conv.value, eta=eta, sigma=sigma, d=d, K=args.K,
                 log_rho_over_k=log_ratio,
             ):
                 spec = GaussianMixtureSpec(eta, sigma, d, args.K)
@@ -480,8 +469,9 @@ def cmd_theory(args) -> int:
         ):
             if not s1 < s2:
                 continue
-            with _grid_point(
-                convention=conv.value, eta=eta, d=d, logK=log_k, sigma1=s1, sigma2=s2
+            with _prefixed(
+                "grid point", convention=conv.value, eta=eta, d=d, logK=log_k, sigma1=s1,
+                sigma2=s2,
             ):
                 k = float(np.exp(log_k))
                 spec1 = GaussianMixtureSpec(eta, s1, d, k)
@@ -551,8 +541,8 @@ def cmd_sweep(args) -> int:
                 "output_dir for each run"
             )
     seeds = _value(tuple[int, ...], grid["seeds"], "sweep.seeds")
-    if not seeds:
-        raise ConfigError("sweep.seeds must not be empty")
+    if not seeds or max(seeds) >= 2**64:  # each seed names a run directory
+        raise ConfigError("sweep.seeds must be a non-empty list of integers below 2^64")
     out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
 
     # Every run's config and data are checked before anything is written.
@@ -692,8 +682,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, IngestionError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)  # an OSError names its path
+    # an OSError names its path, and NumPy's MemoryError the size asked for
+    except (ConfigError, IngestionError, DomainError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SratError as exc:
         print(f"error: {exc}", file=sys.stderr)

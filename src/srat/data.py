@@ -10,9 +10,11 @@ cycle is bit-exact.
 """
 
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -50,8 +52,8 @@ class LabeledDataset:
         num_classes = self.num_classes
         if num_classes is None:
             num_classes = int(labels.max()) + 1 if labels.size else 1
-        if num_classes < 1:
-            raise DomainError("num_classes must be >= 1")
+        if not 1 <= num_classes <= _MAX_LABEL:  # np.bincount takes a C long
+            raise DomainError("num_classes must lie in [1, 2^63)")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise DomainError("labels out of range")
         counts = tuple(int(c) for c in np.bincount(labels, minlength=num_classes))
@@ -147,7 +149,8 @@ def apply_imbalance(
     """
     if any(c != spec.base_count for c in dataset.class_counts):
         raise DomainError(
-            "apply_imbalance expects a balanced dataset with base_count rows per class"
+            f"expected a balanced dataset of base_count {spec.base_count} rows per class, "
+            f"got class counts {list(dataset.class_counts)}"
         )
     targets = imbalanced_counts(spec, dataset.num_classes)
     keep: list[np.ndarray] = []
@@ -181,11 +184,10 @@ def sample_gaussian_mixture(
             f"{n_minority} is not finite"
         ) from None
     # NumPy refuses an array of more bytes (8 per float64) than intp holds
-    if (n_major + n_minority) * spec.dim * 8 > np.iinfo(np.intp).max:
-        raise DomainError(
-            f"{n_major + n_minority:.4g} rows of dim {spec.dim} exceed NumPy's "
-            "array size limit"
-        )
+    rows = n_major + n_minority
+    if rows * spec.dim * 8 > np.iinfo(np.intp).max:
+        shown = rows if rows <= sys.float_info.max else Decimal(rows)  # int-safe :.4g
+        raise DomainError(f"{shown:.4g} rows of dim {spec.dim} exceed NumPy's array size limit")
     rng = derive_rng(seed)
     major = spec.eta + spec.sigma * rng.standard_normal((n_major, spec.dim))
     minor = -spec.eta + spec.sigma * rng.standard_normal((n_minority, spec.dim))

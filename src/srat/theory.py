@@ -439,8 +439,8 @@ def grid_search_bias(
     true minimum of its block by that much. A flat or saturated risk curve
     gives equal bounds everywhere and is scanned in full.
     """
-    if num_points < 3:
-        raise DomainError("num_points must be >= 3")
+    if not 3 <= num_points < 2**60:  # NumPy holds no float64 array of 2^63 bytes
+        raise DomainError("num_points must lie in [3, 2^60)")
     center = abs(optimal_bias(spec, rho, conv))
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
     if not math.isfinite(hi - lo):

@@ -222,6 +222,11 @@ def test_pgd_deterministic_per_seed():
 def test_attack_config_validation():
     with pytest.raises(DomainError):
         AttackConfig(epsilon=-0.1, step_size=0.1, num_steps=1)
+    # the random start's uniform(-epsilon, epsilon) has width 2 * epsilon
+    for epsilon in (1e308, float("nan")):
+        with pytest.raises(DomainError, match=r"epsilon must lie in \[0, 2\^1023\)"):
+            AttackConfig(epsilon=epsilon, step_size=0.1, num_steps=1)
+    AttackConfig(epsilon=8.9e307, step_size=0.1, num_steps=1)
     with pytest.raises(DomainError):
         AttackConfig(epsilon=0.1, step_size=0.0, num_steps=1)
     with pytest.raises(DomainError):

@@ -1,0 +1,307 @@
+"""Property of the command-line boundary: whatever one or two config
+leaves or flags of ``srat train``, ``sweep``, ``make-dataset``, ``eval``,
+``export-features`` or ``theory`` are set to, the command ends in exit 0,
+2 or 3 (1 only for a theory grid with a violation), an exit 2 leaves no
+new file or directory, and nothing raises or warns.
+
+Every single edit (a leaf or flag set to one of the edge values) is run;
+hypothesis draws pairs of edits. The property is about the checks, so the
+expensive work after them is stubbed: ``train_srat`` evaluates the model
+it would start from once instead of training, and ``evaluate`` and
+``export_features`` run without attack steps.
+"""
+
+import contextlib
+import copy
+import dataclasses
+import io
+import json
+import math
+import os
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from srat import cli
+from srat.data import LabeledDataset, save_csv
+from srat.mlp import build_mlp, save_model
+from srat.rand import derive_rng
+from srat.training import EpochRecord
+
+# derandomized and without an example database, as in test_properties.py
+BOUNDARY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# Edge values for a config leaf: zero, units, huge and tiny magnitudes,
+# non-finite floats, integers past int64, a negative zero, and values of
+# the wrong JSON type.
+EDGE_VALUES = [
+    0, 1, -1, 10**30, -(10**30), 1e30, 1e308, -1e308, 1e-320, math.nan, math.inf,
+    -math.inf, 2**63, 2**64, -0.0, 0.5, True, False, None, "", "x", "csv", "1",
+    [], [0], [1, 2], [math.nan], [10**30], {}, {"kind": "step"}, {"x": 1},
+]
+# The same edges as flag text.
+EDGE_TEXT = [
+    "0", "1", "-1", str(10**30), str(-(10**30)), "1e30", "1e308", "-1e308", "1e-320",
+    "nan", "inf", "-inf", str(2**63), str(2**64), "-0.0", "0.5", "true", "", "x",
+]
+
+_TRAIN = {
+    "total_epochs": 2, "defer_epoch": 2, "batch_size": 4, "lr": 0.05, "lr_milestones": [1],
+    "lr_decay": 0.1, "weighting": "class_balanced", "manual_weights": None, "momentum": 0.0,
+    "seed": 0, "eval_every": 1,
+    "loss": {
+        "kind": "ce", "focal_gamma": 2.0, "ldam_max_margin": 0.5, "ldam_scale": 30.0,
+        "tau": 0.1, "lam": 1.0, "cb_beta": 0.9999,
+    },
+    "attack": {
+        "epsilon": 0.1, "step_size": 0.05, "num_steps": 2, "random_start": True,
+        "clip_min": None, "clip_max": None,
+    },
+}
+_ATTACK = {
+    "epsilon": 0.1, "step_size": 0.05, "num_steps": 3, "random_start": True,
+    "clip_min": -100.0, "clip_max": 100.0,
+}
+_SYNTHETIC = {
+    "kind": "synthetic", "eta": 1.0, "sigma": 1.0, "dim": 2, "imbalance_ratio": 2.0,
+    "n_minority_train": 3, "n_test_per_class": 2, "seed": 0, "under_classes": [1],
+}
+# balanced.csv holds 6 rows of each of 2 classes
+_CSV = {
+    "kind": "csv", "train_path": "balanced.csv", "test_path": "balanced.csv",
+    "num_classes": 2, "imbalance": {"kind": "step", "ratio": 2.0, "base_count": 6},
+    "seed": 0, "under_classes": [1],
+}
+
+
+def _experiment(dataset: dict) -> dict:
+    return {
+        "dataset": dataset, "model": {"hidden": [3]}, "train": _TRAIN,
+        "eval_attack": _ATTACK, "output_dir": "out",
+    }
+
+
+_BASES = {
+    "train_synthetic": _experiment(_SYNTHETIC),
+    "train_csv": _experiment(_CSV),
+    "sweep": {
+        "base": _experiment(_SYNTHETIC), "vary": {"train.loss.lam": [0.5]}, "seeds": [0, 1],
+        "output_dir": "out",
+    },
+}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into ``node``, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, prefix + (key,))
+
+
+_LEAVES = {name: list(_paths(doc)) for name, doc in _BASES.items()}
+_ATTACK_LEAVES = list(_paths(_ATTACK))
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _edited(doc, edits):
+    """A copy of ``doc`` with each (path, value) set in turn; a path that an
+    earlier edit cut off is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            _set(doc, path, copy.deepcopy(value))
+    return doc
+
+
+def _train_stub(dataset, model_spec, config, eval_fn=None):
+    """``train_srat`` without its epochs: the model a run of ``dataset``
+    would start from (without hidden layers), evaluated once."""
+    model = build_mlp(dataset.dim, (), dataset.num_classes, seed=0)
+    snapshot = eval_fn(model, config.total_epochs)
+    weights = (1.0,) * dataset.num_classes
+    return model, [EpochRecord(config.total_epochs, "post_defer", config.lr, 0.0, 0.0, weights,
+                               snapshot)]
+
+
+def _no_steps(attack):
+    return dataclasses.replace(attack, num_steps=0, random_start=False)
+
+
+_evaluate = cli.evaluate
+_export_features = cli.export_features
+
+
+def _evaluate_stub(model, test_set, attack_config, partition, seed=0):
+    return _evaluate(model, test_set, _no_steps(attack_config), partition, seed)
+
+
+def _export_stub(model, dataset, path, attack_config=None, seed=0):
+    _export_features(model, dataset, path, None, seed)
+
+
+def _fixtures(root: Path) -> None:
+    """balanced.csv (2 classes of 6 rows, dim 2) and model.ckpt, a model of
+    its width."""
+    rng = derive_rng(11)
+    save_csv(LabeledDataset(rng.normal(size=(12, 2)), np.repeat([0, 1], 6), 2),
+             root / "balanced.csv")
+    save_model(build_mlp(2, (3,), 2, seed=0), root / "model.ckpt", seed=0)
+
+
+@contextlib.contextmanager
+def _inside(root):
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def root(tmp_path_factory):
+    """A directory holding the fixtures, made the working directory and the
+    root of relative output paths, with the stubs in place. The parser is
+    built once."""
+    root = tmp_path_factory.mktemp("boundary")
+    _fixtures(root)
+    parser = cli.build_parser()
+    with _inside(root), mock.patch.dict(os.environ, {cli.OUTPUT_ROOT_ENV: str(root)}), \
+            mock.patch.multiple(cli, train_srat=_train_stub, evaluate=_evaluate_stub,
+                                export_features=_export_stub, build_parser=lambda: parser):
+        yield root
+
+
+def _entries(root: Path) -> set:
+    return set(root.rglob("*"))
+
+
+def _failure(root: Path, command: str, argv, config=None):
+    """Run ``srat command *argv`` after writing ``config`` (if any) to
+    config.json; return a description of how the boundary property failed,
+    or None. Whatever the run wrote is removed afterwards."""
+    if config is not None:
+        (root / "config.json").write_text(json.dumps(config))
+        argv = ["--config", "config.json", *argv]
+    argv = [command, *argv]
+    before = _entries(root)
+    out, err = io.StringIO(), io.StringIO()
+    code, raised = None, None
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+            out
+        ), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    except Exception as exc:  # reported, with the trial, as a failure
+        raised = exc
+    written = sorted(_entries(root) - before)
+    for path in reversed(written):
+        path.rmdir() if path.is_dir() else path.unlink()
+    (root / "config.json").unlink(missing_ok=True)
+    context = f"{argv} config {config}"
+    if raised is not None:
+        return f"{context}: raised {raised!r}"
+    context += f": exit {code}, stderr {err.getvalue()!r}"
+    if caught:
+        return f"{context}: warned {[str(w.message) for w in caught]}"
+    if not (code in (0, 2, 3) or (command == "theory" and code == 1)):
+        return context
+    if code == 2 and written:
+        return f"{context}: wrote {[str(p.relative_to(root)) for p in written]}"
+    return None
+
+
+def _set_edits(leaves):
+    return [("set", path, value) for path in leaves for value in EDGE_VALUES]
+
+
+def _flag_edits(flags):
+    return [("flag", flag, text) for flag in flags for text in EDGE_TEXT]
+
+
+_DATASET_FLAGS = ["--eta", "--sigma", "--dim", "--ratio", "--n-minority", "--n-test-per-class",
+                  "--input", "--seed"]
+_THEORY_FLAGS = ["--convention", "--eta", "--d", "--sigma", "--sigma1", "--sigma2", "--logK",
+                 "--log-rho-over-k", "--K", "--points"]
+# Every single edit of each group of trials: a config leaf set to an edge
+# value, or a flag given as edge text.
+_EDITS = {
+    **{name: _set_edits(_LEAVES[name]) for name in _BASES},
+    **{f"make-dataset {kind}": _flag_edits(_DATASET_FLAGS) for kind in ("synthetic", "step", "exp")},
+    "eval": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--under", "--seed"]),
+    "export-features": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--seed"]),
+    **{f"theory {thm}": _flag_edits(_THEORY_FLAGS) for thm in ("lemma", "1", "2")},
+}
+
+
+def _trial(group: str, edits):
+    """(command, argv, config) of the trial of ``group`` with ``edits``."""
+    sets = [(path, value) for kind, path, value in edits if kind == "set"]
+    flags = [f"{flag}={text}" for kind, flag, text in edits if kind == "flag"]
+    if group in _BASES:
+        return group.partition("_")[0], flags, _edited(_BASES[group], sets)
+    command, _, mode = group.partition(" ")
+    if command == "make-dataset":
+        base = ["--dim", "2", "--n-minority", "3"] if mode == "synthetic" else [
+            "--input", "balanced.csv"]
+        return command, ["--kind", mode, *base, *flags, "--out", "out"], None
+    if command == "theory":
+        base = ["--points", "3"] if mode == "lemma" else []
+        return command, ["--thm", mode, *base, *flags, "--out", "out"], None
+    under = ["--under", "1"] if command == "eval" else []
+    attack = json.dumps(_edited(_ATTACK, sets))
+    argv = ["--checkpoint", "model.ckpt", "--data", "balanced.csv", "--attack", attack]
+    return command, [*argv, *under, *flags, "--out", "out"], None
+
+
+def _covered_elsewhere(group: str, edit) -> bool:
+    """Whether another group's single edits already cover ``edit``:
+    train_csv differs from train_synthetic in its dataset only, and a
+    sweep's base is the train_synthetic config."""
+    path = edit[1]
+    if group == "train_csv":
+        return path[0] != "dataset"
+    return group == "sweep" and path[0] == "base" and len(path) > 1
+
+
+@pytest.mark.parametrize("group", list(_EDITS))
+def test_every_single_edit_keeps_the_boundary(root, group):
+    failures = []
+    for edit in _EDITS[group]:
+        if _covered_elsewhere(group, edit):
+            continue
+        failure = _failure(root, *_trial(group, [edit]))
+        if failure is not None:
+            failures.append(failure)
+    assert failures == [], f"{len(failures)} failures:\n" + "\n".join(failures[:20])
+
+
+@BOUNDARY
+@given(
+    st.sampled_from(list(_EDITS)).flatmap(
+        lambda group: st.tuples(
+            st.just(group), st.lists(st.sampled_from(_EDITS[group]), min_size=2, max_size=2)
+        )
+    )
+)
+def test_pairs_of_edits_keep_the_boundary(root, case):
+    failure = _failure(root, *_trial(*case))
+    assert failure is None, failure

@@ -303,8 +303,31 @@ def test_make_dataset_refuses_an_unbalanced_input_naming_it(tmp_path, capsys):
     argv = ["make-dataset", "--kind", "exp", "--ratio", "1000", "--input", str(src)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"error: --input {src}: --kind exp needs a balanced CSV" in err
+    assert f"error: {src}: expected a balanced dataset of base_count 30 rows per class" in err
     assert "class counts [30, 3]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_csv_imbalance_on_an_unbalanced_train_file_exits_2_naming_it(tmp_path, capsys, command):
+    src = tmp_path / "train.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 10.0), 20, seed=0), src)
+    out = tmp_path / "never"
+    doc = _experiment_doc(out)
+    doc["dataset"] = {
+        "kind": "csv", "train_path": str(src), "test_path": str(src),
+        "imbalance": {"kind": "step", "ratio": 10, "base_count": 200},
+    }
+    if command == "sweep":
+        doc = {"base": doc, "vary": {"train.loss.lam": [0.5]}, "seeds": [0], "output_dir": str(out)}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"{src}: expected a balanced dataset of base_count 200 rows per class, "
+        "got class counts [200, 20]"
+    ) in err
     assert not out.exists()
 
 
@@ -326,6 +349,52 @@ def test_overflowing_majority_row_count_exits_2_writing_nothing(tmp_path, capsys
     fill = {"{out}": str(out), "{config}": str(cfg)}
     assert main([fill.get(a, a) for a in argv]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A test split of 10^308 rows per class has 2e308 rows, more than a float
+# holds: the message must still be formed.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["make-dataset", "--kind", "synthetic", "--n-test-per-class", str(10**308),
+          "--out", "{out}"], "2.000e+308 rows of dim 10 exceed NumPy's array size limit"),
+        (["train", "--config", "{config}"], "e+308 rows of dim 4 exceed NumPy's array size limit"),
+    ],
+    ids=["make_dataset", "train"],
+)
+def test_row_count_beyond_float_range_exits_2_writing_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "never"
+    doc = _experiment_doc(out)
+    doc["dataset"]["n_test_per_class"] = 1e308
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    fill = {"{out}": str(out), "{config}": str(cfg)}
+    assert _exit_code([fill.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# Each asks for about 7 PiB, more than a 47-bit address space holds, so the
+# allocation fails at once whatever the kernel's overcommit policy.
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["--kind", "synthetic", "--ratio", "1e14", "--n-minority", "1"],
+         "shape (100000000000000, 10)"),
+        (["--kind", "step", "--ratio", "1", "--input", "{csv}"], "shape (1000000000000001,)"),
+    ],
+    ids=["ratio", "label"],
+)
+def test_make_dataset_out_of_memory_exits_2_writing_nothing(tmp_path, capsys, argv, shape):
+    src = tmp_path / "train.csv"
+    src.write_text("dim=1,label_col=1\n0.5,0\n0.25,1000000000000000\n")
+    out = tmp_path / "never"
+    argv = [str(src) if a == "{csv}" else a for a in argv]
+    assert main(["make-dataset", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 7.11 PiB") and shape in err
     assert not out.exists()
 
 
@@ -532,6 +601,31 @@ def test_eval_and_export_rejected_flag_write_nothing(
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["train.attack", "eval_attack", "--attack"])
+def test_attack_epsilon_too_wide_for_a_random_start_exits_2_writing_nothing(
+    trained_run, tmp_path, capsys, section
+):
+    out = tmp_path / "never"
+    if section == "--attack":
+        _, run_dir = trained_run
+        data = tmp_path / "data.csv"
+        save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+        argv = ["eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+                "--attack", '{"epsilon":1e308,"step_size":0.05,"num_steps":1}', "--out", str(out)]
+        named = "attack: epsilon"
+    else:
+        doc = _experiment_doc(out)
+        attack = doc["train"]["attack"] if section == "train.attack" else doc["eval_attack"]
+        attack["epsilon"] = 1e308
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(cfg)]
+        named = f"{section}: epsilon"
+    assert main(argv) == 2
+    assert f"{named} must lie in [0, 2^1023)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_attack_box_excluding_the_data_exits_2(trained_run, tmp_path, capsys):

@@ -86,7 +86,8 @@ def test_apply_imbalance_subsamples_without_replacement():
 def test_apply_imbalance_requires_balanced_input():
     ds = _balanced(2, 10)
     shrunk = ds.subset(np.arange(15))
-    with pytest.raises(DomainError):
+    message = r"base_count 10 rows per class, got class counts \[10, 5\]"
+    with pytest.raises(DomainError, match=message):
         apply_imbalance(shrunk, ImbalanceSpec("step", 2.0, 10), seed=0)
 
 
@@ -137,8 +138,12 @@ def test_mixture_sigma_to_zero_is_separable():
         (2.0, 10**400, 1, "is not finite"),
         (1e300, 1, 10, r"1e\+300 rows of dim 10 exceed"),
         (3e17, 1, 4, r"3e\+17 rows of dim 4 exceed"),  # past the byte limit only
+        (1.0, 10**308, 1, r"2\.000e\+308 rows of dim 1 exceed"),  # more rows than a float holds
     ],
-    ids=["ratio_overflows", "n_minority_beyond_float", "beyond_index_range", "beyond_bytes"],
+    ids=[
+        "ratio_overflows", "n_minority_beyond_float", "beyond_index_range", "beyond_bytes",
+        "rows_beyond_float",
+    ],
 )
 def test_mixture_refuses_a_row_count_numpy_cannot_hold(ratio, n_minority, dim, message):
     with pytest.raises(DomainError, match=message):
