@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from srat.errors import AttackError, DomainError
-from srat.losses import ClassWeights, PredictionLoss, check_labels, prediction_loss
+from srat.losses import ClassWeights, PredictionLoss, prediction_loss
 from srat.mlp import MlpModel, backward, forward
 from srat.rand import derive_rng
 
@@ -82,30 +82,25 @@ def pgd_attack(
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
     Per-example loss weights are irrelevant here: they rescale each row's
-    gradient positively and the update only uses its sign. The batch, the
-    labels, the loss's margins and, when a box is set, the batch's place
-    inside it are checked once here; the steps only check the gradient.
-    An empty batch is returned as an empty copy.
+    gradient positively and the update only uses its sign.
+
+    This is an inner-loop step and checks only the gradient. Its caller
+    (``train_srat`` or the evaluation pass) guarantees the rest once per
+    run: ``batch`` is a float64 n x ``model.input_dim`` matrix, ``labels``
+    n int64 indices below ``model.num_classes``, the loss's margins, if
+    any, ``model.num_classes`` wide, and the batch inside ``config``'s
+    box. An empty batch is returned as an empty copy.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise DomainError("batch shape does not match model input width")
-    if np.shape(labels) != (x.shape[0],):
-        raise DomainError("labels must be one integer per batch row")
-    labels = check_labels(labels, model.num_classes)
-    loss.check_width(model.num_classes)
-    config.check_box(x)
+    if batch.shape[0] == 0 or (config.num_steps == 0 and not config.random_start):
+        return batch.copy()
 
-    uniform = ClassWeights.uniform(model.num_classes)
-    if x.shape[0] == 0 or (config.num_steps == 0 and not config.random_start):
-        return x.copy()
-
-    adv = x.copy()
+    adv = batch.copy()
     if config.random_start:
         rng = derive_rng(seed)
-        adv = adv + rng.uniform(-config.epsilon, config.epsilon, size=x.shape)
-        adv = _project(adv, x, config)
+        adv = adv + rng.uniform(-config.epsilon, config.epsilon, size=batch.shape)
+        adv = _project(adv, batch, config)
 
+    uniform = ClassWeights.uniform(model.num_classes)
     for _ in range(config.num_steps):
         trace = forward(model, adv)
         _, d_logits = prediction_loss(trace.logits, labels, uniform, loss)
@@ -113,6 +108,5 @@ def pgd_attack(
         if not np.isfinite(input_grads).all():
             raise AttackError("non-finite input gradient during attack")
         adv = adv + config.step_size * np.sign(input_grads)
-        adv = _project(adv, x, config)
+        adv = _project(adv, batch, config)
     return adv
-

@@ -274,12 +274,10 @@ def _build_run_data(cfg: ExperimentConfig):
 
 
 def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
-    """Train and evaluate on ``data`` from ``_build_run_data(cfg)`` and
-    write the run's files into ``run_dir``."""
+    """Train and evaluate on ``data`` from ``_build_run_data(cfg)``, then
+    create ``run_dir`` and write the run's files into it: a run that fails
+    writes nothing."""
     train_set, test_set, partition = data
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "config.json", cfg.raw)
-
     eval_seed = (cfg.train.seed, STREAM_EVAL)
     reports = []
 
@@ -295,6 +293,8 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
 
     model, history = train_srat(train_set, cfg.model, cfg.train, eval_fn=eval_fn)
 
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_json(run_dir / "config.json", cfg.raw)
     save_model(model, run_dir / "model.ckpt", seed=cfg.train.seed)
     write_history(history, run_dir / "history.csv")
     report = reports[-1]  # train_srat evaluates the final model last

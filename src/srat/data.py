@@ -1,7 +1,8 @@
 """Datasets: imbalance construction, synthetic mixture sampling, CSV
-ingestion, and deterministic batching, plus ``write_json`` and
-``write_rows``, the one writer each for the package's JSON files and for
-its CSV tables keyed by a header of field names.
+ingestion, and deterministic batching, plus ``write_json``,
+``write_rows`` and ``write_lines``, the one writer each for the
+package's JSON files, for its CSV tables keyed by a header of field
+names and for its files of ``\n``-ended lines.
 
 CSV layout: one header line ``dim=<d>,label_col=<idx>`` followed by rows
 of d feature cells plus one integer label cell at the declared column.
@@ -210,6 +211,12 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def write_lines(path, lines) -> None:
+    """Write the strings ``lines``, each ended by ``\\n``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_rows(path, rows) -> None:
     """Write a non-empty list of dicts as a CSV table whose header is the
     first row's keys; values are written with ``str``."""
@@ -226,8 +233,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
         cells = [repr(float(v)) for v in row]
         cells.append(str(int(label)))
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_csv(path, num_classes: int | None = None) -> LabeledDataset:

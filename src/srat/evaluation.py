@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from srat.attack import AttackConfig, pgd_attack
-from srat.data import LabeledDataset
+from srat.data import LabeledDataset, write_lines
 from srat.errors import DomainError
 from srat.losses import PredictionLoss
 from srat.mlp import MlpModel, forward
@@ -54,7 +54,17 @@ def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
 
     Each chunk is attacked with cross-entropy PGD under the key
     ``(seed, start)``, so its perturbation does not depend on the others.
+    The data is checked against the model and the attack box here, once
+    per pass, before the first chunk.
     """
+    if dataset.dim != model.input_dim:
+        raise DomainError(
+            f"data of dim {dataset.dim} does not match model input width {model.input_dim}"
+        )
+    if len(dataset) and dataset.labels.max() >= model.num_classes:
+        raise DomainError("labels out of range for the logit width")
+    if attack_config is not None:
+        attack_config.check_box(dataset.features)
     for start in range(0, len(dataset), _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         labels, rows = dataset.labels[start:stop], dataset.features[start:stop]
@@ -118,8 +128,7 @@ def per_class_csv(report: EvalReport, path) -> None:
         s_txt = "" if np.isnan(s) else f"{s:.2f}"
         r_txt = "" if np.isnan(r) else f"{r:.2f}"
         lines.append(f"{c},{s_txt},{r_txt}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def export_features(
@@ -137,5 +146,4 @@ def export_features(
         feats = forward(model, rows if adv is None else adv).features
         for label, row in zip(labels, feats):
             lines.append(",".join([str(int(label)), *(repr(float(v)) for v in row)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

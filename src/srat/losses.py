@@ -23,6 +23,7 @@ positive set contribute nothing and are excluded from the batch mean.
 """
 
 from dataclasses import dataclass
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,16 +53,17 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.kind not in _LOSS_KINDS:
             raise DomainError(f"unknown loss kind {self.kind!r}")
-        if self.focal_gamma < 0:
-            raise DomainError("focal_gamma must be >= 0")
-        if self.ldam_max_margin < 0:
-            raise DomainError("ldam_max_margin must be >= 0")
-        if self.ldam_scale <= 0:
-            raise DomainError("ldam_scale must be > 0")
-        if not self.tau > 0:
-            raise DomainError("tau must be > 0")
-        if self.lam < 0:
-            raise DomainError("lam must be >= 0")
+        # a chained comparison with inf also refuses NaN
+        if not 0 <= self.focal_gamma < math.inf:
+            raise DomainError("focal_gamma must be >= 0 and finite")
+        if not 0 <= self.ldam_max_margin < math.inf:
+            raise DomainError("ldam_max_margin must be >= 0 and finite")
+        if not 0 < self.ldam_scale < math.inf:
+            raise DomainError("ldam_scale must be > 0 and finite")
+        if not 0 < self.tau < math.inf:
+            raise DomainError("tau must be > 0 and finite")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError("lam must be >= 0 and finite")
         if not 0.0 <= self.cb_beta < 1.0:
             raise DomainError("cb_beta must lie in [0, 1)")
 
@@ -100,17 +102,6 @@ class ClassWeights:
 
     def per_example(self, labels: np.ndarray) -> np.ndarray:
         return self.weights[labels]
-
-
-def check_labels(labels, num_classes: int) -> np.ndarray:
-    """``labels`` as int64 class indices, or DomainError when they are
-    not integers or fall outside [0, num_classes)."""
-    labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise DomainError("labels must be integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DomainError("labels out of range for the logit width")
-    return labels.astype(np.int64)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -198,30 +189,21 @@ class PredictionLoss:
             return cls(margins=margins, scale=config.ldam_scale)
         return cls(gamma=config.focal_gamma if config.kind == "focal" else 0.0)
 
-    def check_width(self, num_classes: int) -> None:
-        """Raise DomainError unless the margins, if any, are ``num_classes`` wide."""
-        if self.margins is not None and self.margins.size != num_classes:
-            raise DomainError("margin count does not match logit width")
-
 
 def separation_loss(features, labels, tau: float):
     """Feature-separation loss over one batch (see module docstring).
 
     Returns (loss, dLoss/dfeatures) where the gradient is taken with
     respect to the raw, pre-normalization features.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if feats.ndim != 2 or feats.shape[0] < 2:
-        raise DomainError("separation loss needs at least two feature rows")
-    if labels.shape != (feats.shape[0],):
-        raise DomainError("labels must be one integer per feature row")
-    if not tau > 0:
-        raise DomainError("tau must be > 0")
 
-    norms = np.linalg.norm(feats, axis=1)
+    This is an inner-loop entry and checks nothing: ``features`` must be a
+    float64 n x k matrix, ``labels`` n integers and ``tau`` > 0, as
+    ``LossConfig`` guarantees. A batch of fewer than two rows has no pair
+    to separate and gives (0.0, zeros).
+    """
+    norms = np.linalg.norm(features, axis=1)
     safe_norms = np.where(norms > 0.0, norms, 1.0)
-    z = feats / safe_norms[:, None]
+    z = features / safe_norms[:, None]
 
     positives = (labels[:, None] == labels[None, :]).astype(np.float64)
     np.fill_diagonal(positives, 0.0)
@@ -229,7 +211,7 @@ def separation_loss(features, labels, tau: float):
     valid = pos_counts > 0
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return 0.0, np.zeros_like(feats)
+        return 0.0, np.zeros_like(features)
 
     # The n x n work reuses three buffers in place: at batch 128 each one
     # is 128 KiB, and every fresh array that size costs page faults.
@@ -275,11 +257,10 @@ def prediction_loss(logits, labels, weights: ClassWeights, loss: PredictionLoss)
     by ``loss.scale``, the core runs at gamma 0 and the gradient is scaled
     back.
 
-    This is the inner-loop entry: ``logits`` must be a float64 n x C
-    matrix with n >= 1, ``labels`` int64 indices in [0, C), as
-    ``check_labels`` returns them, and the weights and margins C wide.
-    ``pgd_attack`` and ``combined_objective`` check once per call, not
-    once per step.
+    This is an inner-loop entry and checks nothing: ``logits`` must be a
+    float64 n x C matrix with n >= 1, ``labels`` int64 indices in [0, C)
+    and the weights and margins C wide. ``train_srat`` and the evaluation
+    pass check that once per run.
     """
     if loss.margins is None:
         return _softmax_loss(logits, labels, weights, loss.gamma)
@@ -314,18 +295,9 @@ def combined_objective(
     batch of fewer than two rows (no pairs to separate), the separation
     head is skipped entirely: its term is zero and ``d_features`` is None.
     A non-finite total is returned as is; ``train_srat`` stops on it.
-    The logits, labels, weights and margins are checked here, once per
-    training step.
+    The inputs are those of ``prediction_loss`` and ``separation_loss``,
+    unchecked here.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise DomainError("logits must be a non-empty n x C matrix")
-    if np.shape(labels) != (logits.shape[0],):
-        raise DomainError("labels must be one integer per row of logits")
-    labels = check_labels(labels, logits.shape[1])
-    if weights.weights.size != logits.shape[1]:
-        raise DomainError("class weight count does not match logit width")
-    loss.check_width(logits.shape[1])
     pred, d_logits = prediction_loss(logits, labels, weights, loss)
     sep, d_feats = 0.0, None
     if config.lam != 0.0 and len(labels) >= 2:

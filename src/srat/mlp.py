@@ -10,6 +10,7 @@ objective; input gradients are exposed for adversarial example generation.
 """
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 import json
 from typing import NamedTuple
 
@@ -143,10 +144,19 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
     """Seeded fan-in-uniform initialization: W ~ U(+-sqrt(6/fan_in)), b = 0.
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
+    Raises DomainError when the parameter vector has more bytes than
+    NumPy can index.
     """
     if input_dim < 1 or num_classes < 1:
         raise DomainError("input_dim and num_classes must be >= 1")
     sizes = [int(input_dim), *(int(h) for h in hidden), int(num_classes)]
+    # NumPy refuses an array of more bytes (8 per float64) than intp holds
+    needed = sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))
+    if needed * 8 > np.iinfo(np.intp).max:
+        raise DomainError(
+            f"layer widths {sizes} need {Decimal(needed):.4g} parameters, "
+            "more than NumPy's array size limit"
+        )
     rng = derive_rng(seed)
     layers = []
     for fi, fo in zip(sizes, sizes[1:]):

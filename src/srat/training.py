@@ -149,10 +149,15 @@ def train_srat(
     ``eval_fn(model, epoch) -> dict`` is invoked every ``eval_every``
     epochs (and at the last epoch) and its result is stored in that
     epoch's record.
+
+    The data is checked against the run here, once: the model and the
+    loss are built from the dataset, so the batches fit both, and the
+    attack box must contain the dataset. The steps only stop on a fault.
     """
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
     loss, deferred = resolve_loss(config, dataset.class_counts)
+    config.attack.check_box(dataset.features)
     uniform = ClassWeights.uniform(dataset.num_classes)
 
     model = build_mlp(
@@ -188,8 +193,6 @@ def train_srat(
                     config.attack,
                     seed=(config.seed, STREAM_ATTACK, epoch, b_idx),
                 )
-                if np.abs(adv - xb).max() > config.attack.epsilon * (1 + 1e-12) + 1e-300:
-                    raise TrainingError("attack left the epsilon ball")
                 trace = forward(model, adv)
                 obj = combined_objective(
                     trace.logits, trace.features, yb, weights, config.loss, loss

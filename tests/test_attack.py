@@ -5,11 +5,15 @@ import pytest
 
 from attack_reference import linear_oracle
 import srat.attack
+import srat.evaluation
 from srat.attack import AttackConfig, pgd_attack
+from srat.data import LabeledDataset
 from srat.errors import DomainError
-from srat.losses import ClassWeights, PredictionLoss, prediction_loss
-from srat.mlp import MlpModel, build_mlp, forward
+from srat.evaluation import evaluate, export_features
+from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss
+from srat.mlp import MlpModel, ModelSpec, build_mlp, forward
 from srat.rand import derive_rng
+from srat.training import TrainConfig, train_srat
 
 CE = PredictionLoss()
 
@@ -186,11 +190,23 @@ def test_ball_and_box_containment_random_models():
             assert adv.min() >= 0.0 and adv.max() <= 1.0
 
 
+def _train_and_evaluate(x, y, attack):
+    """One epoch of ``train_srat`` on the rows ``x`` under ``attack``, and
+    ``evaluate`` on them."""
+    ds = LabeledDataset(x, y)
+    config = TrainConfig(
+        total_epochs=1, defer_epoch=1, batch_size=1, lr=0.05, loss=LossConfig(lam=0.0),
+        attack=attack,
+    )
+    model, _ = train_srat(ds, ModelSpec((4,)), config)
+    evaluate(model, ds, attack, partition=[])
+
+
 @pytest.mark.parametrize(
     "box", [(0.0, 1.0), (0.0, None), (None, 1.0)], ids=["box", "min_only", "max_only"]
 )
-def test_pgd_rejects_clean_rows_outside_the_box(box):
-    model = build_mlp(2, (4,), 2, seed=0)
+def test_runs_refuse_clean_rows_outside_the_box(box):
+    # the box is checked where a run enters, not by pgd_attack
     y = np.array([0, 1])
     cfg = AttackConfig(0.1, 0.05, 2, clip_min=box[0], clip_max=box[1])
     for x in (np.array([[0.5, -0.2], [0.5, 0.5]]), np.array([[0.5, 0.5], [1.2, 0.5]])):
@@ -199,11 +215,13 @@ def test_pgd_rejects_clean_rows_outside_the_box(box):
         )
         if outside:
             with pytest.raises(DomainError, match="does not contain the data"):
-                pgd_attack(model, CE, x, y, cfg, seed=0)
+                _train_and_evaluate(x, y, cfg)
+            with pytest.raises(DomainError, match="does not contain the data"):
+                evaluate(build_mlp(2, (4,), 2, seed=0), LabeledDataset(x, y), cfg, [])
         else:
-            pgd_attack(model, CE, x, y, cfg, seed=0)
+            _train_and_evaluate(x, y, cfg)
     # rows on the box's faces are inside it
-    pgd_attack(model, CE, np.array([[0.0, 1.0], [1.0, 0.0]]), y, cfg, seed=0)
+    _train_and_evaluate(np.array([[0.0, 1.0], [1.0, 0.0]]), y, cfg)
 
 
 def test_pgd_deterministic_per_seed():
@@ -235,20 +253,23 @@ def test_attack_config_validation():
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=1, clip_min=1.0, clip_max=0.0)
 
 
-@pytest.mark.parametrize(
-    "labels",
-    [np.array([0.0, 1.0, 0.0]), np.array([0, 2, 1]), np.array([0, -1, 1])],
-    ids=["float", "out_of_range", "negative"],
-)
 @pytest.mark.parametrize("num_steps", [0, 3])
-def test_pgd_rejects_bad_labels_before_any_step(monkeypatch, labels, num_steps):
+def test_evaluation_refuses_labels_beyond_the_logits_before_any_step(
+    monkeypatch, tmp_path, num_steps
+):
     def no_step(*args, **kwargs):
-        raise AssertionError("an attack step ran")
+        raise AssertionError("a forward pass ran")
 
     monkeypatch.setattr(srat.attack, "forward", no_step)
+    monkeypatch.setattr(srat.evaluation, "forward", no_step)
     cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=num_steps, random_start=False)
-    with pytest.raises(DomainError, match="labels"):
-        pgd_attack(build_mlp(2, (4,), 2, seed=0), CE, np.zeros((3, 2)), labels, cfg, seed=0)
+    model = build_mlp(2, (4,), 2, seed=0)
+    ds = LabeledDataset(np.zeros((3, 2)), np.array([0, 2, 1]))
+    with pytest.raises(DomainError, match="labels out of range for the logit width"):
+        evaluate(model, ds, cfg, partition=[])
+    with pytest.raises(DomainError, match="labels out of range for the logit width"):
+        export_features(model, ds, tmp_path / "features.csv", cfg)
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_pgd_returns_an_empty_batch_as_is():

@@ -129,8 +129,8 @@ def _edited(doc, edits):
 
 def _train_stub(dataset, model_spec, config, eval_fn=None):
     """``train_srat`` without its epochs: the model a run of ``dataset``
-    would start from (without hidden layers), evaluated once."""
-    model = build_mlp(dataset.dim, (), dataset.num_classes, seed=0)
+    would start from, evaluated once."""
+    model = build_mlp(dataset.dim, model_spec.hidden, dataset.num_classes, seed=0)
     snapshot = eval_fn(model, config.total_epochs)
     weights = (1.0,) * dataset.num_classes
     return model, [EpochRecord(config.total_epochs, "post_defer", config.lr, 0.0, 0.0, weights,

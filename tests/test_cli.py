@@ -834,6 +834,41 @@ def test_diverging_run_exits_3_with_epoch_and_batch(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("training failure: ")
     assert "epoch" in err[0] and "batch" in err[0]
+    assert not (tmp_path / "run").exists()  # the run directory is made after training
+
+
+def test_attack_rounding_past_a_tiny_epsilon_ball_trains(tmp_path):
+    # near 1e10 one ULP is 1.9e-6, so x + delta rounds to a point 1.9e-6
+    # from x although |delta| <= epsilon = 1.5e-6: a rounding, not a fault
+    rng = derive_rng(4)
+    ds = LabeledDataset(1e10 + 1e6 * rng.normal(size=(16, 3)), np.repeat([0, 1], 8), 2)
+    save_csv(ds, tmp_path / "data.csv")
+    doc = _experiment_doc(tmp_path / "run")
+    doc["dataset"] = {
+        "kind": "csv", "train_path": str(tmp_path / "data.csv"),
+        "test_path": str(tmp_path / "data.csv"),
+    }
+    doc["train"].update(total_epochs=1, defer_epoch=1, lr_milestones=[], weighting="none")
+    doc["train"]["attack"] = {
+        "epsilon": 1.5e-6, "step_size": 0.1, "num_steps": 2, "random_start": False
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("width", [10**30, 2**50], ids=["past_intp", "past_memory"])
+def test_train_model_too_large_exits_2_writing_nothing(tmp_path, capsys, width):
+    # 10^30 is refused by build_mlp; 2^50 asks NumPy for 32 PiB, more
+    # than a 47-bit address space holds, so the allocation fails at once
+    doc = _experiment_doc(tmp_path / "run", model={"hidden": [width]})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("under_classes", [None, [3]])

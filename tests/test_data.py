@@ -269,6 +269,11 @@ def test_batches_deterministic_per_seed():
 def test_dataset_validation():
     with pytest.raises(DomainError):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
+    # the one check of label values: the training and evaluation steps rely on it
+    with pytest.raises(DomainError, match="labels must be integers"):
+        LabeledDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(DomainError, match="labels out of range"):
+        LabeledDataset(np.zeros((3, 2)), np.array([0, -1, 1]))
 
 
 def test_dataset_keeps_a_frozen_copy_of_the_features():

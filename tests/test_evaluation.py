@@ -96,6 +96,17 @@ def test_partition_validation():
         evaluate(model, ds, NO_ATTACK, partition=[3], seed=0)
 
 
+def test_evaluation_refuses_data_of_another_width(tmp_path):
+    # checked once, where the pass enters
+    ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 3, 1.0), 5, seed=8)
+    model = build_mlp(2, (4,), 2, seed=0)
+    with pytest.raises(DomainError, match="data of dim 3 does not match model input width 2"):
+        evaluate(model, ds, NO_ATTACK, partition=[], seed=0)
+    with pytest.raises(DomainError, match="data of dim 3 does not match model input width 2"):
+        export_features(model, ds, tmp_path / "features.csv")
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_evaluate_deterministic_given_seed():
     ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 2.0, 3, 2.0), 30, seed=9)
     model = build_mlp(3, (6,), 2, seed=1)

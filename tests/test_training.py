@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import srat.evaluation
 import srat.losses
 from srat.attack import AttackConfig
 from srat.data import LabeledDataset, batches, sample_gaussian_mixture
 from srat.errors import DomainError, TrainingError
+from srat.evaluation import evaluate
 from srat.losses import (
     ClassWeights,
     LossConfig,
@@ -147,6 +149,26 @@ def test_ldam_margins_are_built_once_per_run(monkeypatch):
     )
     train_srat(ds, ModelSpec((6,)), cfg)
     assert len(calls) == 1
+
+
+def test_attack_box_is_checked_once_per_run(monkeypatch):
+    # where a run enters, whatever its batch or chunk count
+    calls = []
+    real = AttackConfig.check_box
+
+    def spy(self, x, *args):
+        calls.append(len(x))
+        return real(self, x, *args)
+
+    monkeypatch.setattr(AttackConfig, "check_box", spy)
+    ds = _small_dataset()  # 60 rows: 20 batches of 3
+    cfg = _config(total_epochs=2, batch_size=3)
+    model, _ = train_srat(ds, ModelSpec((6,)), cfg)
+    assert calls == [len(ds)]
+    calls.clear()
+    monkeypatch.setattr(srat.evaluation, "_EVAL_CHUNK", 7)  # 9 chunks
+    evaluate(model, ds, cfg.attack, partition=[1])
+    assert calls == [len(ds)]
 
 
 def test_lr_follows_milestones():
