@@ -253,6 +253,22 @@ def test_attack_config_validation():
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=1, clip_min=1.0, clip_max=0.0)
 
 
+@pytest.mark.parametrize(
+    "labels", [np.array([0.0, 1.0, 0.0]), np.array([0, -1, 1])], ids=["float", "negative"]
+)
+@pytest.mark.parametrize("num_steps", [0, 3])
+def test_pgd_rejects_bad_labels_before_any_step(monkeypatch, labels, num_steps):
+    # pgd_attack checks no labels: the LabeledDataset a run is given refuses
+    # them, so neither train_srat nor evaluate reaches an attack step
+    def no_step(*args, **kwargs):
+        raise AssertionError("an attack step ran")
+
+    monkeypatch.setattr(srat.attack, "forward", no_step)
+    cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=num_steps, random_start=False)
+    with pytest.raises(DomainError, match="labels"):
+        _train_and_evaluate(np.zeros((3, 2)), labels, cfg)
+
+
 @pytest.mark.parametrize("num_steps", [0, 3])
 def test_evaluation_refuses_labels_beyond_the_logits_before_any_step(
     monkeypatch, tmp_path, num_steps
