@@ -113,13 +113,14 @@ def _from_dict(cls, doc, where: str):
 @contextlib.contextmanager
 def _prefixed(prefix: str, **point):
     """Puts ``prefix`` and the ``key=value`` pairs of ``point`` in front of
-    the message of a DomainError raised inside: the file a dataset was read
-    from, or "grid point" and the point."""
+    the message of an SratError raised inside, keeping its type: the source
+    of the refusal, such as the file a dataset was read from, "grid point"
+    and the point, or a sweep run."""
     try:
         yield
-    except DomainError as exc:
+    except SratError as exc:
         where = " ".join([prefix, *(f"{k}={v}" for k, v in point.items())])
-        raise DomainError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _check_at_least(section, **minimum) -> None:
@@ -240,9 +241,8 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _attack_arg(text: str, features) -> AttackConfig:
-    """Attack given inline as JSON or as a path to a JSON file, refused
-    unless its box contains the clean rows ``features``."""
+def _attack_arg(text: str) -> AttackConfig:
+    """Attack given inline as JSON or as a path to a JSON file."""
     candidate = Path(text)
     if candidate.suffix == ".json" and candidate.exists():
         doc = _load_json(candidate)
@@ -251,9 +251,7 @@ def _attack_arg(text: str, features) -> AttackConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--attack: invalid JSON ({exc})") from exc
-    attack = _from_dict(AttackConfig, doc, "attack")
-    attack.check_box(features)
-    return attack
+    return _from_dict(AttackConfig, doc, "attack")
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +320,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_and_data(args):
-    """The checkpoint and the CSV to score it on, read with the model's
-    class count so that classes absent from the file show as empty."""
+def cmd_eval(args) -> int:
+    # read with the model's class count, so that classes absent from the
+    # file show as empty; the evaluation pass checks the rest of the data
     model = load_model(args.checkpoint)
     data = load_csv(args.data, model.num_classes)
-    if data.dim != model.input_dim:
-        raise IngestionError(
-            f"{args.data}: {data.dim} feature columns, the model takes {model.input_dim}"
-        )
-    return model, data
-
-
-def cmd_eval(args) -> int:
-    model, data = _model_and_data(args)
-    attack = _attack_arg(args.attack, data.features)
+    attack = _attack_arg(args.attack)
     try:
         partition = [int(c) for c in args.under.split(",") if c != ""]
     except ValueError:
         raise ConfigError(f"--under: expected class indices, got {args.under!r}") from None
     _check_classes(partition, model.num_classes, "--under")
-    report = evaluate(model, data, attack, partition, seed=args.seed)
+    with _prefixed(args.data):
+        report = evaluate(model, data, attack, partition, seed=args.seed)
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", report.to_dict())
@@ -355,11 +345,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    model, data = _model_and_data(args)
-    attack = _attack_arg(args.attack, data.features) if args.attack else None
+    model = load_model(args.checkpoint)
+    data = load_csv(args.data, model.num_classes)
+    attack = _attack_arg(args.attack) if args.attack else None
     out = _resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    export_features(model, data, out, attack_config=attack, seed=args.seed)
+    with _prefixed(args.data):
+        export_features(model, data, out, attack_config=attack, seed=args.seed)
     print(f"wrote {out}")
     return 0
 
@@ -556,11 +547,9 @@ def cmd_sweep(args) -> int:
             _set_dotted(doc, "train.seed", seed)
             run_dir = out_dir / f"run_{combo_idx:03d}_seed{seed}"
             doc["output_dir"] = str(run_dir)
-            try:
+            with _prefixed(f"sweep {run_dir.name}"):
                 cfg = ExperimentConfig(doc)
                 data = _build_run_data(cfg)
-            except SratError as exc:
-                raise type(exc)(f"sweep {run_dir.name}: {exc}") from exc
             runs.append((cfg, run_dir, data, dict(zip(keys, values), seed=seed)))
 
     out_dir.mkdir(parents=True, exist_ok=True)

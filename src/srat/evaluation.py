@@ -15,6 +15,7 @@ is read.
 
 from dataclasses import asdict, dataclass
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from srat.losses import PredictionLoss
 from srat.mlp import MlpModel, forward
 
 _EVAL_CHUNK = 4096
+_CROSS_ENTROPY = PredictionLoss()  # the loss every evaluation attack maximizes
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
         adv = None
         if attack_config is not None:
             adv = pgd_attack(
-                model, PredictionLoss(), rows, labels, attack_config, seed=(seed, start)
+                model, _CROSS_ENTROPY, rows, labels, attack_config, seed=(seed, start)
             )
         yield labels, rows, adv
 
@@ -140,10 +142,12 @@ def export_features(
 ) -> None:
     """Write penultimate-layer features as CSV rows: label, then
     coordinates, in dataset order. With an attack config the features of
-    the perturbed inputs are exported instead."""
+    the perturbed inputs are exported instead. The parent directory of
+    ``path`` is made once the pass has checked the inputs."""
     lines = []
     for labels, rows, adv in _chunks(model, dataset, attack_config, seed):
         feats = forward(model, rows if adv is None else adv).features
         for label, row in zip(labels, feats):
             lines.append(",".join([str(int(label)), *(repr(float(v)) for v in row)]))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_lines(path, lines)

@@ -23,6 +23,7 @@ positive set contribute nothing and are excluded from the batch mean.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 from typing import NamedTuple
 
@@ -97,6 +98,7 @@ class ClassWeights:
         return cls(raw / raw.mean())
 
     @classmethod
+    @functools.cache  # the value is immutable: one per class count
     def uniform(cls, num_classes: int) -> "ClassWeights":
         return cls(np.ones(num_classes))
 

@@ -383,15 +383,6 @@ def optimal_bias(
     return bias
 
 
-def optimal_classifier(
-    spec: GaussianMixtureSpec,
-    rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
-) -> LinearClassifier:
-    """The risk-minimizing classifier: all-ones weights, closed-form bias."""
-    return LinearClassifier.all_ones(spec.dim, optimal_bias(spec, rho, conv))
-
-
 def _weighted_risk(
     b_minus: np.ndarray,
     b_plus: np.ndarray,

@@ -150,7 +150,9 @@ def _evaluate_stub(model, test_set, attack_config, partition, seed=0):
 
 
 def _export_stub(model, dataset, path, attack_config=None, seed=0):
-    _export_features(model, dataset, path, None, seed)
+    if attack_config is not None:
+        attack_config = _no_steps(attack_config)
+    _export_features(model, dataset, path, attack_config, seed)
 
 
 def _fixtures(root: Path) -> None:

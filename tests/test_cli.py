@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from srat.attack import AttackConfig
 from srat.cli import main
 from srat.data import (
     ImbalanceSpec,
@@ -583,8 +584,19 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
         ("eval", ["--under", "5"], "--under"),
         ("eval", ["--seed", "-1"], "--seed"),
         ("export-features", ["--seed", "-1"], "--seed"),
+        # the data lies beyond [0, 1]; refused before the output's parent is made
+        (
+            "export-features",
+            ["--attack", json.dumps(
+                {"epsilon": 0.1, "step_size": 0.05, "num_steps": 1, "clip_min": 0, "clip_max": 1}
+            )],
+            "attack.clip_min/clip_max",
+        ),
     ],
-    ids=["eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed"],
+    ids=[
+        "eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed",
+        "export_attack_box_excluding_the_data",
+    ],
 )
 def test_eval_and_export_rejected_flag_write_nothing(
     trained_run, tmp_path, capsys, command, flags, named
@@ -601,6 +613,49 @@ def test_eval_and_export_rejected_flag_write_nothing(
     assert _exit_code(argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-features"])
+def test_eval_and_export_refuse_a_csv_of_another_width_naming_it(
+    trained_run, tmp_path, capsys, command
+):
+    _, run_dir = trained_run
+    data = tmp_path / "wide.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 5, 1.0), 3, seed=5), data)
+    argv = [
+        command, "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+        "--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1}',
+        "--out", str(tmp_path / "out" / "result"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: data of dim 5 does not match model input width 4\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-features"])
+def test_eval_and_export_check_the_attack_box_once(
+    trained_run, tmp_path, monkeypatch, command
+):
+    # in the evaluation pass, which the commands leave the check to
+    calls = []
+    real = AttackConfig.check_box
+
+    def spy(self, x, *args):
+        calls.append(len(x))
+        return real(self, x, *args)
+
+    monkeypatch.setattr(AttackConfig, "check_box", spy)
+    _, run_dir = trained_run
+    data = tmp_path / "data.csv"
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+    attack = '{"epsilon":0.1,"step_size":0.05,"num_steps":1,"clip_min":-100,"clip_max":100}'
+    argv = [
+        command, "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+        "--attack", attack, "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("section", ["train.attack", "eval_attack", "--attack"])

@@ -17,7 +17,6 @@ from srat.theory import (
     monte_carlo_classwise_error,
     normal_cdf,
     optimal_bias,
-    optimal_classifier,
     verify_theorem1,
     verify_theorem2,
 )
@@ -215,12 +214,6 @@ def test_bias_and_grid_reject_an_overflowing_bias():
         grid_search_bias(spec, 1.0, StdConvention.EXACT)
 
 
-def test_optimal_classifier_weights_are_all_ones():
-    spec = GaussianMixtureSpec(1.0, 1.0, 7, 3.0)
-    clf = optimal_classifier(spec, 2.0)
-    assert np.array_equal(clf.weights, np.ones(7))
-
-
 # ---------------------------------------------------------------------------
 # classwise_error
 # ---------------------------------------------------------------------------
@@ -394,7 +387,7 @@ def test_theorem1_gaps_cross_checked_by_monte_carlo():
     report = verify_theorem1(spec1, spec2, StdConvention.EXACT)
 
     def mc_gap(spec, seed):
-        clf = optimal_classifier(spec, 1.0, StdConvention.EXACT)
+        clf = LinearClassifier.all_ones(spec.dim, optimal_bias(spec, 1.0, StdConvention.EXACT))
         em = monte_carlo_classwise_error(clf, spec, -1, 400_000, seed=seed)
         ep = monte_carlo_classwise_error(clf, spec, 1, 400_000, seed=seed + 1)
         return em - ep

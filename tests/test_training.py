@@ -171,6 +171,33 @@ def test_attack_box_is_checked_once_per_run(monkeypatch):
     assert calls == [len(ds)]
 
 
+def test_constant_loss_values_are_built_once(monkeypatch):
+    # the attack's uniform weights, once per class count, and the
+    # evaluation attack's cross-entropy, once per process
+    built = []
+    real = ClassWeights.__post_init__
+
+    def spy(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(ClassWeights, "__post_init__", spy)
+    ds = _small_dataset()  # 60 rows: 8 batches of 8
+    model, _ = train_srat(ds, ModelSpec((6,)), _config(total_epochs=3, batch_size=8))
+    assert len(built) <= 2  # the uniform and the class-balanced vector
+    losses = []
+    real_attack = srat.evaluation.pgd_attack
+
+    def attack_spy(model, loss, *args, **kwargs):
+        losses.append(loss)
+        return real_attack(model, loss, *args, **kwargs)
+
+    monkeypatch.setattr(srat.evaluation, "pgd_attack", attack_spy)
+    monkeypatch.setattr(srat.evaluation, "_EVAL_CHUNK", 7)  # 9 chunks
+    evaluate(model, ds, _config().attack, partition=[1])
+    assert len(losses) == 9 and all(loss is losses[0] for loss in losses)
+
+
 def test_lr_follows_milestones():
     ds = _small_dataset()
     cfg = _config(total_epochs=5, defer_epoch=6, lr_milestones=(2, 4), lr_decay=0.5)
