@@ -38,12 +38,14 @@ class AttackConfig:
             raise DomainError("step_size must be > 0")
         if not isinstance(self.num_steps, int) or self.num_steps < 0:
             raise DomainError("num_steps must be an integer >= 0")
-        if (
-            self.clip_min is not None
-            and self.clip_max is not None
-            and not self.clip_min < self.clip_max
-        ):
-            raise DomainError("clip_min must be < clip_max")
+        # an absent bound is open; a NaN bound would clip every row to NaN
+        lo = -math.inf if self.clip_min is None else self.clip_min
+        hi = math.inf if self.clip_max is None else self.clip_max
+        if not lo < hi:
+            raise DomainError(
+                "clip_min/clip_max must be numbers with clip_min < clip_max, "
+                f"got [{self.clip_min}, {self.clip_max}]"
+            )
 
     def check_box(self, x: np.ndarray, where: str = "attack") -> None:
         """Raise DomainError unless every value of the clean rows ``x`` lies
@@ -91,7 +93,7 @@ def pgd_attack(
     any, ``model.num_classes`` wide, and the batch inside ``config``'s
     box. An empty batch is returned as an empty copy.
     """
-    if batch.shape[0] == 0 or (config.num_steps == 0 and not config.random_start):
+    if batch.shape[0] == 0:
         return batch.copy()
 
     adv = batch.copy()

@@ -271,6 +271,17 @@ def _build_run_data(cfg: ExperimentConfig):
     return train_set, test_set, partition
 
 
+def _aggregates(report) -> dict:
+    """The four aggregate accuracies of ``report`` under their
+    ``history.csv`` and ``sweep.csv`` column names, in column order."""
+    return {
+        "overall_standard": report.overall_standard,
+        "overall_robust": report.overall_robust,
+        "under_standard": report.under_represented_standard,
+        "under_robust": report.under_represented_robust,
+    }
+
+
 def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
     """Train and evaluate on ``data`` from ``_build_run_data(cfg)``, then
     create ``run_dir`` and write the run's files into it: a run that fails
@@ -282,12 +293,7 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
     def eval_fn(model, epoch):
         report = evaluate(model, test_set, cfg.eval_attack, partition, seed=eval_seed)
         reports.append(report)
-        return {
-            "overall_standard": report.overall_standard,
-            "overall_robust": report.overall_robust,
-            "under_standard": report.under_represented_standard,
-            "under_robust": report.under_represented_robust,
-        }
+        return _aggregates(report)
 
     model, history = train_srat(train_set, cfg.model, cfg.train, eval_fn=eval_fn)
 
@@ -557,10 +563,7 @@ def cmd_sweep(args) -> int:
     for cfg, run_dir, data, row in runs:
         report = _run_experiment(cfg, run_dir, data)
         row.update(
-            overall_standard=report.overall_standard,
-            overall_robust=report.overall_robust,
-            under_standard=report.under_represented_standard,
-            under_robust=report.under_represented_robust,
+            _aggregates(report),
             per_class_standard=";".join(repr(v) for v in report.per_class_standard),
             per_class_robust=";".join(repr(v) for v in report.per_class_robust),
         )

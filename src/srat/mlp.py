@@ -166,13 +166,13 @@ def build_mlp(input_dim: int, hidden, num_classes: int, seed) -> MlpModel:
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
-    """Run the batch through the model, keeping each layer's output."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise DomainError(
-            f"batch shape {x.shape} does not match model input width {model.input_dim}"
-        )
-    activations = [x]
+    """Run the batch through the model, keeping each layer's output.
+
+    This is an inner-loop step and checks nothing. Its caller guarantees
+    that ``batch`` is a float64 n x ``model.input_dim`` matrix; it becomes
+    the trace's first activation as is.
+    """
+    activations = [batch]
     last = len(model.layers) - 1
     for l, layer in enumerate(model.layers):
         h = activations[-1] @ layer.weights
@@ -204,17 +204,13 @@ def backward(
     With ``param_grads=False`` only the input gradient is computed (the
     same floats) and the first element is None: an attack needs nothing
     else, and dW/db are half of the matrix products.
-    """
-    g = np.asarray(d_logits, dtype=np.float64)
-    if g.shape != trace.logits.shape:
-        raise DomainError(
-            f"d_logits shape {g.shape} does not match logits {trace.logits.shape}"
-        )
-    if d_features is not None:
-        d_features = np.asarray(d_features, dtype=np.float64)
-        if d_features.shape != trace.features.shape:
-            raise DomainError("d_features shape does not match features")
 
+    This is an inner-loop step and checks nothing. Its caller guarantees
+    that ``trace`` is ``forward(model, ...)``'s and that ``d_logits`` and
+    ``d_features`` are float64 arrays of the shapes of ``trace.logits``
+    and ``trace.features``.
+    """
+    g = d_logits
     n_layers = len(model.layers)
     grads = np.empty_like(model.params) if param_grads else None
     grad_layers = _split(model.shapes, grads) if param_grads else None
@@ -233,15 +229,13 @@ def backward(
 
 
 def sgd_step(model: MlpModel, grad: np.ndarray, lr: float) -> MlpModel:
-    """new_params = params - lr * grad, as a fresh model; ``grad`` has the
-    layout of ``model.params``. A non-finite gradient or an overflowing
-    step raises TrainingError."""
-    if lr < 0:
-        raise DomainError(f"lr must be >= 0, got {lr}")
-    if np.shape(grad) != model.params.shape:
-        raise DomainError(
-            f"gradient of shape {np.shape(grad)} does not match {model.params.shape}"
-        )
+    """new_params = params - lr * grad, as a fresh model. A non-finite
+    gradient or an overflowing step raises TrainingError.
+
+    This is an inner-loop step and checks only the new parameters'
+    finiteness. Its caller guarantees that ``lr`` is >= 0 and that
+    ``grad`` has the shape and layout of ``model.params``.
+    """
     try:
         return MlpModel(model.shapes, model.params - lr * grad)
     except DomainError as exc:  # the shapes are the model's: only finiteness fails

@@ -251,6 +251,11 @@ def test_attack_config_validation():
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=-1)
     with pytest.raises(DomainError):
         AttackConfig(epsilon=0.1, step_size=0.1, num_steps=1, clip_min=1.0, clip_max=0.0)
+    # a NaN bound fails every comparison, so it is refused alone or paired
+    nan = float("nan")
+    for box in [(nan, None), (None, nan), (nan, 1.0), (0.0, nan), (nan, nan)]:
+        with pytest.raises(DomainError, match="clip_min/clip_max must be numbers"):
+            AttackConfig(0.1, 0.1, 1, clip_min=box[0], clip_max=box[1])
 
 
 @pytest.mark.parametrize(

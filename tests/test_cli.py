@@ -592,10 +592,22 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
             )],
             "attack.clip_min/clip_max",
         ),
+        # a NaN bound would clip every attacked row to NaN
+        (
+            "eval",
+            ["--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1,"clip_max":NaN}'],
+            "attack: clip_min/clip_max must be numbers",
+        ),
+        (
+            "export-features",
+            ["--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1,'
+             '"random_start":false,"clip_min":NaN}'],
+            "attack: clip_min/clip_max must be numbers",
+        ),
     ],
     ids=[
         "eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed",
-        "export_attack_box_excluding_the_data",
+        "export_attack_box_excluding_the_data", "eval_nan_clip_max", "export_nan_clip_min",
     ],
 )
 def test_eval_and_export_rejected_flag_write_nothing(
@@ -805,6 +817,19 @@ def test_train_attack_box_excluding_the_data_exits_2_writing_nothing(tmp_path, c
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg)]) == 2
     assert f"{section}.clip_min/clip_max" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("bound", ["clip_min", "clip_max"])
+@pytest.mark.parametrize("section", ["train.attack", "eval_attack"])
+def test_train_nan_attack_bound_exits_2_writing_nothing(tmp_path, capsys, section, bound):
+    doc = _experiment_doc(tmp_path / "x")
+    attack = doc["train"]["attack"] if section == "train.attack" else doc["eval_attack"]
+    attack[bound] = float("nan")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"{section}: clip_min/clip_max must be numbers" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -1,10 +1,12 @@
-"""Every module imports on its own, and the command line starts.
+"""Every module imports on its own, the command line starts, and the
+per-step functions check no input.
 
 The package imports no module up front, so each one is imported in a
 fresh interpreter: an import cycle or a dependence on another module
 having been imported first fails here.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -40,3 +42,27 @@ def test_cli_help_runs_in_a_fresh_interpreter():
     done = _python("-m", "srat.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: srat")
+
+
+# The functions that run on every attack step or training batch. A run
+# checks its inputs once where it enters, so these may raise only on a
+# fault (AttackError, TrainingError), never DomainError.
+PER_STEP = {
+    "mlp": ("forward", "backward", "sgd_step"),
+    "attack": ("pgd_attack", "_project"),
+    "losses": ("prediction_loss", "_softmax_loss", "separation_loss", "combined_objective"),
+}
+
+
+def test_per_step_functions_raise_no_domain_error():
+    found = []
+    for module, names in PER_STEP.items():
+        tree = ast.parse((SRC / "srat" / f"{module}.py").read_text())
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if ast.unparse(exc).endswith("DomainError"):
+                        found.append(f"srat.{module}.{name} (line {node.lineno})")
+    assert not found, f"per-step functions that raise DomainError: {found}"
