@@ -1,8 +1,8 @@
 """l-infinity projected gradient ascent on a prediction loss.
 
 The iteration is x <- project(x + step * sign(grad_x loss)), where the
-projection clamps the perturbation into the epsilon ball around the clean
-input and, when a data-domain box is configured, clips into it. sign(0)
+projection clips x into the epsilon ball around the clean input, cut by
+the data-domain box when one is configured. sign(0)
 is 0, so coordinates with zero gradient never move. Given a seed the
 attack is fully deterministic, including the optional uniform random
 start inside the ball.
@@ -64,12 +64,26 @@ class AttackConfig:
             )
 
 
-def _project(adv: np.ndarray, clean: np.ndarray, config: AttackConfig) -> np.ndarray:
-    delta = np.clip(adv - clean, -config.epsilon, config.epsilon)
-    out = clean + delta
-    if config.clip_min is not None or config.clip_max is not None:
-        out = np.clip(out, config.clip_min, config.clip_max)
-    return out
+def _ce_direction(logits: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Cross-entropy's dLoss/dlogits up to a positive scale per row:
+    softmax minus one-hot, without the loss value, the class weights or
+    the 1/n of ``prediction_loss``, whose floats it keeps otherwise. PGD
+    reads only its sign.
+
+    The work runs class-major, against ``onehot`` as a classes x rows
+    float array, so a reduction over a few classes is an elementwise pass
+    over rows. numpy sums 8 or more contiguous values pairwise, so from 8
+    classes on the class sum is taken row-major. Returns a C-contiguous
+    rows x classes array.
+    """
+    shifted = logits.T.copy()  # a fresh C-contiguous classes x rows array
+    shifted -= shifted.max(axis=0)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=0) if len(exp) < 8 else np.ascontiguousarray(exp.T).sum(axis=1)
+    shifted -= np.log(total)
+    direction = np.exp(shifted, out=shifted)
+    direction -= onehot
+    return np.ascontiguousarray(direction.T)
 
 
 def pgd_attack(
@@ -96,19 +110,34 @@ def pgd_attack(
     if batch.shape[0] == 0:
         return batch.copy()
 
+    # the ball around the clean rows, cut by the box: one clip per step
+    lo = batch - config.epsilon
+    hi = batch + config.epsilon
+    if config.clip_min is not None:
+        np.maximum(lo, config.clip_min, out=lo)
+    if config.clip_max is not None:
+        np.minimum(hi, config.clip_max, out=hi)
+
     adv = batch.copy()
     if config.random_start:
-        rng = derive_rng(seed)
-        adv = adv + rng.uniform(-config.epsilon, config.epsilon, size=batch.shape)
-        adv = _project(adv, batch, config)
+        adv += derive_rng(seed).uniform(-config.epsilon, config.epsilon, size=batch.shape)
+        np.minimum(np.maximum(adv, lo, out=adv), hi, out=adv)
 
     uniform = ClassWeights.uniform(model.num_classes)
+    onehot = None
+    if loss.gamma == 0.0 and loss.margins is None:  # cross-entropy
+        onehot = (labels == np.arange(model.num_classes)[:, None]).astype(np.float64)
     for _ in range(config.num_steps):
         trace = forward(model, adv)
-        _, d_logits = prediction_loss(trace.logits, labels, uniform, loss)
-        _, input_grads = backward(model, trace, d_logits, param_grads=False)
-        if not np.isfinite(input_grads).all():
+        if onehot is not None:
+            d_logits = _ce_direction(trace.logits, onehot)
+        else:
+            _, d_logits = prediction_loss(trace.logits, labels, uniform, loss)
+        _, step = backward(model, trace, d_logits, param_grads=False)
+        if not np.isfinite(step).all():
             raise AttackError("non-finite input gradient during attack")
-        adv = adv + config.step_size * np.sign(input_grads)
-        adv = _project(adv, batch, config)
+        np.sign(step, out=step)
+        step *= config.step_size
+        adv += step
+        np.minimum(np.maximum(adv, lo, out=adv), hi, out=adv)
     return adv

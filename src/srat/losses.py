@@ -199,49 +199,49 @@ def separation_loss(features, labels, tau: float):
     respect to the raw, pre-normalization features.
 
     This is an inner-loop entry and checks nothing: ``features`` must be a
-    float64 n x k matrix, ``labels`` n integers and ``tau`` > 0, as
-    ``LossConfig`` guarantees. A batch of fewer than two rows has no pair
-    to separate and gives (0.0, zeros).
+    float64 n x k matrix, ``labels`` n non-negative integers and ``tau``
+    > 0, as ``LossConfig`` guarantees. A batch without two rows of one
+    class has no pair to pull together and gives (0.0, zeros).
     """
     norms = np.linalg.norm(features, axis=1)
     safe_norms = np.where(norms > 0.0, norms, 1.0)
     z = features / safe_norms[:, None]
 
-    positives = (labels[:, None] == labels[None, :]).astype(np.float64)
-    np.fill_diagonal(positives, 0.0)
-    pos_counts = positives.sum(axis=1)
+    counts = np.bincount(labels)
+    pos_counts = counts[labels] - 1.0
     valid = pos_counts > 0
-    n_valid = int(valid.sum())
+    n_valid = np.count_nonzero(valid)
     if n_valid == 0:
         return 0.0, np.zeros_like(features)
+    # the positives of an anchor are the other rows of its class, so their
+    # feature sum is its class sum minus itself: no n x n mask
+    onehot = (labels[:, None] == np.arange(counts.size)).astype(np.float64)
+    pos_z = onehot @ (onehot.T @ z)
+    pos_z -= z
 
-    # The n x n work reuses three buffers in place: at batch 128 each one
-    # is 128 KiB, and every fresh array that size costs page faults.
-    logits = z @ z.T
-    logits /= tau
-    self_logits = logits.diagonal().copy()
+    # Column j holds anchor j's logits, so every per-anchor reduction runs
+    # along rows. A plain product of two operands (not z @ z.T, which numpy
+    # sends to the slower syrk) is the only n x n matrix, reused in place.
+    logits = (z / tau) @ np.ascontiguousarray(z.T)
     np.fill_diagonal(logits, -np.inf)  # an anchor is not its own candidate
-    row_max = logits.max(axis=1)
-    exp = logits - row_max[:, None]
+    col_max = logits.max(axis=0)
+    exp = logits
+    exp -= col_max
     np.exp(exp, out=exp)
-    exp_sum = exp.sum(axis=1)
-    lse = np.log(exp_sum) + row_max
-    np.fill_diagonal(logits, self_logits)
-    log_prob = logits
-    log_prob -= lse[:, None]
-    log_prob *= positives
-    per_anchor = -(log_prob.sum(axis=1)[valid] / pos_counts[valid])
-    loss = float(per_anchor.sum() / n_valid)
+    exp_sum = exp.sum(axis=0)
+    lse = np.log(exp_sum) + col_max
+    per_pos = valid / np.maximum(pos_counts, 1.0)
+    pos_logit = (z * pos_z).sum(axis=1) / tau
+    loss = float((lse - per_pos * pos_logit)[valid].sum() / n_valid)
 
-    # dLoss/dlogits: softmax over A(i) minus the positive-average
-    # indicator; zero on the rows of anchors without positives
-    g = exp
-    g /= exp_sum[:, None]
-    positives /= np.maximum(pos_counts, 1.0)[:, None]
-    g -= positives
-    g /= n_valid
-    g[~valid] = 0.0
-    d_z = np.add(g, g.T, out=logits) @ z
+    # dLoss/dlogits g is, per valid anchor column, its softmax over A(i)
+    # minus its positive-average indicator, over n_valid. With r the
+    # softmax scale valid / (n_valid exp_sum), (g + g.T) @ z is
+    # exp @ (r z) + r (exp.T @ z) - (2 / n_valid) per_pos pos_z.
+    r = (valid / (n_valid * exp_sum))[:, None]
+    d_z = exp @ (r * z)
+    d_z += r * (exp.T @ z)
+    d_z -= (2.0 / n_valid) * per_pos[:, None] * pos_z
     d_z /= tau
 
     # project out the radial component, then undo the 1/|f| scaling

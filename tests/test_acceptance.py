@@ -5,11 +5,13 @@ lines as they complete. The directional training arms (criterion 8) are
 shared across sub-criteria through a module-scoped fixture.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +454,42 @@ def test_criterion_8c_srat_beats_ce_on_minority(directional_arms):
 # ---------------------------------------------------------------------------
 
 
+# The platform the criterion-9 pins were made on. Float results of
+# numpy's SIMD loops and of OpenBLAS depend on the code paths the machine
+# selects, so a mismatch reports both platforms.
+PINNED_PLATFORM = {
+    "numpy": "2.4.6",
+    "simd_found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "openblas_core": "SkylakeX",
+}
+
+
+def _openblas_core() -> str | None:
+    """The core OpenBLAS selected, read through ctypes from the library a
+    numpy wheel ships; None where that cannot be read."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def _platform() -> dict:
+    simd = np.__config__.CONFIG.get("SIMD Extensions", {}).get("found")
+    return {"numpy": np.__version__, "simd_found": simd, "openblas_core": _openblas_core()}
+
+
+def _assert_pins(hashes: dict, pins: dict) -> None:
+    assert hashes == pins, f"pinned on {PINNED_PLATFORM}, ran on {_platform()}"
+
+
 def _criterion_9_doc():
     return {
         "dataset": {
@@ -499,7 +537,7 @@ def test_criterion_9_training_determinism(tmp_path):
         )
     written = {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        for name in ("history.csv", "metrics.json", "per_class.csv")
+        for name in ("model.ckpt", "history.csv", "metrics.json", "per_class.csv")
     }
     ok = blobs[0][0] == blobs[1][0] and blobs[0][1] == blobs[1][1]
     _criterion(
@@ -507,16 +545,17 @@ def test_criterion_9_training_determinism(tmp_path):
         ok,
         "checkpoint and metrics bytes identical across a repeated run",
     )
-    # Golden checkpoint: numerics must not drift silently.
-    assert hashlib.sha256(blobs[0][0]).hexdigest() == (
-        "e8959aabaa68348f6d684c002ca3d74d4141f37452a99ccc1ad6ad0a7e19e391"
+    # Golden checkpoint: numerics must not drift silently, and the files
+    # written next to it keep their bytes.
+    _assert_pins(
+        written,
+        {
+            "model.ckpt": "7359dcf90fd43ab9bd37d4911159e38606d4fc87e113df02bd3aae525a0aa387",
+            "history.csv": "916a839f4a98e4fc6575d1173524385b5f01b235e3f218e5f2b87bcf710517df",
+            "metrics.json": "bdf77ea5826f849f2226a265d219ab4c5fc3c1922d6ebbfef45335e79caf815b",
+            "per_class.csv": "973bbbb5f2a5bcadef93ef6166e6ddf8fff5902c8480187ae72c933cbe5d7823",
+        },
     )
-    # and the files written next to it keep their bytes
-    assert written == {
-        "history.csv": "920f4ee5f682a01d00a5093fb7ab79c5f4d9009b0eef62d4d5c702987575021d",
-        "metrics.json": "bdf77ea5826f849f2226a265d219ab4c5fc3c1922d6ebbfef45335e79caf815b",
-        "per_class.csv": "973bbbb5f2a5bcadef93ef6166e6ddf8fff5902c8480187ae72c933cbe5d7823",
-    }
 
 
 def _criterion_9_variant_sha256(tmp_path, doc) -> dict:
@@ -537,10 +576,11 @@ def test_criterion_9_momentum_golden_checkpoint(tmp_path):
     doc = _criterion_9_doc()
     doc["train"].update(momentum=0.9, batch_size=31)
     doc["train"]["loss"].update(kind="ldam", ldam_scale=10.0)
-    assert _criterion_9_variant_sha256(tmp_path, doc) == {
-        "model.ckpt": "0d8904a371e324e8602c1ef5827b51f3204dc793f2661c5e796735cfe11631b3",
-        "history.csv": "f55d76d9f4eaf976d1c2d3f62a7b090e003403f6022ae15a90ef1039a113f16c",
+    pins = {
+        "model.ckpt": "c89c5a72070dc1fa61bca3a0ec990f02904be6b47d8b2d718928975097b6cdf6",
+        "history.csv": "a82c15db13bab6d81ce98a5868509daf08c0578777d90bffbc3cc97967e9541d",
     }
+    _assert_pins(_criterion_9_variant_sha256(tmp_path, doc), pins)
 
 
 # criterion 9's run at other depths: one hidden layer, and none, where the
@@ -551,15 +591,15 @@ def test_criterion_9_momentum_golden_checkpoint(tmp_path):
         (
             [],
             {
-                "model.ckpt": "7dc10f455381e833c992ab9d0bf03b7d8f8396a685ddd2289f7b27198a439da7",
-                "history.csv": "85aa8063ca40a74b6b91f463e4b022667636d3e35b74cef9e5aa038d2a4639b7",
+                "model.ckpt": "d6377079b29e6f0241d4bef5df6508d4657dc78d73566a6101cae7df66385582",
+                "history.csv": "dc7fa6478edee9aa6f6e412f291180f0ea255f052bbe04e98083612f70689c67",
             },
         ),
         (
             [8],
             {
-                "model.ckpt": "514b7a55971f00127b9829ae76a8830ec54ca6f9af6e4b1984e04fcdc882e43d",
-                "history.csv": "77450ee3c59d7ab095a38cdb7cb3278874a9d8b791fbe57e9d93dd99f14f3591",
+                "model.ckpt": "3b5dbb8d2d1421a48b778c13271dc9e8f47160cb5f41c000d0ab37ab6ef3c8c2",
+                "history.csv": "3ddc73b1cf0005f0b1a61779c3cd478d3103fc2cae12c140bf19490fb8634f12",
             },
         ),
     ],
@@ -568,4 +608,4 @@ def test_criterion_9_momentum_golden_checkpoint(tmp_path):
 def test_criterion_9_feature_layer_depths(tmp_path, hidden, pins):
     doc = _criterion_9_doc()
     doc["model"]["hidden"] = hidden
-    assert _criterion_9_variant_sha256(tmp_path, doc) == pins
+    _assert_pins(_criterion_9_variant_sha256(tmp_path, doc), pins)
