@@ -5,7 +5,10 @@ projection clips x into the epsilon ball around the clean input, cut by
 the data-domain box when one is configured. sign(0)
 is 0, so coordinates with zero gradient never move. Given a seed the
 attack is fully deterministic, including the optional uniform random
-start inside the ball.
+start inside the ball. The gradient comes from the softmax that
+``srat.losses`` shares with every prediction loss: on cross-entropy a
+step reads only its softmax minus one-hot, on focal and LDAM the full
+``prediction_loss``.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from srat.errors import AttackError, DomainError
-from srat.losses import ClassWeights, PredictionLoss, prediction_loss
+from srat.losses import ClassWeights, PredictionLoss, prediction_loss, softmax_direction
 from srat.mlp import MlpModel, backward, forward
 from srat.rand import derive_rng
 
@@ -64,28 +67,6 @@ class AttackConfig:
             )
 
 
-def _ce_direction(logits: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Cross-entropy's dLoss/dlogits up to a positive scale per row:
-    softmax minus one-hot, without the loss value, the class weights or
-    the 1/n of ``prediction_loss``, whose floats it keeps otherwise. PGD
-    reads only its sign.
-
-    The work runs class-major, against ``onehot`` as a classes x rows
-    float array, so a reduction over a few classes is an elementwise pass
-    over rows. numpy sums 8 or more contiguous values pairwise, so from 8
-    classes on the class sum is taken row-major. Returns a C-contiguous
-    rows x classes array.
-    """
-    shifted = logits.T.copy()  # a fresh C-contiguous classes x rows array
-    shifted -= shifted.max(axis=0)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=0) if len(exp) < 8 else np.ascontiguousarray(exp.T).sum(axis=1)
-    shifted -= np.log(total)
-    direction = np.exp(shifted, out=shifted)
-    direction -= onehot
-    return np.ascontiguousarray(direction.T)
-
-
 def pgd_attack(
     model: MlpModel,
     loss: PredictionLoss,
@@ -98,7 +79,8 @@ def pgd_attack(
 
     ``seed`` may be an int or a tuple of ints (a derived stream key).
     Per-example loss weights are irrelevant here: they rescale each row's
-    gradient positively and the update only uses its sign.
+    gradient positively and the update only uses its sign. So on
+    cross-entropy a step skips the loss value, the weights and the 1/n.
 
     This is an inner-loop step and checks only the gradient. Its caller
     (``train_srat`` or the evaluation pass) guarantees the rest once per
@@ -130,7 +112,7 @@ def pgd_attack(
     for _ in range(config.num_steps):
         trace = forward(model, adv)
         if onehot is not None:
-            d_logits = _ce_direction(trace.logits, onehot)
+            _, d_logits = softmax_direction(trace.logits, onehot)
         else:
             _, d_logits = prediction_loss(trace.logits, labels, uniform, loss)
         _, step = backward(model, trace, d_logits, param_grads=False)

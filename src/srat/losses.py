@@ -1,16 +1,17 @@
 """Scalar training objectives and their logit/feature gradients.
 
-The three prediction losses run through one softmax core, the focal
-loss of Lin et al. 2017: cross-entropy is its gamma=0 case, and the LDAM
-margin loss of Cao et al. 2019 shifts each label's logit by its class
-margin and scales the logits before calling the core at gamma=0. So the
-documented reductions are bit-exact: focal with gamma=0 and LDAM with
-margin=0/scale=1 produce the identical floats as plain cross-entropy.
-``prediction_loss`` is the one entry to all three; it takes a
-``PredictionLoss`` resolved once per run from the ``LossConfig`` and the
-training class counts. Class weights are kept normalized to mean one so
-the feature-separation tradeoff keeps the same meaning under every
-weighting scheme.
+``softmax_direction`` holds the package's one softmax, and the PGD attack
+and all three prediction losses share it. The focal loss of Lin et al.
+2017 weights each example's cross-entropy by (1 - p_t)^gamma, so
+cross-entropy is its gamma=0 case; the LDAM margin loss of Cao et al.
+2019 shifts each label's logit by its class margin and scales the logits
+around the softmax at gamma=0. So the documented reductions are
+bit-exact: focal with gamma=0 and LDAM with margin=0/scale=1 produce the
+identical floats as plain cross-entropy. ``prediction_loss`` is the one
+entry to all three; it takes a ``PredictionLoss`` resolved once per run
+from the ``LossConfig`` and the training class counts. Class weights are
+kept normalized to mean one so the feature-separation tradeoff keeps the
+same meaning under every weighting scheme.
 
 The feature-separation loss pulls same-class feature vectors of a batch
 together: for each anchor i with positive set P(i) (same-class, not i)
@@ -106,41 +107,25 @@ class ClassWeights:
         return self.weights[labels]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def softmax_direction(logits: np.ndarray, onehot: np.ndarray):
+    """The softmax of ``logits`` (n x C) against the labels' ``onehot``
+    (C x n floats): returns (log p as a C x n array, p - onehot as a
+    C-contiguous n x C array). p - onehot is cross-entropy's dLoss/dlogits
+    up to each row's class weight over n, all that PGD's sign step needs.
 
-
-def _softmax_loss(logits, labels, weights: ClassWeights, gamma: float):
-    """Weighted softmax cross-entropy, modulated by (1 - p_t)^gamma per
-    example when gamma > 0 (the focal loss). Returns (loss, dLoss/dlogits)
-    with loss = (1/n) * sum_i w_{y_i} * (1 - p_t)^gamma * (-log p_t).
-
-    gamma = 0 skips the modulator, so cross-entropy is exactly the
-    focal loss at gamma = 0: w * 1.0 is w.
+    The work runs class-major, so a reduction over a few classes is an
+    elementwise pass over rows. numpy sums 8 or more contiguous values
+    pairwise, so from 8 classes on the class sum is taken row-major, as a
+    row-major softmax takes it.
     """
-    n = logits.shape[0]
-    rows = np.arange(n)
-    logp = _log_softmax(logits)
-    logpt = logp[rows, labels]
-    grad = np.exp(logp)
-    w = weights.per_example(labels)
-    w_loss = w_grad = w
-    if gamma != 0.0:
-        # d/dlogits = (p - onehot) * (modulator - gamma*(1-pt)^(gamma-1)*pt*logpt)
-        pt = grad[rows, labels]
-        one_minus = 1.0 - pt
-        modulator = one_minus**gamma
-        safe = np.where(one_minus > 0.0, one_minus, 1.0)
-        extra = np.where(
-            one_minus > 0.0, gamma * safe ** (gamma - 1.0) * pt * logpt, 0.0
-        )
-        w_loss = w * modulator
-        w_grad = w * (modulator - extra)
-    loss = float((w_loss * (-logpt)).sum() / n)
-    grad[rows, labels] -= 1.0
-    grad *= (w_grad / n)[:, None]
-    return loss, grad
+    logp = logits.T.copy()  # a fresh C-contiguous classes x rows array
+    logp -= logp.max(axis=0)
+    exp = np.exp(logp)
+    total = exp.sum(axis=0) if len(exp) < 8 else np.ascontiguousarray(exp.T).sum(axis=1)
+    logp -= np.log(total)
+    direction = np.exp(logp, out=exp)
+    direction -= onehot
+    return logp, np.ascontiguousarray(direction.T)
 
 
 def _check_counts(class_counts) -> np.ndarray:
@@ -252,25 +237,46 @@ def separation_loss(features, labels, tau: float):
 
 
 def prediction_loss(logits, labels, weights: ClassWeights, loss: PredictionLoss):
-    """The resolved prediction loss; returns (loss, dlogits).
+    """The resolved prediction loss; returns (loss, dlogits) with
+    loss = (1/n) * sum_i w_{y_i} * (1 - p_t)^gamma * (-log p_t).
 
-    Without margins this is the softmax core at ``loss.gamma``. With them
-    each label's margin is subtracted from its logit, the logits are scaled
-    by ``loss.scale``, the core runs at gamma 0 and the gradient is scaled
-    back.
+    gamma = 0 skips the modulator, so cross-entropy is exactly the focal
+    loss at gamma = 0: w * 1.0 is w. With margins each label's margin is
+    subtracted from its logit and the logits are scaled by ``loss.scale``
+    before the softmax, ``loss.gamma`` is not read, and the gradient is
+    scaled back.
 
     This is an inner-loop entry and checks nothing: ``logits`` must be a
     float64 n x C matrix with n >= 1, ``labels`` int64 indices in [0, C)
     and the weights and margins C wide. ``train_srat`` and the evaluation
     pass check that once per run.
     """
-    if loss.margins is None:
-        return _softmax_loss(logits, labels, weights, loss.gamma)
-    adjusted = logits.copy()
-    adjusted[np.arange(len(labels)), labels] -= loss.margins[labels]
-    adjusted *= loss.scale
-    value, grad = _softmax_loss(adjusted, labels, weights, 0.0)
-    grad *= loss.scale
+    n = len(labels)
+    rows = np.arange(n)
+    ldam = loss.margins is not None
+    gamma = 0.0 if ldam else loss.gamma
+    if ldam:
+        logits = logits.copy()
+        logits[rows, labels] -= loss.margins[labels]
+        logits *= loss.scale
+    onehot = (labels == np.arange(logits.shape[1])[:, None]).astype(np.float64)
+    logp, grad = softmax_direction(logits, onehot)
+    logpt = logp[labels, rows]
+    w = weights.per_example(labels)
+    w_loss = w_grad = w
+    if gamma != 0.0:
+        # d/dlogits = (p - onehot) * (modulator - gamma*(1-pt)^(gamma-1)*pt*logpt)
+        pt = np.exp(logpt)
+        one_minus = 1.0 - pt
+        modulator = one_minus**gamma
+        safe = np.where(one_minus > 0.0, one_minus, 1.0)
+        extra = np.where(one_minus > 0.0, gamma * safe ** (gamma - 1.0) * pt * logpt, 0.0)
+        w_loss = w * modulator
+        w_grad = w * (modulator - extra)
+    value = float((w_loss * (-logpt)).sum() / n)
+    grad *= (w_grad / n)[:, None]
+    if ldam:
+        grad *= loss.scale
     return value, grad
 
 

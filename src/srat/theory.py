@@ -45,6 +45,7 @@ are in its docstring.
 """
 
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from enum import Enum
 import math
 import sys
@@ -84,6 +85,8 @@ class GaussianMixtureSpec:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise DomainError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if self.dim > sys.float_info.max:  # the closed forms read dim as a float
+            raise DomainError(f"dim must be at most the largest float, got {Decimal(self.dim):.4g}")
         if self.imbalance_ratio < 1:
             raise DomainError(
                 f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}"

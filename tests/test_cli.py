@@ -1,5 +1,6 @@
 """End-to-end command-line contracts: artifacts, exit codes, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -194,6 +195,11 @@ def test_theory_malformed_flag_exits_2_without_output(tmp_path):
             ["--thm", "lemma", "--eta", "1e-311", "--sigma", "1e-3", "--d", "1",
              "--convention", "summed", "--log-rho-over-k", "1.5"],
             "Z-scores of the bias bracket",
+        ),
+        # a dimension the closed forms cannot read as a float
+        *(
+            (["--thm", thm, "--d", str(2**1024)], "dim must be at most the largest float")
+            for thm in ("lemma", "1", "2")
         ),
     ],
 )
@@ -1109,3 +1115,53 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys, vary, seeds):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "sweep." in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_run_without_an_under_represented_class_writes_nan_and_null(tmp_path):
+    # CSV splits without imbalance or under_classes leave the partition
+    # empty, and class 2 has no test row
+    rng = derive_rng(4)
+    for name, labels in (("train", np.repeat([0, 1, 2], 4)), ("test", np.repeat([0, 1], 4))):
+        ds = LabeledDataset(rng.normal(size=(labels.size, 3)), labels, 3)
+        save_csv(ds, tmp_path / f"{name}.csv")
+    base = _experiment_doc(tmp_path / "unused")
+    base["dataset"] = {
+        "kind": "csv",
+        "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+        "num_classes": 3,
+    }
+    base["train"].update(total_epochs=2, defer_epoch=1, lr_milestones=[], eval_every=1)
+    grid = {
+        "base": base,
+        "vary": {"train.loss.lam": [0.5]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    [run] = (tmp_path / "sweep").glob("run_*")
+
+    metrics = json.loads((run / "metrics.json").read_text())
+    assert metrics["partition"] == [] and metrics["empty_classes"] == [2]
+    assert metrics["under_represented_standard"] is None
+    assert metrics["under_represented_robust"] is None
+    assert metrics["per_class_standard"][2] is None and metrics["per_class_robust"][2] is None
+
+    with (run / "history.csv").open(newline="") as f:
+        history = list(csv.DictReader(f))
+    assert [r["epoch"] for r in history] == ["1", "2"]
+    assert all(r["eval_under_standard"] == r["eval_under_robust"] == "nan" for r in history)
+
+    with (tmp_path / "sweep" / "sweep.csv").open(newline="") as f:
+        [row] = csv.DictReader(f)
+    assert row["under_standard"] == row["under_robust"] == "nan"
+    assert row["per_class_standard"].split(";")[2] == "nan"
+    assert row["per_class_robust"].split(";")[2] == "nan"
+
+    assert (run / "per_class.csv").read_text().splitlines()[1:] == [
+        f"0,{metrics['per_class_standard'][0]:.2f},{metrics['per_class_robust'][0]:.2f}",
+        f"1,{metrics['per_class_standard'][1]:.2f},{metrics['per_class_robust'][1]:.2f}",
+        "2,,",
+    ]

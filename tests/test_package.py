@@ -49,8 +49,8 @@ def test_cli_help_runs_in_a_fresh_interpreter():
 # fault (AttackError, TrainingError), never DomainError.
 PER_STEP = {
     "mlp": ("forward", "backward", "sgd_step"),
-    "attack": ("pgd_attack", "_ce_direction"),
-    "losses": ("prediction_loss", "_softmax_loss", "separation_loss", "combined_objective"),
+    "attack": ("pgd_attack",),
+    "losses": ("softmax_direction", "prediction_loss", "separation_loss", "combined_objective"),
 }
 
 

@@ -26,9 +26,16 @@ import theory_reference
 from gradcheck import central_diff, max_rel_err
 from separation_reference import reference_separation_loss
 from srat import evaluation, theory
-from srat.attack import AttackConfig, _ce_direction, pgd_attack
+from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, load_csv, save_csv
-from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss, separation_loss
+from srat.losses import (
+    ClassWeights,
+    LossConfig,
+    PredictionLoss,
+    prediction_loss,
+    separation_loss,
+    softmax_direction,
+)
 from srat.mlp import MlpModel, backward, build_mlp, forward, load_model, save_model
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec, LinearClassifier, StdConvention
@@ -214,20 +221,11 @@ def test_ce_attack_direction_is_the_cross_entropy_gradient_up_to_row_scale(batch
     # depends only on its logit row: a positive scale per row may go
     logits, labels, weights, _ = batch
     onehot = (labels == np.arange(logits.shape[1])[:, None]).astype(np.float64)
-    direction = _ce_direction(logits, onehot)
+    _, direction = softmax_direction(logits, onehot)
     _, grad = prediction_loss(logits, labels, weights, PredictionLoss())
     assert direction.flags.c_contiguous and direction.shape == logits.shape
-    top, ref_top = np.abs(direction).max(axis=1), np.abs(grad).max(axis=1)
-    # prediction_loss scales each row by w/n; a row that scale pushes below
-    # the normal range has lost its relative precision there, so only its
-    # smallness is compared
-    tiny = np.finfo(np.float64).tiny
-    normal = ref_top >= tiny
-    scale = weights.weights[labels] / len(labels)
-    assert (top[~normal] * scale[~normal] <= 2 * tiny).all()
-    unit = direction[normal] / np.where(top[normal] > 0.0, top[normal], 1.0)[:, None]
-    ref = grad[normal] / ref_top[normal][:, None]
-    assert np.abs(unit - ref).max(initial=0.0) <= 1e-12
+    direction *= (weights.weights[labels] / len(labels))[:, None]
+    assert _same_bits(direction, grad)
 
 
 @st.composite
