@@ -37,6 +37,9 @@ class AttackConfig:
         # the random start's uniform(-epsilon, epsilon) needs a finite width
         if not (math.isfinite(2 * self.epsilon) and self.epsilon >= 0):
             raise DomainError("epsilon must lie in [0, 2^1023)")
+        # -0.0 + 0.0 is +0.0; a -0.0 budget would make the random start's
+        # uniform(-epsilon, epsilon) a uniform(0.0, -0.0), which NumPy refuses
+        object.__setattr__(self, "epsilon", self.epsilon + 0.0)
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise DomainError("step_size must be > 0")
         if not isinstance(self.num_steps, int) or self.num_steps < 0:

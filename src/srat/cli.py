@@ -34,7 +34,7 @@ from srat.data import (
     write_rows,
 )
 from srat.errors import ConfigError, DomainError, IngestionError, SratError, TrainingError
-from srat.evaluation import evaluate, export_features, per_class_csv
+from srat.evaluation import check_pass, evaluate, export_features, per_class_csv
 from srat.losses import LossConfig
 from srat.mlp import ModelSpec, load_model, save_model
 from srat.theory import (
@@ -45,7 +45,7 @@ from srat.theory import (
     verify_theorem1,
     verify_theorem2,
 )
-from srat.training import STREAM_EVAL, TrainConfig, resolve_loss, train_srat, write_history
+from srat.training import STREAM_EVAL, TrainConfig, start_run, train_srat, write_history
 
 OUTPUT_ROOT_ENV = "SRAT_OUTPUT_ROOT"
 
@@ -113,14 +113,17 @@ def _from_dict(cls, doc, where: str):
 @contextlib.contextmanager
 def _prefixed(prefix: str, **point):
     """Puts ``prefix`` and the ``key=value`` pairs of ``point`` in front of
-    the message of an SratError raised inside, keeping its type: the source
-    of the refusal, such as the file a dataset was read from, "grid point"
-    and the point, or a sweep run."""
+    the message of an SratError or MemoryError raised inside, keeping its
+    exit code: the source of the refusal, such as the file a dataset was
+    read from, "grid point" and the point, or a sweep run. An SratError
+    keeps its type; a MemoryError becomes a plain one, since NumPy's
+    subclass cannot be rebuilt from a message."""
     try:
         yield
-    except SratError as exc:
+    except (SratError, MemoryError) as exc:
         where = " ".join([prefix, *(f"{k}={v}" for k, v in point.items())])
-        raise type(exc)(f"{where}: {exc}") from None
+        kind = type(exc) if isinstance(exc, SratError) else MemoryError
+        raise kind(f"{where}: {exc}") from None
 
 
 def _check_at_least(section, **minimum) -> None:
@@ -261,13 +264,16 @@ def _attack_arg(text: str) -> AttackConfig:
 
 def _build_run_data(cfg: ExperimentConfig):
     """(train_set, test_set, under-represented classes) of ``cfg``, after
-    the checks that need the data: the classes, the loss settings that read
-    the training class counts and both attack boxes."""
+    the checks that need the data. The run's own checks make them: its
+    start on the training split, then the evaluation pass's check of the
+    test split, named by its file, against the model the run starts from.
+    Only the under-represented classes are checked here."""
     train_set, test_set, partition = cfg.dataset.build()
     _check_classes(partition, test_set.num_classes, "dataset.under_classes")
-    resolve_loss(cfg.train, train_set.class_counts)
-    cfg.train.attack.check_box(train_set.features, "train.attack")
-    cfg.eval_attack.check_box(test_set.features, "eval_attack")
+    model, _, _ = start_run(train_set, cfg.model, cfg.train)
+    csv = isinstance(cfg.dataset, CsvData)
+    with _prefixed(cfg.dataset.test_path) if csv else contextlib.nullcontext():
+        check_pass(model, test_set, cfg.eval_attack, "eval_attack")
     return train_set, test_set, partition
 
 

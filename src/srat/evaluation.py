@@ -51,14 +51,14 @@ def _json_value(v):
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
-    """Yield (labels, clean rows, PGD rows or None) per ``_EVAL_CHUNK`` rows.
-
-    Each chunk is attacked with cross-entropy PGD under the key
-    ``(seed, start)``, so its perturbation does not depend on the others.
-    The data is checked against the model and the attack box here, once
-    per pass, before the first chunk.
-    """
+def check_pass(
+    model: MlpModel, dataset: LabeledDataset, attack_config, where: str = "attack"
+) -> None:
+    """Raise DomainError unless an evaluation pass of ``model`` over
+    ``dataset`` under ``attack_config`` (or None) can run: the data's width
+    must be the model's input width, its labels must index the logits, and
+    the attack box must contain it. ``where`` names the attack config in
+    the message."""
     if dataset.dim != model.input_dim:
         raise DomainError(
             f"data of dim {dataset.dim} does not match model input width {model.input_dim}"
@@ -66,7 +66,18 @@ def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
     if len(dataset) and dataset.labels.max() >= model.num_classes:
         raise DomainError("labels out of range for the logit width")
     if attack_config is not None:
-        attack_config.check_box(dataset.features)
+        attack_config.check_box(dataset.features, where)
+
+
+def _chunks(model: MlpModel, dataset: LabeledDataset, attack_config, seed):
+    """Yield (labels, clean rows, PGD rows or None) per ``_EVAL_CHUNK`` rows.
+
+    Each chunk is attacked with cross-entropy PGD under the key
+    ``(seed, start)``, so its perturbation does not depend on the others.
+    The pass checks its inputs once, with ``check_pass``, before the first
+    chunk.
+    """
+    check_pass(model, dataset, attack_config)
     for start in range(0, len(dataset), _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
         labels, rows = dataset.labels[start:stop], dataset.features[start:stop]

@@ -106,28 +106,41 @@ def write_history(records, path) -> None:
     write_rows(path, rows)
 
 
-def resolve_loss(config: TrainConfig, class_counts):
-    """The run's prediction loss and its class weights from
-    ``config.defer_epoch`` on, built once from the config and the training
-    class counts: a ``(PredictionLoss, ClassWeights)`` pair, the weights
-    uniform under weighting 'none'. A setting the counts cannot serve
-    raises DomainError naming its key in the ``train`` section of an
-    experiment config."""
-    if 0 in class_counts and config.loss.kind == "ldam":
+def start_run(dataset: LabeledDataset, model_spec: ModelSpec, config: TrainConfig):
+    """(model, loss, deferred) of a run of ``config`` on ``dataset``: the
+    seeded initial model, the prediction loss and the class weights from
+    ``config.defer_epoch`` on (uniform under weighting 'none'), built from
+    the dataset so that every batch fits them.
+
+    This is the one check of the data against the run: the dataset is not
+    empty, the loss settings suit its class counts and the attack box
+    contains it. A refusal raises DomainError naming its key in the
+    ``train`` section of an experiment config.
+    """
+    if len(dataset) == 0:
+        raise DomainError("dataset is empty")
+    counts = dataset.class_counts
+    if 0 in counts and config.loss.kind == "ldam":
         raise DomainError("train.loss.kind: 'ldam' needs a training row of every class")
-    loss = PredictionLoss.resolve(config.loss, class_counts)
+    loss = PredictionLoss.resolve(config.loss, counts)
     if config.weighting == "none":
-        return loss, ClassWeights.uniform(len(class_counts))
-    if config.weighting == "manual":
-        if len(config.manual_weights) != len(class_counts):
+        deferred = ClassWeights.uniform(len(counts))
+    elif config.weighting == "manual":
+        if len(config.manual_weights) != len(counts):
             raise DomainError(
                 f"train.manual_weights: {len(config.manual_weights)} weights for "
-                f"{len(class_counts)} classes"
+                f"{len(counts)} classes"
             )
-        return loss, ClassWeights.normalized(config.manual_weights)
-    if 0 in class_counts:
+        deferred = ClassWeights.normalized(config.manual_weights)
+    elif 0 in counts:
         raise DomainError("train.weighting: 'class_balanced' needs a training row of every class")
-    return loss, effective_number_weights(class_counts, config.loss.cb_beta)
+    else:
+        deferred = effective_number_weights(counts, config.loss.cb_beta)
+    config.attack.check_box(dataset.features, "train.attack")
+    model = build_mlp(
+        dataset.dim, model_spec.hidden, dataset.num_classes, seed=(config.seed, STREAM_MODEL_INIT)
+    )
+    return model, loss, deferred
 
 
 def _epoch_lr(config: TrainConfig, epoch: int) -> float:
@@ -150,22 +163,11 @@ def train_srat(
     epochs (and at the last epoch) and its result is stored in that
     epoch's record.
 
-    The data is checked against the run here, once: the model and the
-    loss are built from the dataset, so the batches fit both, and the
-    attack box must contain the dataset. The steps only stop on a fault.
+    The run starts with ``start_run``, which checks the data against the
+    run once. The steps only stop on a fault.
     """
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
-    loss, deferred = resolve_loss(config, dataset.class_counts)
-    config.attack.check_box(dataset.features)
+    model, loss, deferred = start_run(dataset, model_spec, config)
     uniform = ClassWeights.uniform(dataset.num_classes)
-
-    model = build_mlp(
-        dataset.dim,
-        model_spec.hidden,
-        dataset.num_classes,
-        seed=(config.seed, STREAM_MODEL_INIT),
-    )
     # One update path: at momentum 0 the velocity equals the gradient except
     # that a zero may change sign, and the sign of a zero step matters only
     # to a -0.0 parameter, which neither the initialization nor an update

@@ -5,10 +5,11 @@ leaves or flags of ``srat train``, ``sweep``, ``make-dataset``, ``eval``,
 new file or directory, and nothing raises or warns.
 
 Every single edit (a leaf or flag set to one of the edge values) is run;
-hypothesis draws pairs of edits. The property is about the checks, so the
-expensive work after them is stubbed: ``train_srat`` evaluates the model
-it would start from once instead of training, and ``evaluate`` and
-``export_features`` run without attack steps.
+hypothesis draws pairs of edits. The commands run for real, on a capped
+schedule: ``train_srat``, ``evaluate`` and ``export_features`` each get
+their configs with the training cut to its first epoch and every attack
+to at most one step. Random starts and clip bounds stay as configured, so
+an edit such as ``num_steps`` 10^30 still runs the code it reaches.
 """
 
 import contextlib
@@ -29,10 +30,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from srat import cli
+from srat.attack import AttackConfig
 from srat.data import LabeledDataset, save_csv
 from srat.mlp import build_mlp, save_model
 from srat.rand import derive_rng
-from srat.training import EpochRecord
+from srat.training import TrainConfig
 
 # derandomized and without an example database, as in test_properties.py
 BOUNDARY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -127,32 +129,25 @@ def _edited(doc, edits):
     return doc
 
 
-def _train_stub(dataset, model_spec, config, eval_fn=None):
-    """``train_srat`` without its epochs: the model a run of ``dataset``
-    would start from, evaluated once."""
-    model = build_mlp(dataset.dim, model_spec.hidden, dataset.num_classes, seed=0)
-    snapshot = eval_fn(model, config.total_epochs)
-    weights = (1.0,) * dataset.num_classes
-    return model, [EpochRecord(config.total_epochs, "post_defer", config.lr, 0.0, 0.0, weights,
-                               snapshot)]
+def _capped(run):
+    """``run`` (``train_srat``, ``evaluate`` or ``export_features``) with
+    each TrainConfig argument cut to its first epoch and each AttackConfig,
+    its own or a TrainConfig's, to at most one step."""
 
+    def cap(value):
+        if isinstance(value, AttackConfig):
+            return dataclasses.replace(value, num_steps=min(value.num_steps, 1))
+        if isinstance(value, TrainConfig):
+            return dataclasses.replace(
+                value, total_epochs=1, defer_epoch=min(value.defer_epoch, 2),
+                attack=cap(value.attack),
+            )
+        return value
 
-def _no_steps(attack):
-    return dataclasses.replace(attack, num_steps=0, random_start=False)
+    def capped(*args, **kwargs):
+        return run(*map(cap, args), **{k: cap(v) for k, v in kwargs.items()})
 
-
-_evaluate = cli.evaluate
-_export_features = cli.export_features
-
-
-def _evaluate_stub(model, test_set, attack_config, partition, seed=0):
-    return _evaluate(model, test_set, _no_steps(attack_config), partition, seed)
-
-
-def _export_stub(model, dataset, path, attack_config=None, seed=0):
-    if attack_config is not None:
-        attack_config = _no_steps(attack_config)
-    _export_features(model, dataset, path, attack_config, seed)
+    return capped
 
 
 def _fixtures(root: Path) -> None:
@@ -177,14 +172,16 @@ def _inside(root):
 @pytest.fixture(scope="module")
 def root(tmp_path_factory):
     """A directory holding the fixtures, made the working directory and the
-    root of relative output paths, with the stubs in place. The parser is
-    built once."""
+    root of relative output paths, with the capped commands in place. The
+    parser is built once."""
     root = tmp_path_factory.mktemp("boundary")
     _fixtures(root)
     parser = cli.build_parser()
     with _inside(root), mock.patch.dict(os.environ, {cli.OUTPUT_ROOT_ENV: str(root)}), \
-            mock.patch.multiple(cli, train_srat=_train_stub, evaluate=_evaluate_stub,
-                                export_features=_export_stub, build_parser=lambda: parser):
+            mock.patch.multiple(cli, train_srat=_capped(cli.train_srat),
+                                evaluate=_capped(cli.evaluate),
+                                export_features=_capped(cli.export_features),
+                                build_parser=lambda: parser):
         yield root
 
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import srat.training
 from srat.attack import AttackConfig
 from srat.cli import main
 from srat.data import (
@@ -66,6 +67,13 @@ def _experiment_doc(out_dir, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _wide_test_csv(tmp_path):
+    """A CSV of 4 feature columns, one more than ``_csv_doc``'s splits."""
+    path = tmp_path / "wide.csv"
+    save_csv(LabeledDataset(derive_rng(5).normal(size=(8, 4)), np.repeat([0, 1], 4), 2), path)
+    return path
 
 
 def _csv_doc(tmp_path, out_dir):
@@ -701,6 +709,53 @@ def test_attack_epsilon_too_wide_for_a_random_start_exits_2_writing_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["train.attack", "eval_attack", "eval", "export-features"])
+def test_negative_zero_epsilon_with_a_random_start_runs(trained_run, tmp_path, section):
+    # a budget of -0.0 is a budget of 0: the random start draws from [0, 0]
+    attack = {"epsilon": -0.0, "step_size": 0.05, "num_steps": 1, "random_start": True}
+    out = tmp_path / "out"
+    if section in ("eval", "export-features"):
+        _, run_dir = trained_run
+        data = tmp_path / "data.csv"
+        save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)
+        argv = [section, "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+                "--attack", json.dumps(attack), "--out", str(out)]
+    else:
+        doc = _experiment_doc(out)
+        if section == "train.attack":
+            doc["train"]["attack"] = attack
+        else:
+            doc["eval_attack"] = attack
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 0
+
+
+def test_train_refuses_a_test_csv_of_another_width_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    steps = []
+    real = srat.training.pgd_attack
+
+    def spy(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(srat.training, "pgd_attack", spy)
+    out = tmp_path / "run"
+    doc = _csv_doc(tmp_path, out)
+    wide = _wide_test_csv(tmp_path)
+    doc["dataset"]["test_path"] = str(wide)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {wide}: data of dim 4 does not match model input width 3\n"
+    assert steps == []
+    assert not out.exists()
+
+
 def test_eval_attack_box_excluding_the_data_exits_2(trained_run, tmp_path, capsys):
     _, run_dir = trained_run
     data = tmp_path / "data.csv"  # mixture values spread well beyond [0, 1]
@@ -1033,6 +1088,7 @@ def test_sweep_emits_one_row_per_config_and_seed(tmp_path):
 def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
     base = _experiment_doc(tmp_path / "unused")
     csv_base = _csv_doc(tmp_path, tmp_path / "unused")
+    wide = _wide_test_csv(tmp_path)
     manual_base = _experiment_doc(tmp_path / "unused")
     manual_base["train"].update(weighting="manual", manual_weights=[1.0, 2.0])
     for key, values, named in [
@@ -1048,11 +1104,26 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
             [[1.0, 2.0], [1.0, -1.0]],
             "train: manual_weights must be positive and finite",
         ),
+        # a later run whose model cannot be built: too many parameters for
+        # NumPy, or more bytes than the allocator gives
+        (
+            "model.hidden",
+            [[3], [1e30]],
+            f"layer widths [4, {int(1e30)}, 2] need 7.000e+30 parameters",
+        ),
+        ("model.hidden", [[3], [2**50]], "Unable to allocate"),
+        (
+            "dataset.test_path",
+            [str(tmp_path / "test.csv"), str(wide)],
+            f"{wide}: data of dim 4 does not match model input width 3",
+        ),
     ]:
         grid = {
-            "base": {"dataset.num_classes": csv_base, "train.manual_weights": manual_base}.get(
-                key, base
-            ),
+            "base": {
+                "dataset.num_classes": csv_base,
+                "dataset.test_path": csv_base,
+                "train.manual_weights": manual_base,
+            }.get(key, base),
             "vary": {key: values},
             "seeds": [0],
             "output_dir": str(tmp_path / "sweep"),

@@ -66,3 +66,20 @@ def test_per_step_functions_raise_no_domain_error():
                     if ast.unparse(exc).endswith("DomainError"):
                         found.append(f"srat.{module}.{name} (line {node.lineno})")
     assert not found, f"per-step functions that raise DomainError: {found}"
+
+
+# The checks a run makes of its data, which the command line must reach
+# through the run's own start and evaluation pass, never call itself.
+RUN_CHECKS = ("check_box", "resolve_loss")
+
+
+def test_cli_makes_no_copy_of_the_run_checks():
+    tree = ast.parse((SRC / "srat" / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in RUN_CHECKS:
+                found.append(f"{ast.unparse(func)} (line {node.lineno})")
+    assert not found, f"srat.cli calls the run's checks directly: {found}"
