@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+from decimal import Decimal
 import itertools
 import json
 import os
@@ -35,7 +36,6 @@ from srat.data import (
 )
 from srat.errors import ConfigError, DomainError, IngestionError, SratError, TrainingError
 from srat.evaluation import check_pass, evaluate, export_features, per_class_csv
-from srat.losses import LossConfig
 from srat.mlp import ModelSpec, load_model, save_model
 from srat.theory import (
     GaussianMixtureSpec,
@@ -66,9 +66,6 @@ def _check_keys(doc: dict, required, optional, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-# Keys the CLI requires although the dataclass has a default, so that no
-# silent default enters a reported run.
-_MANDATORY = {LossConfig: ("kind", "tau", "lam"), TrainConfig: ("weighting", "seed")}
 _JSON_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
@@ -89,8 +86,13 @@ def _value(tp, value, where: str):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
         return tuple(_value(tp.__args__[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if type(value) is tp or (tp is float and type(value) is int):
-        return tp(value)
+    if tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ConfigError(f"{where}: {Decimal(value):.4g} is beyond the float range") from None
+    if type(value) is tp:
+        return value
     if tp is int and type(value) is float and value.is_integer():
         return int(value)
     raise ConfigError(f"{where}: expected {_JSON_NAMES[tp]}, got {value!r}")
@@ -98,11 +100,11 @@ def _value(tp, value, where: str):
 
 def _from_dict(cls, doc, where: str):
     """Build the dataclass ``cls`` from a JSON object whose keys are its
-    fields. Fields without a default are required, and so are the keys
-    ``_MANDATORY`` lists; every default lives in the dataclass."""
+    fields. A key is required exactly when its field has no default;
+    every default lives in the dataclass."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     required = [n for n, f in fields.items() if f.default is dataclasses.MISSING]
-    _check_keys(doc, required + list(_MANDATORY.get(cls, ())), fields, where)
+    _check_keys(doc, required, fields, where)
     kwargs = {k: _value(fields[k].type, v, f"{where}.{k}") for k, v in doc.items()}
     try:
         return cls(**kwargs)

@@ -98,7 +98,7 @@ def evaluate(
     test_set: LabeledDataset,
     attack_config: AttackConfig,
     partition,
-    seed: int = 0,
+    seed: int,
 ) -> EvalReport:
     """Score the model; ``partition`` lists the under-represented classes.
 
@@ -149,7 +149,8 @@ def export_features(
     dataset: LabeledDataset,
     path,
     attack_config: AttackConfig | None = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> None:
     """Write penultimate-layer features as CSV rows: label, then
     coordinates, in dataset order. With an attack config the features of

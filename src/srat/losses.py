@@ -44,12 +44,12 @@ class LossConfig:
     the effective-number class weights.
     """
 
-    kind: str = "ce"
+    kind: str
+    tau: float
+    lam: float
     focal_gamma: float = 2.0
     ldam_max_margin: float = 0.5
     ldam_scale: float = 30.0
-    tau: float = 0.1
-    lam: float = 1.0
     cb_beta: float = 0.9999
 
     def __post_init__(self) -> None:

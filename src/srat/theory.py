@@ -5,13 +5,16 @@ Model
 -----
 Labels y ∈ {-1, +1} with Pr(y=+1) = K * Pr(y=-1) for an imbalance ratio
 K >= 1. Features are x ~ N(y*mu, sigma^2 I) in d dimensions with
-mu = (eta, ..., eta). A linear classifier predicts sign(w.x - b). The
-reweighted risk multiplies the minority ("-1") class error by rho > 0.
-Separability is defined as S = eta / sigma^2.
+mu = (eta, ..., eta). The one classifier family studied is the all-ones
+direction with a bias b, which predicts sign(w.x - b) for w = (1, ..., 1);
+``LinearClassifier`` holds its dimension and bias. The reweighted risk
+multiplies the minority ("-1") class error by rho > 0. Separability is
+defined as S = eta / sigma^2.
 
-For the all-ones weight vector, w.x is a sum of d independent normals,
-so every class-conditional error is a single standard-normal CDF value.
-Two Z-score conventions are implemented side by side:
+w.x is a sum of d independent normals, so every class-conditional error
+is a single standard-normal CDF value. Two Z-score conventions are
+implemented side by side, and every function here takes the convention
+from its caller:
 
 * ``StdConvention.SUMMED``   scales by d*sigma, i.e. it treats the standard
   deviation of the coordinate sum as the *sum* of the per-coordinate
@@ -22,9 +25,8 @@ Two Z-score conventions are implemented side by side:
 
 Both conventions describe the same one-dimensional family of classifiers;
 they differ in which risk surface the bias minimizes. Every theorem check
-here runs under a caller-chosen convention and reports the sufficient
-"K large enough" precondition derived for that convention, so reports are
-never asserted outside their hypothesis.
+reports the sufficient "K large enough" precondition derived for its
+convention, so reports are never asserted outside their hypothesis.
 
 The normal CDF is computed from a rational-approximation erfc accurate to
 a few ULPs. The test suite validates it against Monte Carlo sampling,
@@ -117,29 +119,24 @@ class GaussianMixtureSpec:
         return 1.0 / (self.imbalance_ratio + 1.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearClassifier:
-    """sign(w.x - b) with a real weight vector w and bias b."""
+    """sign(w.x - b) with the all-ones weight vector w of dimension ``dim``
+    and bias b: the one classifier family the theory compares."""
 
-    weights: np.ndarray
+    dim: int
     bias: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise DomainError("weights must be a non-empty 1-D vector")
-        if not np.isfinite(w).all():
-            raise DomainError("weights must be finite")
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise DomainError(f"dim must be an integer >= 1, got {self.dim!r}")
         if not math.isfinite(float(self.bias)):
             raise DomainError("bias must be finite")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
 
     @classmethod
     def all_ones(cls, dim: int, bias: float) -> "LinearClassifier":
-        return cls(np.ones(dim), bias)
+        return cls(dim, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +315,11 @@ def normal_cdf(z):
 # ---------------------------------------------------------------------------
 
 
-def _sum_scale(weights: np.ndarray, spec: GaussianMixtureSpec, conv: StdConvention):
-    """Mean multiplier and Z-score scale of w.x under the chosen convention.
-
-    w.x ~ N(y*eta*sum(w), sigma^2*sum(w^2)). EXACT uses the true deviation
-    sigma*sqrt(sum(w^2)); SUMMED adds the per-coordinate deviations,
-    sigma*sum(|w|), which reduces to d*sigma for the all-ones vector.
-    """
-    sw = float(weights.sum())
-    if conv is StdConvention.SUMMED:
-        scale = spec.sigma * float(np.abs(weights).sum())
-    else:
-        scale = spec.sigma * math.sqrt(float((weights * weights).sum()))
-    if scale <= 0.0:
-        raise DomainError("weight vector must not be identically zero")
-    return sw, scale
-
-
 def _all_ones_scale(spec: GaussianMixtureSpec, conv: StdConvention):
-    """``_sum_scale`` of the all-ones vector as (shift, scale): the mean of
-    w.x is y*shift with shift = eta*d, and the scale is d*sigma (SUMMED)
-    or sqrt(d)*sigma (EXACT)."""
+    """Mean multiplier and Z-score scale of w.x for the all-ones w, as
+    (shift, scale): w.x ~ N(y*eta*d, d*sigma^2), so shift = eta*d. EXACT
+    uses the true deviation sqrt(d)*sigma; SUMMED adds the per-coordinate
+    deviations, d*sigma."""
     d = float(spec.dim)
     return spec.eta * d, spec.sigma * (d if conv is StdConvention.SUMMED else math.sqrt(d))
 
@@ -354,23 +335,20 @@ def classwise_error(
     clf: LinearClassifier,
     spec: GaussianMixtureSpec,
     label: int,
-    conv: StdConvention = StdConvention.SUMMED,
+    conv: StdConvention,
 ) -> float:
     """Pr(sign(w.x - b) != y | y = label) under the convention's Z-score."""
     if label not in (1, -1):
         raise DomainError(f"label must be +1 or -1, got {label!r}")
-    if clf.weights.size != spec.dim:
-        raise DomainError(
-            f"classifier has {clf.weights.size} weights, distribution dim is {spec.dim}"
-        )
-    sw, scale = _sum_scale(clf.weights, spec, conv)
-    return normal_cdf(_zscore(clf.bias, label, spec.eta * sw, scale))
+    if clf.dim != spec.dim:
+        raise DomainError(f"classifier has dim {clf.dim}, distribution dim is {spec.dim}")
+    return normal_cdf(_zscore(clf.bias, label, *_all_ones_scale(spec, conv)))
 
 
 def optimal_bias(
     spec: GaussianMixtureSpec,
     rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
+    conv: StdConvention,
 ) -> float:
     """Bias minimizing the reweighted risk over all-ones-weight classifiers.
 
@@ -410,8 +388,8 @@ def _weighted_risk(
 def grid_search_bias(
     spec: GaussianMixtureSpec,
     rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
-    num_points: int = 100_000,
+    conv: StdConvention,
+    num_points: int,
 ) -> tuple[float, float]:
     """Exact argmin of the reweighted risk over a dense bias grid.
 
@@ -486,13 +464,14 @@ def monte_carlo_classwise_error(
         raise DomainError(f"label must be +1 or -1, got {label!r}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if clf.weights.size != spec.dim:
+    if clf.dim != spec.dim:
         raise DomainError("classifier/distribution dimension mismatch")
     rng = derive_rng(seed)
     mean = label * spec.eta
     chunk = max(1, _BLOCK // spec.dim)
     x = np.empty((chunk, spec.dim))
     scores = np.empty(chunk)
+    ones = np.ones(spec.dim)
     wrong = 0
     remaining = n_samples
     while remaining > 0:
@@ -501,7 +480,7 @@ def monte_carlo_classwise_error(
         rng.standard_normal(out=xm)
         xm *= spec.sigma
         xm += mean
-        np.matmul(xm, clf.weights, out=sm)
+        np.matmul(xm, ones, out=sm)
         sm -= clf.bias
         if label == 1:
             wrong += int(np.count_nonzero(sm <= 0.0))
@@ -603,7 +582,7 @@ def _cdf_pairs(*pairs: tuple[float, float]) -> list[tuple[float, float, float]]:
 def verify_theorem1(
     spec1: GaussianMixtureSpec,
     spec2: GaussianMixtureSpec,
-    conv: StdConvention = StdConvention.SUMMED,
+    conv: StdConvention,
 ) -> TheoremReport:
     """Check that the class-wise error gap of the unweighted (rho=1) optimal
     classifier is smaller on the more separable mixture.
@@ -641,7 +620,7 @@ def verify_theorem1(
 def verify_theorem2(
     spec1: GaussianMixtureSpec,
     spec2: GaussianMixtureSpec,
-    conv: StdConvention = StdConvention.SUMMED,
+    conv: StdConvention,
 ) -> TheoremReport:
     """Check that switching from rho=1 to the fully reweighted rho=K
     classifier (whose bias is exactly 0) hurts the majority class less on

@@ -44,12 +44,12 @@ class TrainConfig:
     lr: float
     loss: LossConfig
     attack: AttackConfig
+    weighting: str
+    seed: int
     lr_milestones: tuple[int, ...] = ()
     lr_decay: float = 0.1
-    weighting: str = "none"
     manual_weights: tuple[float, ...] | None = None
     momentum: float = 0.0
-    seed: int = 0
     eval_every: int = 10
 
     def __post_init__(self) -> None:

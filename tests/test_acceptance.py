@@ -70,7 +70,7 @@ def test_criterion_1_closed_form_bias_matches_grid_search():
                         spec = GaussianMixtureSpec(eta, sigma, d, k)
                         rho = k * math.exp(log_ratio)
                         closed = optimal_bias(spec, rho, conv)
-                        searched, res = grid_search_bias(spec, rho, conv)
+                        searched, res = grid_search_bias(spec, rho, conv, 100_000)
                         worst = max(worst, abs(closed - searched) / res)
                         points += 1
                         assert abs(closed - searched) <= 2 * res
@@ -104,7 +104,7 @@ def test_criterion_2_analytic_vs_monte_carlo():
             rng.uniform(-1, 1) * 2.0 * scale
             + rng.choice([-1, 1]) * eta * d * rng.uniform(0, 0.5)
         )
-        clf = LinearClassifier(np.ones(d), bias)
+        clf = LinearClassifier.all_ones(d, bias)
         label = int(rng.choice([-1, 1]))
         analytic = classwise_error(clf, spec, label, StdConvention.EXACT)
         mc = monte_carlo_classwise_error(clf, spec, label, n, seed=7000 + case)
@@ -230,9 +230,11 @@ def test_criterion_5_reductions_bit_exact():
         weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
         counts = tuple(int(v) for v in rng.integers(1, 500, size=c))
         l_ce, g_ce = prediction_loss(logits, labels, weights, PredictionLoss())
-        focal = PredictionLoss.resolve(LossConfig(kind="focal", focal_gamma=0.0), counts)
+        focal = PredictionLoss.resolve(
+            LossConfig(kind="focal", tau=0.1, lam=1.0, focal_gamma=0.0), counts
+        )
         l_f, g_f = prediction_loss(logits, labels, weights, focal)
-        ldam = LossConfig(kind="ldam", ldam_max_margin=0.0, ldam_scale=1.0)
+        ldam = LossConfig(kind="ldam", tau=0.1, lam=1.0, ldam_max_margin=0.0, ldam_scale=1.0)
         l_m, g_m = prediction_loss(logits, labels, weights, PredictionLoss.resolve(ldam, counts))
         assert l_ce == l_f and np.array_equal(g_ce, g_f)
         assert l_ce == l_m and np.array_equal(g_ce, g_m)

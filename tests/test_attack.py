@@ -195,11 +195,11 @@ def _train_and_evaluate(x, y, attack):
     ``evaluate`` on them."""
     ds = LabeledDataset(x, y)
     config = TrainConfig(
-        total_epochs=1, defer_epoch=1, batch_size=1, lr=0.05, loss=LossConfig(lam=0.0),
-        attack=attack,
+        total_epochs=1, defer_epoch=1, batch_size=1, lr=0.05,
+        loss=LossConfig(kind="ce", tau=0.1, lam=0.0), attack=attack, weighting="none", seed=0,
     )
     model, _ = train_srat(ds, ModelSpec((4,)), config)
-    evaluate(model, ds, attack, partition=[])
+    evaluate(model, ds, attack, partition=[], seed=0)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +217,7 @@ def test_runs_refuse_clean_rows_outside_the_box(box):
             with pytest.raises(DomainError, match="does not contain the data"):
                 _train_and_evaluate(x, y, cfg)
             with pytest.raises(DomainError, match="does not contain the data"):
-                evaluate(build_mlp(2, (4,), 2, seed=0), LabeledDataset(x, y), cfg, [])
+                evaluate(build_mlp(2, (4,), 2, seed=0), LabeledDataset(x, y), cfg, [], seed=0)
         else:
             _train_and_evaluate(x, y, cfg)
     # rows on the box's faces are inside it
@@ -287,9 +287,9 @@ def test_evaluation_refuses_labels_beyond_the_logits_before_any_step(
     model = build_mlp(2, (4,), 2, seed=0)
     ds = LabeledDataset(np.zeros((3, 2)), np.array([0, 2, 1]))
     with pytest.raises(DomainError, match="labels out of range for the logit width"):
-        evaluate(model, ds, cfg, partition=[])
+        evaluate(model, ds, cfg, partition=[], seed=0)
     with pytest.raises(DomainError, match="labels out of range for the logit width"):
-        export_features(model, ds, tmp_path / "features.csv", cfg)
+        export_features(model, ds, tmp_path / "features.csv", cfg, seed=0)
     assert not (tmp_path / "features.csv").exists()
 
 

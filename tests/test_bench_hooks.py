@@ -53,6 +53,7 @@ def test_trace_sites_see_every_loss_call_of_a_training_run():
         loss=LossConfig(kind="ldam", tau=0.1, lam=0.5),
         attack=AttackConfig(epsilon=0.1, step_size=0.05, num_steps=3),
         weighting="class_balanced",
+        seed=0,
     )
     tracer = tracing.Tracer()
     tracer.run_op(lambda: train_srat(ds, ModelSpec((4,)), cfg))

@@ -40,16 +40,16 @@ from srat.training import TrainConfig
 BOUNDARY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 # Edge values for a config leaf: zero, units, huge and tiny magnitudes,
-# non-finite floats, integers past int64, a negative zero, and values of
-# the wrong JSON type.
+# non-finite floats, integers past int64 and past the float range, a
+# negative zero, and values of the wrong JSON type.
 EDGE_VALUES = [
-    0, 1, -1, 10**30, -(10**30), 1e30, 1e308, -1e308, 1e-320, math.nan, math.inf,
+    0, 1, -1, 10**30, -(10**30), 10**400, 1e30, 1e308, -1e308, 1e-320, math.nan, math.inf,
     -math.inf, 2**63, 2**64, -0.0, 0.5, True, False, None, "", "x", "csv", "1",
     [], [0], [1, 2], [math.nan], [10**30], {}, {"kind": "step"}, {"x": 1},
 ]
 # The same edges as flag text.
 EDGE_TEXT = [
-    "0", "1", "-1", str(10**30), str(-(10**30)), "1e30", "1e308", "-1e308", "1e-320",
+    "0", "1", "-1", str(10**30), str(-(10**30)), str(10**400), "1e30", "1e308", "-1e308", "1e-320",
     "nan", "inf", "-inf", str(2**63), str(2**64), "-0.0", "0.5", "true", "", "x",
 ]
 

@@ -802,12 +802,34 @@ def test_train_unknown_key_exits_2(tmp_path, capsys):
     assert "typo_knob" in capsys.readouterr().err
 
 
-def test_train_missing_mandatory_loss_keys_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "path",
+    [("loss", "kind"), ("loss", "tau"), ("loss", "lam"), ("weighting",), ("seed",)],
+    ids=".".join,
+)
+def test_train_missing_mandatory_loss_keys_exits_2(tmp_path, capsys, path):
+    # a key is required exactly when its field has no default
     doc = _experiment_doc(tmp_path / "x")
-    del doc["train"]["loss"]["lam"]
+    section = doc["train"]
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg)]) == 2
+    where = ".".join(["train", *path[:-1]])
+    assert f"{where}: missing keys ['{path[-1]}']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_integer_beyond_the_float_range_exits_2_naming_the_field(tmp_path, capsys):
+    doc = _experiment_doc(tmp_path / "x")
+    doc["train"]["lr"] = 10**400
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "train.lr: 1.000e+400 is beyond the float range" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_negative_focal_gamma_exits_2_writing_nothing(tmp_path, capsys):

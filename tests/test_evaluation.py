@@ -103,7 +103,7 @@ def test_evaluation_refuses_data_of_another_width(tmp_path):
     with pytest.raises(DomainError, match="data of dim 3 does not match model input width 2"):
         evaluate(model, ds, NO_ATTACK, partition=[], seed=0)
     with pytest.raises(DomainError, match="data of dim 3 does not match model input width 2"):
-        export_features(model, ds, tmp_path / "features.csv")
+        export_features(model, ds, tmp_path / "features.csv", seed=0)
     assert not (tmp_path / "features.csv").exists()
 
 
@@ -126,8 +126,8 @@ def test_export_row_count_and_determinism(tmp_path):
     model = build_mlp(3, (5, 4), 2, seed=2)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    export_features(model, ds, first)
-    export_features(model, ds, second)
+    export_features(model, ds, first, seed=0)
+    export_features(model, ds, second, seed=0)
     lines = first.read_text().splitlines()
     assert len(lines) == len(ds)
     assert first.read_bytes() == second.read_bytes()
@@ -142,7 +142,7 @@ def test_export_clean_vs_adversarial_differ(tmp_path):
     model = build_mlp(3, (5, 4), 2, seed=3)
     clean = tmp_path / "clean.csv"
     adv = tmp_path / "adv.csv"
-    export_features(model, ds, clean)
+    export_features(model, ds, clean, seed=0)
     export_features(
         model,
         ds,

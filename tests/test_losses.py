@@ -24,8 +24,9 @@ CE = PredictionLoss()
 
 def _loss(kind, logits, labels, weights, counts=None, **knobs):
     """``prediction_loss`` under the loss that ``LossConfig(kind=kind,
-    **knobs)`` resolves to on the training class ``counts``."""
-    loss = PredictionLoss.resolve(LossConfig(kind=kind, **knobs), counts)
+    **knobs)`` resolves to on the training class ``counts``; the separation
+    knobs ``tau`` and ``lam`` do not enter it."""
+    loss = PredictionLoss.resolve(LossConfig(kind=kind, tau=0.1, lam=1.0, **knobs), counts)
     return prediction_loss(logits, labels, weights, loss)
 
 
@@ -408,27 +409,30 @@ def test_combined_gradients_match_finite_differences():
 
 
 def test_loss_config_validation():
+    def config(**knobs):
+        return LossConfig(**{"kind": "ce", "tau": 0.1, "lam": 1.0, **knobs})
+
     with pytest.raises(DomainError):
-        LossConfig(kind="mse")
+        config(kind="mse")
     with pytest.raises(DomainError):
-        LossConfig(tau=0.0)
+        config(tau=0.0)
     with pytest.raises(DomainError):
-        LossConfig(cb_beta=1.0)
+        config(cb_beta=1.0)
     with pytest.raises(DomainError):
-        LossConfig(lam=-0.5)
+        config(lam=-0.5)
     # the only guards of these three: the loss cores do not check them
     with pytest.raises(DomainError, match="focal_gamma must be >= 0"):
-        LossConfig(focal_gamma=-1)
+        config(focal_gamma=-1)
     with pytest.raises(DomainError, match="ldam_max_margin must be >= 0"):
-        LossConfig(ldam_max_margin=-0.1)
+        config(ldam_max_margin=-0.1)
     with pytest.raises(DomainError, match="ldam_scale must be > 0"):
-        LossConfig(ldam_scale=0)
+        config(ldam_scale=0)
     # nor the finiteness of any of the five: a NaN or inf would train and
     # diverge, or, as tau = inf, give a constant separation term
     for key in ("focal_gamma", "ldam_max_margin", "ldam_scale", "tau", "lam"):
         for value in (math.nan, math.inf):
             with pytest.raises(DomainError, match=f"{key} must be .* and finite"):
-                LossConfig(**{key: value})
+                config(**{key: value})
 
 
 def test_class_weights_invariants():

@@ -83,3 +83,28 @@ def test_cli_makes_no_copy_of_the_run_checks():
             if name in RUN_CHECKS:
                 found.append(f"{ast.unparse(func)} (line {node.lineno})")
     assert not found, f"srat.cli calls the run's checks directly: {found}"
+
+
+# Parameters whose one default lives in the command line (``--convention``,
+# ``--points``, ``--seed``): the library functions take them from the caller.
+CALLER_CHOSEN = ("conv", "num_points", "seed")
+
+
+def test_caller_chosen_parameters_have_no_library_default():
+    found = []
+    for module in ("theory", "evaluation"):
+        tree = ast.parse((SRC / "srat" / f"{module}.py").read_text())
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            found += [
+                f"srat.{module}.{node.name}({a.arg}=...)"
+                for a in defaulted
+                if a.arg in CALLER_CHOSEN
+            ]
+    assert not found, f"library defaults of caller-chosen parameters: {found}"

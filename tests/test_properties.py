@@ -151,7 +151,7 @@ def test_prediction_loss_matches_reference_bit_for_bit(batch, gamma, max_margin,
     logits, labels, weights, counts = batch
 
     def ours(kind, **knobs):
-        resolved = PredictionLoss.resolve(LossConfig(kind=kind, **knobs), counts)
+        resolved = PredictionLoss.resolve(LossConfig(kind=kind, tau=0.1, lam=1.0, **knobs), counts)
         loss, grad = prediction_loss(logits, labels, weights, resolved)
         return np.float64(loss).tobytes(), grad
 
@@ -184,7 +184,10 @@ def test_prediction_loss_matches_reference_bit_for_bit(batch, gamma, max_margin,
 )
 def test_prediction_loss_gradients_match_finite_differences(batch, kind, gamma, max_margin, scale):
     logits, labels, weights, counts = batch
-    cfg = LossConfig(kind=kind, focal_gamma=gamma, ldam_max_margin=max_margin, ldam_scale=scale)
+    cfg = LossConfig(
+        kind=kind, tau=0.1, lam=1.0, focal_gamma=gamma, ldam_max_margin=max_margin,
+        ldam_scale=scale,
+    )
     loss = PredictionLoss.resolve(cfg, counts)
     _, grad = prediction_loss(logits, labels, weights, loss)
     fd = central_diff(
@@ -304,7 +307,7 @@ def test_pgd_stays_in_the_ball_and_the_box(
         clip_min=0.0 if box else None,
         clip_max=1.0 if box else None,
     )
-    loss = PredictionLoss.resolve(LossConfig(kind=kind), range(1, classes + 1))
+    loss = PredictionLoss.resolve(LossConfig(kind=kind, tau=0.1, lam=1.0), range(1, classes + 1))
     adv = pgd_attack(model, loss, x, y, cfg, seed=seed)
     assert adv.shape == x.shape
     assert np.abs(adv - x).max() <= eps + 4 * np.finfo(np.float64).eps

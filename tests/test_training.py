@@ -167,7 +167,7 @@ def test_attack_box_is_checked_once_per_run(monkeypatch):
     assert calls == [len(ds)]
     calls.clear()
     monkeypatch.setattr(srat.evaluation, "_EVAL_CHUNK", 7)  # 9 chunks
-    evaluate(model, ds, cfg.attack, partition=[1])
+    evaluate(model, ds, cfg.attack, partition=[1], seed=0)
     assert calls == [len(ds)]
 
 
@@ -194,7 +194,7 @@ def test_constant_loss_values_are_built_once(monkeypatch):
 
     monkeypatch.setattr(srat.evaluation, "pgd_attack", attack_spy)
     monkeypatch.setattr(srat.evaluation, "_EVAL_CHUNK", 7)  # 9 chunks
-    evaluate(model, ds, _config().attack, partition=[1])
+    evaluate(model, ds, _config().attack, partition=[1], seed=0)
     assert len(losses) == 9 and all(loss is losses[0] for loss in losses)
 
 
@@ -308,17 +308,18 @@ def test_config_validation():
     attack = AttackConfig(epsilon=0.1, step_size=0.1, num_steps=1)
     with pytest.raises(DomainError):
         TrainConfig(
-            total_epochs=2, defer_epoch=4, batch_size=4, lr=0.1, loss=loss, attack=attack
+            total_epochs=2, defer_epoch=4, batch_size=4, lr=0.1, loss=loss, attack=attack,
+            weighting="none", seed=0,
         )
     with pytest.raises(DomainError):
         TrainConfig(
             total_epochs=2, defer_epoch=1, batch_size=4, lr=0.1,
-            loss=loss, attack=attack, weighting="manual",
+            loss=loss, attack=attack, weighting="manual", seed=0,
         )
     with pytest.raises(DomainError):
         TrainConfig(
             total_epochs=2, defer_epoch=1, batch_size=4, lr=0.1,
-            loss=loss, attack=attack, lr_decay=1.5,
+            loss=loss, attack=attack, weighting="none", seed=0, lr_decay=1.5,
         )
 
 

@@ -25,7 +25,6 @@ from srat.theory import (
     GaussianMixtureSpec,
     LinearClassifier,
     StdConvention,
-    _sum_scale,
     classwise_error,
     optimal_bias,
 )
@@ -104,19 +103,23 @@ def normal_cdf(z):
 def _risk_curve(
     spec: GaussianMixtureSpec, rho: float, conv: StdConvention, biases: np.ndarray
 ) -> np.ndarray:
-    """Vectorized reweighted risk of the all-ones classifier over a bias grid."""
-    ones = np.ones(spec.dim)
-    sw, scale = _sum_scale(ones, spec, conv)
-    err_minus = normal_cdf(-(biases + spec.eta * sw) / scale)
-    err_plus = normal_cdf((biases - spec.eta * sw) / scale)
+    """Vectorized reweighted risk of the all-ones classifier over a bias grid.
+
+    For the all-ones w, w.x has mean y*eta*d; its Z-score scale is d*sigma
+    under SUMMED and sqrt(d)*sigma under EXACT."""
+    d = float(spec.dim)
+    shift = spec.eta * d
+    scale = spec.sigma * (d if conv is StdConvention.SUMMED else math.sqrt(d))
+    err_minus = normal_cdf(-(biases + shift) / scale)
+    err_plus = normal_cdf((biases - shift) / scale)
     return rho * err_minus * spec.minority_prior + err_plus * spec.majority_prior
 
 
 def grid_search_bias(
     spec: GaussianMixtureSpec,
     rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
-    num_points: int = 100_000,
+    conv: StdConvention,
+    num_points: int,
 ) -> tuple[float, float]:
     """Brute-force argmin of the reweighted risk over a dense bias grid.
 
@@ -157,8 +160,9 @@ def monte_carlo_classwise_error(
         raise DomainError(f"label must be +1 or -1, got {label!r}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if clf.weights.size != spec.dim:
+    if clf.dim != spec.dim:
         raise DomainError("classifier/distribution dimension mismatch")
+    ones = np.ones(spec.dim)
     rng = derive_rng(seed)
     mean = label * spec.eta
     chunk = max(1, 4_000_000 // spec.dim)
@@ -167,7 +171,7 @@ def monte_carlo_classwise_error(
     while remaining > 0:
         m = min(chunk, remaining)
         x = mean + spec.sigma * rng.standard_normal((m, spec.dim))
-        scores = x @ clf.weights - clf.bias
+        scores = x @ ones - clf.bias
         if label == 1:
             wrong += int(np.count_nonzero(scores <= 0.0))
         else:
@@ -180,7 +184,7 @@ def reweighted_risk(
     clf: LinearClassifier,
     spec: GaussianMixtureSpec,
     rho: float,
-    conv: StdConvention = StdConvention.SUMMED,
+    conv: StdConvention,
 ) -> float:
     """rho * err(-1) * Pr(y=-1) + err(+1) * Pr(y=+1)."""
     if not (math.isfinite(rho) and rho > 0):
