@@ -36,9 +36,16 @@ against ``scipy.special.ndtr``: absolute error at most 1e-15 on
 
 The oracles stream through fixed buffers: ``normal_cdf`` and the risk in
 ``grid_search_bias`` work in blocks of ``_BLOCK`` elements, and
-``monte_carlo_classwise_error`` draws its samples into one reused buffer
-of that size, so their temporaries come from the allocator's free lists
+``monte_carlo_classwise_error`` draws its normals into reused buffers of
+that size, so their temporaries come from the allocator's free lists
 rather than fresh pages from the OS.
+
+``monte_carlo_classwise_error`` draws antithetic pairs: each normal
+vector z gives the sample label*mu + sigma*z and its reflection
+label*mu - sigma*z, so it draws half as many normals as samples. The two
+errors of a pair have covariance -min(p, 1-p)^2 <= 0 for an error rate
+p, so the estimate stays unbiased and its variance is at most the
+binomial p(1-p)/n that the tests and the benchmark bound it by.
 
 ``grid_search_bias`` returns the exact first argmin of its grid, the one
 a brute-force scan finds, but skips the blocks that a monotone lower bound
@@ -451,13 +458,25 @@ def monte_carlo_classwise_error(
     n_samples: int,
     seed: int,
 ) -> float:
-    """Sampling estimate of the class-conditional error.
+    """Sampling estimate of the class-conditional error, from antithetic
+    pairs.
 
-    Draws x ~ N(label*mu, sigma^2 I) in full dimension (never using the
-    one-dimensional reduction the analytic path relies on) and counts
-    sign(w.x - b) != label, with sign(0) counted as an error. The samples
-    are drawn chunk by chunk into one reused buffer of about ``_BLOCK``
-    elements; the counter-based stream is consumed in the same order
+    Each standard-normal vector z in d dimensions gives two samples of
+    N(label*mu, sigma^2 I): x = label*mu + sigma*z and its reflection
+    label*mu - sigma*z; an odd ``n_samples`` drops the last reflection.
+    Each sample is scored in full dimension (never using the
+    one-dimensional reduction the analytic path relies on), counting
+    sign(w.x - b) != label with sign(0) as an error.
+
+    The estimate is unbiased, and the pairing never widens it: a sample
+    errs when S = sum(z) lies on one side of a threshold t and its
+    reflection when -S does, so the two errors have covariance
+    Pr(-t <= S <= t) - p^2 = -min(p, 1-p)^2 <= 0 and the variance,
+    (p(1-p) - min(p, 1-p)^2)/n for even n, is at most the binomial
+    p(1-p)/n of independent draws.
+
+    The pairs are drawn chunk by chunk into reused buffers of ``_BLOCK``
+    normals; the counter-based stream is consumed in the same order
     whatever the chunk size, so the result is reproducible per seed.
     """
     if label not in (1, -1):
@@ -468,25 +487,30 @@ def monte_carlo_classwise_error(
         raise DomainError("classifier/distribution dimension mismatch")
     rng = derive_rng(seed)
     mean = label * spec.eta
-    chunk = max(1, _BLOCK // spec.dim)
-    x = np.empty((chunk, spec.dim))
-    scores = np.empty(chunk)
+    chunk = max(1, _BLOCK // spec.dim)  # pairs per chunk
+    plus = np.empty((chunk, spec.dim))
+    minus = np.empty((chunk, spec.dim))
+    scores = np.empty(2 * chunk)
     ones = np.ones(spec.dim)
     wrong = 0
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
-        xm, sm = x[:m], scores[:m]
-        rng.standard_normal(out=xm)
-        xm *= spec.sigma
-        xm += mean
-        np.matmul(xm, ones, out=sm)
+        m = min(chunk, (remaining + 1) // 2)
+        k = min(2 * m, remaining)  # an odd remainder drops the last reflection
+        pm, mm = plus[:m], minus[:k - m]
+        rng.standard_normal(out=pm)
+        pm *= spec.sigma
+        np.subtract(mean, pm[:k - m], out=mm)
+        pm += mean
+        sm = scores[:k]
+        np.matmul(pm, ones, out=sm[:m])
+        np.matmul(mm, ones, out=sm[m:])
         sm -= clf.bias
         if label == 1:
             wrong += int(np.count_nonzero(sm <= 0.0))
         else:
             wrong += int(np.count_nonzero(sm >= 0.0))
-        remaining -= m
+        remaining -= k
     return wrong / n_samples
 
 

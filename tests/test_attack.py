@@ -55,6 +55,20 @@ def test_zero_epsilon_is_identity_regardless_of_steps():
     assert np.array_equal(adv, x)
 
 
+def test_random_start_spans_the_whole_ball():
+    # zero steps leave the random start: uniform offsets in [-eps, eps],
+    # which 1280 draws fill out to both ends
+    model = build_mlp(10, (4,), 2, seed=0)
+    x = derive_rng(4).normal(size=(128, 10))
+    y = np.arange(128) % 2
+    eps = 0.3
+    cfg = AttackConfig(epsilon=eps, step_size=0.1, num_steps=0, random_start=True)
+    adv = pgd_attack(model, CE, x, y, cfg, seed=5)
+    assert (adv >= x - eps).all() and (adv <= x + eps).all()
+    offsets = adv - x
+    assert offsets.min() < -eps / 2 and offsets.max() > eps / 2
+
+
 # ---------------------------------------------------------------------------
 # linear closed form
 # ---------------------------------------------------------------------------

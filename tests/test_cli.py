@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -1258,3 +1259,63 @@ def test_run_without_an_under_represented_class_writes_nan_and_null(tmp_path):
         f"1,{metrics['per_class_standard'][1]:.2f},{metrics['per_class_robust'][1]:.2f}",
         "2,,",
     ]
+
+
+def _json_accuracy(cell):
+    """A table cell read back as metrics.json writes it: nan is null."""
+    value = float(cell)
+    return None if math.isnan(value) else value
+
+
+def test_sweep_and_history_read_back_each_run_metrics(tmp_path):
+    # three classes, class 2 absent from the test split; the first run's
+    # partition is classes 1 and 2, the second run's is empty
+    rng = derive_rng(6)
+    for name, labels in (("train", np.repeat([0, 1, 2], 20)), ("test", np.repeat([0, 1], 30))):
+        features = rng.normal(size=(labels.size, 3)) + labels[:, None]
+        save_csv(LabeledDataset(features, labels, 3), tmp_path / f"{name}.csv")
+    base = _experiment_doc(tmp_path / "unused")
+    base["dataset"] = {
+        "kind": "csv",
+        "train_path": str(tmp_path / "train.csv"),
+        "test_path": str(tmp_path / "test.csv"),
+        "num_classes": 3,
+    }
+    base["train"].update(total_epochs=2, defer_epoch=1, lr_milestones=[], eval_every=1)
+    base["eval_attack"] = {"epsilon": 0.8, "step_size": 0.2, "num_steps": 6}
+    grid = {
+        "base": base,
+        "vary": {"dataset.under_classes": [[1, 2], None]},
+        "seeds": [0],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    with (tmp_path / "sweep" / "sweep.csv").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    runs = [tmp_path / "sweep" / f"run_{i:03d}_seed0" for i in range(2)]
+    aggregates = {
+        "overall_standard": "overall_standard",
+        "overall_robust": "overall_robust",
+        "under_standard": "under_represented_standard",
+        "under_robust": "under_represented_robust",
+    }
+
+    for row, run in zip(rows, runs, strict=True):
+        metrics = json.loads((run / "metrics.json").read_text())
+        with (run / "history.csv").open(newline="") as f:
+            snapshot = list(csv.DictReader(f))[-1]
+        for kind in ("standard", "robust"):
+            cells = row[f"per_class_{kind}"].split(";")
+            assert [_json_accuracy(c) for c in cells] == metrics[f"per_class_{kind}"]
+        for column, key in aggregates.items():
+            assert _json_accuracy(row[column]) == metrics[key]
+            assert _json_accuracy(snapshot[f"eval_{column}"]) == metrics[key]
+
+    # the attack moves what the read-back must tell apart
+    first, empty = (json.loads((run / "metrics.json").read_text()) for run in runs)
+    assert first["per_class_standard"] != first["per_class_robust"]
+    assert first["per_class_standard"][2] is None
+    assert first["under_represented_standard"] != first["under_represented_robust"]
+    assert empty["partition"] == [] and empty["under_represented_robust"] is None

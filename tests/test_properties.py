@@ -595,7 +595,8 @@ def test_normal_cdf_is_monotone_in_random_windows(center, stride):
     st.integers(0, 2**32 - 1),
 )
 def test_monte_carlo_matches_reference(dim, chunks, offset, label, bias, seed):
-    # n_samples one below, at and one above a whole number of chunks
+    # n_samples one below, at and one above a multiple of half a chunk:
+    # a chunk holds BLOCK // dim pairs, so this crosses seams and odd tails
     n_samples = chunks * (BLOCK // dim) + offset
     spec = GaussianMixtureSpec(0.4, 1.3, dim, 5.0)
     clf = LinearClassifier.all_ones(dim, bias)

@@ -8,6 +8,7 @@ import pytest
 
 from srat.errors import DomainError
 from srat.rand import derive_rng
+import srat.theory
 from srat.theory import (
     GaussianMixtureSpec,
     LinearClassifier,
@@ -308,8 +309,54 @@ def test_monte_carlo_is_deterministic_per_seed():
     a = monte_carlo_classwise_error(clf, spec, 1, 10_000, seed=5)
     b = monte_carlo_classwise_error(clf, spec, 1, 10_000, seed=5)
     assert a == b
-    c = monte_carlo_classwise_error(clf, spec, 1, 10_000, seed=6)
-    assert a != c  # different stream, overwhelmingly
+    # another seed is another stream; two seeds may still tie by chance
+    # (about 1 % at these counts), eight all alike would not
+    others = {monte_carlo_classwise_error(clf, spec, 1, 10_000, seed=s) for s in range(5, 13)}
+    assert len(others) > 1
+
+
+@pytest.mark.parametrize("label", [1, -1])
+def test_monte_carlo_pair_straddles_the_class_mean(label):
+    # with the bias on the class mean, w.x - b is sigma*sum(z) for a sample
+    # and -sigma*sum(z) for its reflection: exactly one of the two errs
+    spec = GaussianMixtureSpec(0.7, 1.3, 4, 2.0)
+    clf = LinearClassifier.all_ones(4, label * spec.eta * spec.dim)
+    for seed in range(64):
+        assert monte_carlo_classwise_error(clf, spec, label, 2, seed=seed) == 0.5
+
+
+def test_monte_carlo_spread_is_below_the_binomial_bound():
+    # antithetic pairs have covariance -min(p, 1-p)^2, so the variance of
+    # the estimate is (p(1-p) - min(p, 1-p)^2)/n, about 0.57 of the
+    # binomial p(1-p)/n at p = 0.3; a spread of 400 seeds resolves that
+    # to about 7 %
+    spec = GaussianMixtureSpec(0.5, 1.0, 5, 3.0)
+    clf = LinearClassifier.all_ones(5, 1.33)
+    p = classwise_error(clf, spec, 1, StdConvention.EXACT)
+    assert 0.28 < p < 0.32
+    n, seeds = 2000, 400
+    est = np.array([monte_carlo_classwise_error(clf, spec, 1, n, seed=s) for s in range(seeds)])
+    assert est.var(ddof=1) < p * (1 - p) / n
+    assert abs(est.mean() - p) <= 3 * math.sqrt(p * (1 - p) / (n * seeds))
+
+
+def test_monte_carlo_draws_one_full_dimensional_normal_per_pair(monkeypatch):
+    draws = []
+
+    class Spy:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *, out):
+            draws.append(out.shape)
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(srat.theory, "derive_rng", lambda seed: Spy(derive_rng(seed)))
+    spec = GaussianMixtureSpec(1.0, 1.0, 3, 2.0)
+    pairs = srat.theory._BLOCK // 3  # one chunk
+    n = 4 * pairs + 5  # two full chunks and three pairs, the last one cut
+    monte_carlo_classwise_error(LinearClassifier.all_ones(3, 0.2), spec, 1, n, seed=0)
+    assert draws == [(pairs, 3), (pairs, 3), (3, 3)]
 
 
 def test_monte_carlo_single_sample_is_binary():

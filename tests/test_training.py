@@ -5,6 +5,7 @@ import pytest
 
 import srat.evaluation
 import srat.losses
+import srat.training
 from srat.attack import AttackConfig
 from srat.data import LabeledDataset, batches, sample_gaussian_mixture
 from srat.errors import DomainError, TrainingError
@@ -249,6 +250,36 @@ def test_eval_snapshots_every_interval():
         {"overall_standard": 50.0},
         {"overall_standard": 50.0},
     ]
+
+
+def test_epoch_losses_are_the_mean_of_the_batch_values(monkeypatch):
+    objectives = []
+    real = srat.training.combined_objective
+
+    def spy(*args):
+        objectives.append(real(*args))
+        return objectives[-1]
+
+    monkeypatch.setattr(srat.training, "combined_objective", spy)
+    epochs = []  # each epoch's batch objectives, cut where it is evaluated
+
+    def eval_fn(model, epoch):
+        epochs.append(objectives[:])
+        objectives.clear()
+        return {}
+
+    ds = _small_dataset()  # 60 rows: 4 batches of 16
+    cfg = _config(total_epochs=3, eval_every=1)
+    _, history = train_srat(ds, ModelSpec((6,)), cfg, eval_fn=eval_fn)
+    assert [len(values) for values in epochs] == [4] * 3
+    for record, values in zip(history, epochs, strict=True):
+        pred = sep = 0.0
+        for v in values:
+            pred += v.prediction
+            sep += v.separation
+        assert record.prediction_loss == pred / len(values)
+        assert record.separation_loss == sep / len(values)
+        assert sep > 0.0
 
 
 def test_manual_weighting_applies_from_defer_epoch():

@@ -2,10 +2,10 @@
 ``normal_cdf`` (with ``_erfc`` and ``_erfc_nonneg``), ``grid_search_bias``
 (with ``_risk_curve``) and ``monte_carlo_classwise_error``, kept as they
 were before ``srat.theory`` evaluated them in fixed-size blocks: whole-array
-temporaries and one (chunk, dim) sample array per Monte Carlo chunk, and
-a grid search that scans every point. The blocked versions, and the
-bounded grid search, must match them bit for bit. ``reweighted_risk`` is
-the scalar risk of one classifier, which only the tests evaluate."""
+temporaries, one sample array for all Monte Carlo pairs, and a grid search
+that scans every point. The blocked versions, and the bounded grid search,
+must match them bit for bit. ``reweighted_risk`` is the scalar risk of one
+classifier, which only the tests evaluate."""
 
 import math
 
@@ -149,12 +149,14 @@ def monte_carlo_classwise_error(
     n_samples: int,
     seed: int,
 ) -> float:
-    """Sampling estimate of the class-conditional error.
+    """Sampling estimate of the class-conditional error, from antithetic
+    pairs.
 
-    Draws x ~ N(label*mu, sigma^2 I) in full dimension (never using the
-    one-dimensional reduction the analytic path relies on) and counts
-    sign(w.x - b) != label, with sign(0) counted as an error. Chunked,
-    counter-based generation keeps the result reproducible per seed.
+    Draws one standard-normal vector z per pair of samples, all pairs in
+    one array, and scores x = label*mu + sigma*z and its reflection
+    label*mu - sigma*z in full dimension, interleaved as +z, -z and
+    truncated to ``n_samples``. Counts sign(w.x - b) != label, with
+    sign(0) counted as an error.
     """
     if label not in (1, -1):
         raise DomainError(f"label must be +1 or -1, got {label!r}")
@@ -163,20 +165,14 @@ def monte_carlo_classwise_error(
     if clf.dim != spec.dim:
         raise DomainError("classifier/distribution dimension mismatch")
     ones = np.ones(spec.dim)
-    rng = derive_rng(seed)
-    mean = label * spec.eta
-    chunk = max(1, 4_000_000 // spec.dim)
-    wrong = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = mean + spec.sigma * rng.standard_normal((m, spec.dim))
-        scores = x @ ones - clf.bias
-        if label == 1:
-            wrong += int(np.count_nonzero(scores <= 0.0))
-        else:
-            wrong += int(np.count_nonzero(scores >= 0.0))
-        remaining -= m
+    z = derive_rng(seed).standard_normal(((n_samples + 1) // 2, spec.dim))
+    z = np.stack([z, -z], axis=1).reshape(-1, spec.dim)[:n_samples]
+    x = label * spec.eta + spec.sigma * z
+    scores = x @ ones - clf.bias
+    if label == 1:
+        wrong = int(np.count_nonzero(scores <= 0.0))
+    else:
+        wrong = int(np.count_nonzero(scores >= 0.0))
     return wrong / n_samples
 
 
