@@ -279,17 +279,6 @@ def _build_run_data(cfg: ExperimentConfig):
     return train_set, test_set, partition
 
 
-def _aggregates(report) -> dict:
-    """The four aggregate accuracies of ``report`` under their
-    ``history.csv`` and ``sweep.csv`` column names, in column order."""
-    return {
-        "overall_standard": report.overall_standard,
-        "overall_robust": report.overall_robust,
-        "under_standard": report.under_represented_standard,
-        "under_robust": report.under_represented_robust,
-    }
-
-
 def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
     """Train and evaluate on ``data`` from ``_build_run_data(cfg)``, then
     create ``run_dir`` and write the run's files into it: a run that fails
@@ -301,7 +290,7 @@ def _run_experiment(cfg: ExperimentConfig, run_dir: Path, data):
     def eval_fn(model, epoch):
         report = evaluate(model, test_set, cfg.eval_attack, partition, seed=eval_seed)
         reports.append(report)
-        return _aggregates(report)
+        return report.columns()
 
     model, history = train_srat(train_set, cfg.model, cfg.train, eval_fn=eval_fn)
 
@@ -548,6 +537,9 @@ def cmd_sweep(args) -> int:
     seeds = _value(tuple[int, ...], grid["seeds"], "sweep.seeds")
     if not seeds or max(seeds) >= 2**64:  # each seed names a run directory
         raise ConfigError("sweep.seeds must be a non-empty list of integers below 2^64")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"sweep.seeds: seed {seed} is given twice; it names one run per config")
     out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
 
     # Every run's config and data are checked before anything is written.
@@ -569,13 +561,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for cfg, run_dir, data, row in runs:
-        report = _run_experiment(cfg, run_dir, data)
-        row.update(
-            _aggregates(report),
-            per_class_standard=";".join(repr(v) for v in report.per_class_standard),
-            per_class_robust=";".join(repr(v) for v in report.per_class_robust),
-        )
-        rows.append(row)
+        rows.append(row | _run_experiment(cfg, run_dir, data).columns())
 
     write_rows(out_dir / "sweep.csv", rows)
     print(f"{len(rows)} runs; wrote {out_dir / 'sweep.csv'}")

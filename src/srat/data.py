@@ -2,7 +2,8 @@
 ingestion, and deterministic batching, plus ``write_json``,
 ``write_rows`` and ``write_lines``, the one writer each for the
 package's JSON files, for its CSV tables keyed by a header of field
-names and for its files of ``\n``-ended lines.
+names (and of their ``;``-joined list cells) and for its files of
+``\n``-ended lines.
 
 CSV layout: one header line ``dim=<d>,label_col=<idx>`` followed by rows
 of d feature cells plus one integer label cell at the declared column.
@@ -219,11 +220,15 @@ def write_lines(path, lines) -> None:
 
 def write_rows(path, rows) -> None:
     """Write a non-empty list of dicts as a CSV table whose header is the
-    first row's keys; values are written with ``str``."""
+    first row's keys. A tuple is written as its items' ``repr``s joined by
+    ``;``, any other value with ``str``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(
+                {k: ";".join(map(repr, v)) if isinstance(v, tuple) else v for k, v in row.items()}
+            )
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

@@ -44,6 +44,19 @@ class EvalReport:
         """The fields as JSON values: tuples become lists and NaN None."""
         return {k: _json_value(v) for k, v in asdict(self).items()}
 
+    def columns(self) -> dict:
+        """The accuracies as the ordered columns of one table row, the
+        four aggregates, then the per-class tuples: a ``history.csv``
+        snapshot (as ``eval_<column>``) and a ``sweep.csv`` row."""
+        return {
+            "overall_standard": self.overall_standard,
+            "overall_robust": self.overall_robust,
+            "under_standard": self.under_represented_standard,
+            "under_robust": self.under_represented_robust,
+            "per_class_standard": self.per_class_standard,
+            "per_class_robust": self.per_class_robust,
+        }
+
 
 def _json_value(v):
     if isinstance(v, tuple):

@@ -94,14 +94,13 @@ class EpochRecord:
 
 def write_history(records, path) -> None:
     """Write ``history.csv``: one row of fields per epoch record, with the
-    class weights joined by ``;`` and the evaluation snapshot spread over
-    ``eval_<key>`` columns, blank where an epoch has no snapshot."""
+    evaluation snapshot spread over ``eval_<key>`` columns, blank where an
+    epoch has no snapshot."""
     eval_keys = sorted({k for r in records if r.eval for k in r.eval})
     rows = []
     for r in records:
         row = asdict(r)
         snapshot = row.pop("eval") or {}
-        row["class_weights"] = ";".join(repr(w) for w in r.class_weights)
         rows.append(row | {f"eval_{k}": snapshot.get(k, "") for k in eval_keys})
     write_rows(path, rows)
 

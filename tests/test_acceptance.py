@@ -553,7 +553,7 @@ def test_criterion_9_training_determinism(tmp_path):
         written,
         {
             "model.ckpt": "7359dcf90fd43ab9bd37d4911159e38606d4fc87e113df02bd3aae525a0aa387",
-            "history.csv": "916a839f4a98e4fc6575d1173524385b5f01b235e3f218e5f2b87bcf710517df",
+            "history.csv": "9d50e9dc44e8a3510df8be919d37e598616f5af3d73fd3c490da416cb427cced",
             "metrics.json": "bdf77ea5826f849f2226a265d219ab4c5fc3c1922d6ebbfef45335e79caf815b",
             "per_class.csv": "973bbbb5f2a5bcadef93ef6166e6ddf8fff5902c8480187ae72c933cbe5d7823",
         },
@@ -580,7 +580,7 @@ def test_criterion_9_momentum_golden_checkpoint(tmp_path):
     doc["train"]["loss"].update(kind="ldam", ldam_scale=10.0)
     pins = {
         "model.ckpt": "c89c5a72070dc1fa61bca3a0ec990f02904be6b47d8b2d718928975097b6cdf6",
-        "history.csv": "a82c15db13bab6d81ce98a5868509daf08c0578777d90bffbc3cc97967e9541d",
+        "history.csv": "6ec8a45147fb498c01bbd0fad3ac90dbc12190987aba2c5580706c96ba79248f",
     }
     _assert_pins(_criterion_9_variant_sha256(tmp_path, doc), pins)
 
@@ -594,14 +594,14 @@ def test_criterion_9_momentum_golden_checkpoint(tmp_path):
             [],
             {
                 "model.ckpt": "d6377079b29e6f0241d4bef5df6508d4657dc78d73566a6101cae7df66385582",
-                "history.csv": "dc7fa6478edee9aa6f6e412f291180f0ea255f052bbe04e98083612f70689c67",
+                "history.csv": "33f81562a5183b2b1a4ad91f4e8df4fb5f1937ec3ccb0a6ffc61b2326eb1d4ac",
             },
         ),
         (
             [8],
             {
                 "model.ckpt": "3b5dbb8d2d1421a48b778c13271dc9e8f47160cb5f41c000d0ab37ab6ef3c8c2",
-                "history.csv": "3ddc73b1cf0005f0b1a61779c3cd478d3103fc2cae12c140bf19490fb8634f12",
+                "history.csv": "f4296e5dd5b743d5cb28ea2f42e70301b02f2b17bf6f523e8be60f4d93b7129f",
             },
         ),
     ],

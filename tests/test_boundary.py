@@ -10,10 +10,22 @@ schedule: ``train_srat``, ``evaluate`` and ``export_features`` each get
 their configs with the training cut to its first epoch and every attack
 to at most one step. Random starts and clip bounds stay as configured, so
 an edit such as ``num_steps`` 10^30 still runs the code it reaches.
+``eval`` and ``export-features`` are also edited from an attack with no
+random start and an open box.
+
+On exit 0 (or 1, whose theory table is written too), every CSV, JSON
+file and feature export the command wrote is read back, and each number in it must be finite. The documented
+exceptions alone are allowed: an accuracy with no test row behind it (a
+class in ``empty_classes``, or ``under_*`` when the partition has no test
+row) is ``null``, ``nan`` or blank, and the ``eval_`` cells of an epoch
+without a snapshot are blank. A run's ``config.json`` echoes the user's
+own values and is not read.
 """
 
+import collections
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -70,6 +82,11 @@ _ATTACK = {
     "epsilon": 0.1, "step_size": 0.05, "num_steps": 3, "random_start": True,
     "clip_min": -100.0, "clip_max": 100.0,
 }
+# The attack of ``eval`` and ``export-features`` with its random start off
+# and its box open: an edited bound is then the only one, and the capped
+# step's gradient reads the clean rows, so the rows written are the ones
+# that bound clipped.
+_OPEN_ATTACK = {**_ATTACK, "random_start": False, "clip_min": None, "clip_max": None}
 _SYNTHETIC = {
     "kind": "synthetic", "eta": 1.0, "sigma": 1.0, "dim": 2, "imbalance_ratio": 2.0,
     "n_minority_train": 3, "n_test_per_class": 2, "seed": 0, "under_classes": [1],
@@ -109,6 +126,7 @@ def _paths(node, prefix=()):
 
 
 _LEAVES = {name: list(_paths(doc)) for name, doc in _BASES.items()}
+_ATTACKS = {"": _ATTACK, "open": _OPEN_ATTACK}
 _ATTACK_LEAVES = list(_paths(_ATTACK))
 
 
@@ -189,6 +207,108 @@ def _entries(root: Path) -> set:
     return set(root.rglob("*"))
 
 
+# The accuracies a run writes, under their table column names.
+ACCURACIES = {
+    f"{scope}_{kind}" for scope in ("overall", "under", "per_class") for kind in ("standard", "robust")
+}
+
+
+def _holes(run: Path) -> set:
+    """The accuracies of the run in ``run`` with no test row behind them,
+    as (column, class): each empty class's per-class columns, and the
+    ``under_*`` aggregates (class None) when the partition has no test
+    row. Empty where no metrics.json was written."""
+    if not (run / "metrics.json").exists():
+        return set()
+    metrics = json.loads((run / "metrics.json").read_text())
+    empty = set(metrics["empty_classes"])
+    holes = {(f"per_class_{kind}", c) for kind in ("standard", "robust") for c in empty}
+    if empty.issuperset(metrics["partition"]):
+        holes |= {("under_standard", None), ("under_robust", None)}
+    return holes
+
+
+def _key(name, index):
+    """(column, class) of a value written under ``name`` at list position
+    ``index``: metrics.json's ``under_represented_*`` and history.csv's
+    ``eval_*`` name the table columns of ``sweep.csv``."""
+    column = name.removeprefix("eval_").replace("under_represented_", "under_")
+    return column, index if column.startswith("per_class_") else None
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:  # blank, or text such as a phase or a vary value
+        return None
+
+
+def _json_leaves(node, name=None, index=None):
+    """(nearest key, list position or None, value) of each scalar."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_leaves(child, key)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_leaves(child, name, i)
+    else:
+        yield name, index, node
+
+
+def _values(path: Path):
+    """(column, class, value, holes) of each value of the written file
+    ``path`` that must be a number: a float, or None for a null, blank or
+    non-numeric cell. ``holes`` are its run's accuracies without test rows."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        holes = _holes(path.parent)
+        for name, index, value in _json_leaves(json.loads(text)):
+            column, klass = _key(name, index)
+            if isinstance(value, float) or (value is None and column in ACCURACIES):
+                yield column, klass, value, holes
+        return
+    header, *body = csv.reader(text.splitlines())
+    if header[0].startswith("dim=") or _float(header[0]) is not None:
+        # a dataset CSV after its header line, or a feature export
+        for row in body if header[0].startswith("dim=") else [header, *body]:
+            yield from (("cell", None, _float(cell), set()) for cell in row)
+        return
+    taken = collections.Counter()  # sweep.csv rows per seed, in run order
+    for cells in body:
+        row = dict(zip(header, cells, strict=True))
+        run = path.parent
+        if path.name == "sweep.csv":
+            run = sorted(run.glob(f"run_*_seed{row['seed']}"))[taken[row["seed"]]]
+            taken[row["seed"]] += 1
+        holes = _holes(run)
+        snapshot = any(cell for name, cell in row.items() if name.startswith("eval_"))
+        for name, cell in row.items():
+            if name.startswith("eval_") and not snapshot:
+                continue
+            if path.name == "per_class.csv" and name != "class":
+                yield f"per_class_{name}", int(row["class"]), _float(cell), holes
+                continue
+            for index, item in enumerate(cell.split(";")):
+                column, klass = _key(name, index)
+                value = _float(item)
+                if value is not None or column in ACCURACIES:
+                    yield column, klass, value, holes
+
+
+def _unreadable(root: Path, written) -> list:
+    """The values of the files in ``written`` that are not finite numbers
+    where the property asks for one."""
+    found = []
+    for path in written:
+        if path.is_dir() or path.name in ("config.json", "model.ckpt"):
+            continue
+        for column, klass, value, holes in _values(path):
+            if (value is None or not math.isfinite(value)) and (column, klass) not in holes:
+                where = column if klass is None else f"{column}[{klass}]"
+                found.append(f"{path.relative_to(root)}: {where} = {value}")
+    return found
+
+
 def _failure(root: Path, command: str, argv, config=None):
     """Run ``srat command *argv`` after writing ``config`` (if any) to
     config.json; return a description of how the boundary property failed,
@@ -212,9 +332,12 @@ def _failure(root: Path, command: str, argv, config=None):
     except Exception as exc:  # reported, with the trial, as a failure
         raised = exc
     written = sorted(_entries(root) - before)
-    for path in reversed(written):
-        path.rmdir() if path.is_dir() else path.unlink()
-    (root / "config.json").unlink(missing_ok=True)
+    try:
+        unreadable = _unreadable(root, written) if code in (0, 1) else []
+    finally:
+        for path in reversed(written):
+            path.rmdir() if path.is_dir() else path.unlink()
+        (root / "config.json").unlink(missing_ok=True)
     context = f"{argv} config {config}"
     if raised is not None:
         return f"{context}: raised {raised!r}"
@@ -225,6 +348,8 @@ def _failure(root: Path, command: str, argv, config=None):
         return context
     if code == 2 and written:
         return f"{context}: wrote {[str(p.relative_to(root)) for p in written]}"
+    if unreadable:
+        return f"{context}: wrote non-finite values {unreadable[:5]}"
     return None
 
 
@@ -247,6 +372,7 @@ _EDITS = {
     **{f"make-dataset {kind}": _flag_edits(_DATASET_FLAGS) for kind in ("synthetic", "step", "exp")},
     "eval": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--under", "--seed"]),
     "export-features": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--seed"]),
+    **{f"{command} open": _set_edits(_ATTACK_LEAVES) for command in ("eval", "export-features")},
     **{f"theory {thm}": _flag_edits(_THEORY_FLAGS) for thm in ("lemma", "1", "2")},
 }
 
@@ -266,7 +392,7 @@ def _trial(group: str, edits):
         base = ["--points", "3"] if mode == "lemma" else []
         return command, ["--thm", mode, *base, *flags, "--out", "out"], None
     under = ["--under", "1"] if command == "eval" else []
-    attack = json.dumps(_edited(_ATTACK, sets))
+    attack = json.dumps(_edited(_ATTACKS[mode], sets))
     argv = ["--checkpoint", "model.ckpt", "--data", "balanced.csv", "--attack", attack]
     return command, [*argv, *under, *flags, "--out", "out"], None
 

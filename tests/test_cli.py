@@ -1211,6 +1211,22 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys, vary, seeds):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_sweep_repeated_seed_exits_2_naming_it(tmp_path, capsys):
+    # a seed names the run directory of each config, so a repeat would
+    # train and write a run twice into one directory
+    grid = {
+        "base": _experiment_doc(tmp_path / "unused"),
+        "vary": {"train.loss.lam": [0.0, 1.0]},
+        "seeds": [3, 0, 3.0],
+        "output_dir": str(tmp_path / "sweep"),
+    }
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "sweep.seeds: seed 3 is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_run_without_an_under_represented_class_writes_nan_and_null(tmp_path):
     # CSV splits without imbalance or under_classes leave the partition
     # empty, and class 2 has no test row
@@ -1267,6 +1283,14 @@ def _json_accuracy(cell):
     return None if math.isnan(value) else value
 
 
+def _weighted_mean(cells, counts, classes):
+    """The mean of the per-class accuracy cells of ``classes``, weighted by
+    their test-row counts: nan when no test row is behind them."""
+    pairs = [(counts[c], float(cells[c])) for c in classes if counts[c]]
+    rows = sum(n for n, _ in pairs)
+    return sum(n * value for n, value in pairs) / rows if rows else math.nan
+
+
 def test_sweep_and_history_read_back_each_run_metrics(tmp_path):
     # three classes, class 2 absent from the test split; the first run's
     # partition is classes 1 and 2, the second run's is empty
@@ -1274,6 +1298,7 @@ def test_sweep_and_history_read_back_each_run_metrics(tmp_path):
     for name, labels in (("train", np.repeat([0, 1, 2], 20)), ("test", np.repeat([0, 1], 30))):
         features = rng.normal(size=(labels.size, 3)) + labels[:, None]
         save_csv(LabeledDataset(features, labels, 3), tmp_path / f"{name}.csv")
+    test_counts = (30, 30, 0)
     base = _experiment_doc(tmp_path / "unused")
     base["dataset"] = {
         "kind": "csv",
@@ -1305,13 +1330,32 @@ def test_sweep_and_history_read_back_each_run_metrics(tmp_path):
     for row, run in zip(rows, runs, strict=True):
         metrics = json.loads((run / "metrics.json").read_text())
         with (run / "history.csv").open(newline="") as f:
-            snapshot = list(csv.DictReader(f))[-1]
+            history = list(csv.DictReader(f))
+        with (run / "per_class.csv").open(newline="") as f:
+            per_class = list(csv.DictReader(f))
+        snapshot = history[-1]
         for kind in ("standard", "robust"):
-            cells = row[f"per_class_{kind}"].split(";")
-            assert [_json_accuracy(c) for c in cells] == metrics[f"per_class_{kind}"]
+            expected = metrics[f"per_class_{kind}"]
+            for table in (row[f"per_class_{kind}"], snapshot[f"eval_per_class_{kind}"]):
+                assert [_json_accuracy(c) for c in table.split(";")] == expected
+            assert [r[kind] for r in per_class] == [
+                "" if v is None else f"{v:.2f}" for v in expected
+            ]
         for column, key in aggregates.items():
             assert _json_accuracy(row[column]) == metrics[key]
             assert _json_accuracy(snapshot[f"eval_{column}"]) == metrics[key]
+
+        # every snapshot's aggregates are its per-class accuracies weighted
+        # by the test-row counts, over all classes and over the partition;
+        # a class without test rows reads nan and weighs nothing
+        assert len(history) == 2
+        for r in history:
+            for kind in ("standard", "robust"):
+                cells = r[f"eval_per_class_{kind}"].split(";")
+                assert [math.isnan(float(c)) for c in cells] == [n == 0 for n in test_counts]
+                for scope, classes in (("overall", range(3)), ("under", metrics["partition"])):
+                    mean = _weighted_mean(cells, test_counts, classes)
+                    assert float(r[f"eval_{scope}_{kind}"]) == pytest.approx(mean, nan_ok=True)
 
     # the attack moves what the read-back must tell apart
     first, empty = (json.loads((run / "metrics.json").read_text()) for run in runs)

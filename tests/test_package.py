@@ -85,6 +85,39 @@ def test_cli_makes_no_copy_of_the_run_checks():
     assert not found, f"srat.cli calls the run's checks directly: {found}"
 
 
+# A list cell of a table is its items' reprs joined by ";", and
+# srat.data.write_rows builds it; an evaluation report's table columns
+# come from EvalReport.columns, so the command line reads no per-class
+# accuracy of a report itself.
+PER_CLASS_FIELDS = ("per_class_standard", "per_class_robust")
+
+
+def test_list_cells_are_joined_in_srat_data_only():
+    found = []
+    for path in sorted((SRC / "srat").glob("*.py")):
+        if path.stem == "data":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "join"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == ";"
+            ):
+                found.append(f"srat.{path.stem} (line {node.lineno})")
+    assert not found, f'";".join outside srat.data: {found}'
+
+
+def test_cli_reads_no_per_class_accuracy_of_a_report():
+    tree = ast.parse((SRC / "srat" / "cli.py").read_text())
+    found = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PER_CLASS_FIELDS
+    ]
+    assert not found, f"srat.cli spells out a report's per-class columns: {found}"
+
+
 # Parameters whose one default lives in the command line (``--convention``,
 # ``--points``, ``--seed``): the library functions take them from the caller.
 CALLER_CHOSEN = ("conv", "num_points", "seed")
