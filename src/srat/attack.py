@@ -70,6 +70,9 @@ class AttackConfig:
             )
 
 
+# A diverging attack is reported once, as an AttackError from the explicit
+# non-finite check, not as NumPy overflow warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def pgd_attack(
     model: MlpModel,
     loss: PredictionLoss,

@@ -402,7 +402,7 @@ def cmd_make_dataset(args) -> int:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
         balanced = load_csv(args.input)
-        imbalance = ImbalanceSpec(args.kind, args.ratio, base_count=balanced.class_counts[0])
+        imbalance = ImbalanceSpec(args.kind, args.ratio)
         with _prefixed(args.input):
             train_set = apply_imbalance(balanced, imbalance, seed=args.seed)
         test_set, extra = None, None

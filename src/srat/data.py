@@ -84,45 +84,41 @@ class LabeledDataset:
 @dataclass(frozen=True)
 class ImbalanceSpec:
     """How to shrink a balanced dataset: step or exponential profile with
-    head/tail count ratio ``ratio``, starting from ``base_count`` per class."""
+    head/tail count ratio ``ratio``, from the dataset's own class size."""
 
     kind: str
     ratio: float
-    base_count: int
 
     def __post_init__(self) -> None:
         if self.kind not in _IMBALANCE_KINDS:
             raise DomainError(f"unknown imbalance kind {self.kind!r}")
         if not self.ratio >= 1:
             raise DomainError("ratio must be >= 1")
-        if self.base_count < 1:
-            raise DomainError("base_count must be >= 1")
 
 
-def imbalanced_counts(spec: ImbalanceSpec, num_classes: int) -> list[int]:
-    """Per-class kept counts.
+def imbalanced_counts(spec: ImbalanceSpec, base: int, num_classes: int) -> list[int]:
+    """Per-class kept counts from ``base`` rows per class.
 
-    step: the first ceil(C/2) classes keep base_count, the rest keep
-    round(base_count / ratio). exp: class i keeps round(base_count * t^i)
-    with t = ratio^(-1/(C-1)), floored at 1.
+    step: the first ceil(C/2) classes keep base, the rest keep
+    round(base / ratio). exp: class i keeps round(base * t^i) with
+    t = ratio^(-1/(C-1)). Since ratio <= base, every count is at least 1.
     """
     if num_classes < 1:
         raise DomainError("num_classes must be >= 1")
-    base, ratio = spec.base_count, spec.ratio
+    ratio = spec.ratio
     if ratio > base:
         raise DomainError(
-            f"ratio {ratio} exceeds base_count {base}; a class would be empty"
+            f"ratio {ratio} exceeds the {base} rows per class; a class would be empty"
         )
     if spec.kind == "step":
         head = (num_classes + 1) // 2
-        reduced = max(1, round(base / ratio))
-        return [base if i < head else reduced for i in range(num_classes)]
+        return [base if i < head else round(base / ratio) for i in range(num_classes)]
     if num_classes == 1:
         if ratio != 1:
             raise DomainError("exp imbalance with one class requires ratio = 1")
         return [base]
     decay = ratio ** (-1.0 / (num_classes - 1))
-    return [max(1, round(base * decay**i)) for i in range(num_classes)]
+    return [round(base * decay**i) for i in range(num_classes)]
 
 
 def reduced_classes(spec: ImbalanceSpec, num_classes: int) -> list[int]:
@@ -132,9 +128,8 @@ def reduced_classes(spec: ImbalanceSpec, num_classes: int) -> list[int]:
     the tail of the class range. For the step profile it coincides with
     the classes whose counts were cut; for the exponential profile the
     mildly-shrunk head classes still count as well-represented. Empty when
-    ratio is 1 (nothing was reduced).
+    ratio is 1 (nothing was reduced). ``apply_imbalance`` checks the profile.
     """
-    imbalanced_counts(spec, num_classes)  # validates the profile
     if spec.ratio == 1:
         return []
     head = (num_classes + 1) // 2
@@ -144,17 +139,17 @@ def reduced_classes(spec: ImbalanceSpec, num_classes: int) -> list[int]:
 def apply_imbalance(
     dataset: LabeledDataset, spec: ImbalanceSpec, seed: int
 ) -> LabeledDataset:
-    """Subsample a balanced dataset down to the imbalance profile.
-
-    Kept examples per class are a seeded draw without replacement; row
-    order of the survivors follows the original dataset.
+    """Subsample a balanced dataset down to the imbalance profile, whose
+    base is the dataset's per-class count; classes that differ in size
+    raise DomainError. Each class keeps a draw without replacement on its
+    own stream (seed, class); the survivors keep their original row order.
     """
-    if any(c != spec.base_count for c in dataset.class_counts):
+    base = dataset.class_counts[0]
+    if any(c != base for c in dataset.class_counts):
         raise DomainError(
-            f"expected a balanced dataset of base_count {spec.base_count} rows per class, "
-            f"got class counts {list(dataset.class_counts)}"
+            f"expected a balanced dataset, got class counts {list(dataset.class_counts)}"
         )
-    targets = imbalanced_counts(spec, dataset.num_classes)
+    targets = imbalanced_counts(spec, base, dataset.num_classes)
     keep: list[np.ndarray] = []
     for c, target in enumerate(targets):
         members = np.flatnonzero(dataset.labels == c)

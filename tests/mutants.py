@@ -1,0 +1,128 @@
+"""Mutation check of the tier-1 suite.
+
+    python3 tests/mutants.py
+
+Each mutant below is a one-line change to the package that breaks one
+behaviour the tests are meant to judge by its meaning, not by a hash. For
+each mutant the runner copies the tree to a temporary directory, applies
+the mutant there, and runs tier-1 with ``-x`` and the criterion-9 pins
+deselected. It prints ``killed`` with the first failing test, or
+``survived``. Exits 1 when a mutant survives or its text does not occur
+exactly once in its file, 0 when every mutant is killed.
+
+Pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-k", "not criterion_9"]
+# what building, testing and running leave in a tree; not copied
+_LEFTOVERS = shutil.ignore_patterns(
+    ".git", "__pycache__", "*.pyc", "*.egg-info", ".pytest_cache", ".hypothesis", ".bench_*"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str  # under src/srat
+    text: str  # must occur exactly once in the file
+    replacement: str
+    breaks: str
+
+
+MUTANTS = [
+    Mutant("attack.py", "step *= config.step_size", "step *= -config.step_size",
+           "a PGD step ascends the loss (sign negated: it descends)"),
+    Mutant("losses.py", "raw = (1.0 - beta) / (1.0 - beta**counts)",
+           "raw = (1.0 - beta**counts) / (1.0 - beta)",
+           "class-balanced weights fall with the effective number (inverted)"),
+    Mutant("training.py", "weights = uniform if epoch < config.defer_epoch else deferred",
+           "weights = uniform if epoch <= config.defer_epoch else deferred",
+           "deferred weights start at defer_epoch (one epoch late)"),
+    Mutant("training.py", 'phase="pre_defer" if epoch < config.defer_epoch else "post_defer"',
+           'phase="pre_defer" if epoch <= config.defer_epoch else "post_defer"',
+           "history's phase flips at defer_epoch (one epoch late)"),
+    Mutant("training.py", "(config.seed, STREAM_SHUFFLE, epoch)", "(config.seed, STREAM_SHUFFLE, 1)",
+           "each epoch draws its own shuffle (the same one every epoch)"),
+    Mutant("evaluation.py", "100.0 * float(hits) / int(total) if total",
+           "100.0 * float(hits) / (int(total) + 1) if total",
+           "an accuracy divides by its row count (by the count plus one)"),
+    Mutant("attack.py", "uniform(-config.epsilon, config.epsilon, size=batch.shape)",
+           "uniform(0.0, config.epsilon, size=batch.shape)",
+           "the random start spans [-epsilon, epsilon] (only [0, epsilon))"),
+    Mutant("training.py", "separation_loss=sep_sum / len(epoch_batches),",
+           "separation_loss=sep_sum,",
+           "an epoch's separation loss is the batch mean (the sum)"),
+    Mutant("evaluation.py",
+           '"under_standard": self.under_represented_standard,\n'
+           '            "under_robust": self.under_represented_robust,',
+           '"under_standard": self.under_represented_robust,\n'
+           '            "under_robust": self.under_represented_standard,',
+           "EvalReport.columns() puts each under-represented accuracy in its column (swapped)"),
+    Mutant("evaluation.py", '"per_class_robust": self.per_class_robust,',
+           '"per_class_robust": self.per_class_standard,',
+           "EvalReport.columns()' per_class_robust holds the robust values (the standard ones)"),
+    Mutant("data.py", "rng = derive_rng(seed, c)", "rng = derive_rng(seed, 0)",
+           "each class of apply_imbalance draws on its own stream (all on one)"),
+    Mutant("data.py", "order = np.sort(np.concatenate(keep))", "order = np.concatenate(keep)",
+           "apply_imbalance keeps the input row order (groups rows by class)"),
+    Mutant("data.py", "return list(range(head, num_classes))",
+           "return list(range(0, num_classes - head))",
+           "the reduced classes are the tail of the class range (taken from the head)"),
+    Mutant("data.py", "round(base * decay**i)", "round(base * decay**(i + 1))",
+           "exp class i keeps base * t^i (one decay step ahead)"),
+]
+
+
+def _source(root: Path, mutant: Mutant) -> str:
+    """The mutant's file under ``root``, checked to hold its text once."""
+    source = (root / "src" / "srat" / mutant.file).read_text(encoding="utf-8")
+    count = source.count(mutant.text)
+    if count != 1:
+        raise SystemExit(f"{mutant.file}: mutant text occurs {count} times: {mutant.text!r}")
+    return source
+
+
+def run(mutant: Mutant) -> str | None:
+    """The first failing test of tier-1 on the mutated tree, or None."""
+    with tempfile.TemporaryDirectory(prefix="srat-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_LEFTOVERS)
+        mutated = _source(tree, mutant).replace(mutant.text, mutant.replacement)
+        (tree / "src" / "srat" / mutant.file).write_text(mutated, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+    if result.returncode == 0:
+        return None
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", result.stdout, re.MULTILINE)
+    return failed.group(1) if failed else f"exit {result.returncode}"
+
+
+def main() -> int:
+    for mutant in MUTANTS:
+        _source(ROOT, mutant)
+    start = time.perf_counter()
+    survivors = 0
+    for mutant in MUTANTS:
+        first = run(mutant)
+        survivors += first is None
+        verdict = "survived" if first is None else f"killed by {first}"
+        print(f"{mutant.file}: {mutant.breaks}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

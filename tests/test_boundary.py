@@ -11,7 +11,10 @@ their configs with the training cut to its first epoch and every attack
 to at most one step. Random starts and clip bounds stay as configured, so
 an edit such as ``num_steps`` 10^30 still runs the code it reaches.
 ``eval`` and ``export-features`` are also edited from an attack with no
-random start and an open box.
+random start and an open box. The commands that read ``balanced.csv``
+(``train`` on a csv config, ``make-dataset`` step and exp, ``eval`` and
+``export-features``) are also edited in its data: one feature cell set to
+a huge, subnormal or non-finite value.
 
 On exit 0 (or 1, whose theory table is written too), every CSV, JSON
 file and feature export the command wrote is read back, and each number in it must be finite. The documented
@@ -59,6 +62,11 @@ EDGE_VALUES = [
     -math.inf, 2**63, 2**64, -0.0, 0.5, True, False, None, "", "x", "csv", "1",
     [], [0], [1, 2], [math.nan], [10**30], {}, {"kind": "step"}, {"x": 1},
 ]
+# Edge values of a feature cell of balanced.csv: huge of either sign, the
+# smallest subnormal, and the non-finite values the reader refuses.
+EDGE_CELLS = ["1e308", "-1e308", "5e-324", "nan", "inf"]
+# (row, column) of the edited cells: a class-0 row and a class-1 row
+_CELLS = [(0, 0), (11, 1)]
 # The same edges as flag text.
 EDGE_TEXT = [
     "0", "1", "-1", str(10**30), str(-(10**30)), str(10**400), "1e30", "1e308", "-1e308", "1e-320",
@@ -94,7 +102,7 @@ _SYNTHETIC = {
 # balanced.csv holds 6 rows of each of 2 classes
 _CSV = {
     "kind": "csv", "train_path": "balanced.csv", "test_path": "balanced.csv",
-    "num_classes": 2, "imbalance": {"kind": "step", "ratio": 2.0, "base_count": 6},
+    "num_classes": 2, "imbalance": {"kind": "step", "ratio": 2.0},
     "seed": 0, "under_classes": [1],
 }
 
@@ -109,6 +117,8 @@ def _experiment(dataset: dict) -> dict:
 _BASES = {
     "train_synthetic": _experiment(_SYNTHETIC),
     "train_csv": _experiment(_CSV),
+    # with an open evaluation box, which a huge cell of balanced.csv passes
+    "train_csv open": {**_experiment(_CSV), "eval_attack": _OPEN_ATTACK},
     "sweep": {
         "base": _experiment(_SYNTHETIC), "vary": {"train.loss.lam": [0.5]}, "seeds": [0, 1],
         "output_dir": "out",
@@ -309,14 +319,30 @@ def _unreadable(root: Path, written) -> list:
     return found
 
 
-def _failure(root: Path, command: str, argv, config=None):
+def _with_cells(text: str, cells) -> str:
+    """The CSV ``text`` with each ((row, column), value) of ``cells`` set
+    in its data rows."""
+    lines = text.splitlines()
+    for (row, column), value in cells:
+        parts = lines[row + 1].split(",")
+        parts[column] = value
+        lines[row + 1] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _failure(root: Path, command: str, argv, config=None, cells=()):
     """Run ``srat command *argv`` after writing ``config`` (if any) to
-    config.json; return a description of how the boundary property failed,
-    or None. Whatever the run wrote is removed afterwards."""
+    config.json and setting the feature ``cells`` of balanced.csv; return a
+    description of how the boundary property failed, or None. Whatever the
+    run wrote is removed and the fixtures are restored afterwards: a run
+    whose output directory is the root overwrites model.ckpt."""
     if config is not None:
         (root / "config.json").write_text(json.dumps(config))
         argv = ["--config", "config.json", *argv]
     argv = [command, *argv]
+    fixtures = {path: path.read_bytes() for path in (root / "balanced.csv", root / "model.ckpt")}
+    if cells:
+        (root / "balanced.csv").write_text(_with_cells(fixtures[root / "balanced.csv"].decode(), cells))
     before = _entries(root)
     out, err = io.StringIO(), io.StringIO()
     code, raised = None, None
@@ -338,7 +364,10 @@ def _failure(root: Path, command: str, argv, config=None):
         for path in reversed(written):
             path.rmdir() if path.is_dir() else path.unlink()
         (root / "config.json").unlink(missing_ok=True)
-    context = f"{argv} config {config}"
+        for path, content in fixtures.items():
+            if not path.is_file() or path.read_bytes() != content:
+                path.write_bytes(content)
+    context = f"{argv} config {config} cells {list(cells)}"
     if raised is not None:
         return f"{context}: raised {raised!r}"
     context += f": exit {code}, stderr {err.getvalue()!r}"
@@ -375,33 +404,44 @@ _EDITS = {
     **{f"{command} open": _set_edits(_ATTACK_LEAVES) for command in ("eval", "export-features")},
     **{f"theory {thm}": _flag_edits(_THEORY_FLAGS) for thm in ("lemma", "1", "2")},
 }
+# each group whose command reads balanced.csv also edits its cells
+for group in ("train_csv", "train_csv open", "make-dataset step", "make-dataset exp", "eval",
+              "export-features", "eval open", "export-features open"):
+    _EDITS[group] += [("cell", cell, text) for cell in _CELLS for text in EDGE_CELLS]
 
 
 def _trial(group: str, edits):
-    """(command, argv, config) of the trial of ``group`` with ``edits``."""
+    """(command, argv, config, cells) of the trial of ``group`` with
+    ``edits``."""
     sets = [(path, value) for kind, path, value in edits if kind == "set"]
     flags = [f"{flag}={text}" for kind, flag, text in edits if kind == "flag"]
+    cells = [(cell, text) for kind, cell, text in edits if kind == "cell"]
     if group in _BASES:
-        return group.partition("_")[0], flags, _edited(_BASES[group], sets)
+        return group.partition("_")[0], flags, _edited(_BASES[group], sets), cells
     command, _, mode = group.partition(" ")
     if command == "make-dataset":
         base = ["--dim", "2", "--n-minority", "3"] if mode == "synthetic" else [
-            "--input", "balanced.csv"]
-        return command, ["--kind", mode, *base, *flags, "--out", "out"], None
+            "--input", "balanced.csv", "--ratio", "2"]
+        return command, ["--kind", mode, *base, *flags, "--out", "out"], None, cells
     if command == "theory":
         base = ["--points", "3"] if mode == "lemma" else []
-        return command, ["--thm", mode, *base, *flags, "--out", "out"], None
+        return command, ["--thm", mode, *base, *flags, "--out", "out"], None, cells
     under = ["--under", "1"] if command == "eval" else []
     attack = json.dumps(_edited(_ATTACKS[mode], sets))
     argv = ["--checkpoint", "model.ckpt", "--data", "balanced.csv", "--attack", attack]
-    return command, [*argv, *under, *flags, "--out", "out"], None
+    return command, [*argv, *under, *flags, "--out", "out"], None, cells
 
 
 def _covered_elsewhere(group: str, edit) -> bool:
     """Whether another group's single edits already cover ``edit``:
-    train_csv differs from train_synthetic in its dataset only, and a
+    train_csv differs from train_synthetic in its dataset only, train_csv
+    open from train_csv in the open box that ``eval open`` edits, and a
     sweep's base is the train_synthetic config."""
-    path = edit[1]
+    kind, path = edit[:2]
+    if kind != "set":
+        return False
+    if group == "train_csv open":
+        return True
     if group == "train_csv":
         return path[0] != "dataset"
     return group == "sweep" and path[0] == "base" and len(path) > 1

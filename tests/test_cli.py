@@ -285,6 +285,29 @@ def test_out_of_range_integer_flag_exits_2_naming_it(tmp_path, capsys, argv, nam
     assert not out.exists()
 
 
+# sha256 of make-dataset's train.csv on the balanced CSV of
+# test_make_dataset_keeps_the_rows_it_kept, recorded when the base count
+# was still a field of the imbalance spec
+_PROFILE_SHA256 = {
+    "step": "00734403b8be8d4663a6f76fe3f6739dcb477e5f0a12d19a3fe33282c2b08bf4",
+    "exp": "a3367db18a86912f9563b519ba2ffa3610cbb7410863668e69e80f69c4e63ebc",
+}
+
+
+@pytest.mark.parametrize("kind", ["step", "exp"])
+def test_make_dataset_keeps_the_rows_it_kept(tmp_path, kind):
+    # fixes which rows each profile keeps, not only how many
+    features = derive_rng(5).normal(size=(160, 3))
+    save_csv(LabeledDataset(features, np.tile(np.arange(4), 40), 4), tmp_path / "balanced.csv")
+    argv = ["make-dataset", "--kind", kind, "--ratio", "8", "--input", str(tmp_path / "balanced.csv"),
+            "--seed", "3", "--out", str(tmp_path / "imb")]
+    assert main(argv) == 0
+    assert _sha256(tmp_path / "imb" / "train.csv") == _PROFILE_SHA256[kind]
+    manifest = json.loads((tmp_path / "imb" / "manifest.json").read_text())
+    assert manifest["imbalance"] == {"kind": kind, "ratio": 8.0}
+    assert manifest["class_counts"][0] == 40
+
+
 def test_make_dataset_step_imbalance(tmp_path):
     balanced = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 1.0), 30, seed=2)
     src = tmp_path / "balanced.csv"
@@ -319,32 +342,44 @@ def test_make_dataset_refuses_an_unbalanced_input_naming_it(tmp_path, capsys):
     argv = ["make-dataset", "--kind", "exp", "--ratio", "1000", "--input", str(src)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {src}: expected a balanced dataset of base_count 30 rows per class" in err
-    assert "class counts [30, 3]" in err
+    assert f"error: {src}: expected a balanced dataset, got class counts [30, 3]" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep"])
-def test_csv_imbalance_on_an_unbalanced_train_file_exits_2_naming_it(tmp_path, capsys, command):
+def _csv_imbalance_err(tmp_path, capsys, command, ratio, imbalance) -> str:
+    """stderr of ``srat command`` (train, or a one-run sweep) on a csv
+    config with ``imbalance`` whose train file is a 2-class mixture of
+    ``ratio`` * 20 and 20 rows; checks exit 2 and that nothing was made."""
     src = tmp_path / "train.csv"
-    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 10.0), 20, seed=0), src)
+    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, ratio), 20, seed=0), src)
     out = tmp_path / "never"
     doc = _experiment_doc(out)
     doc["dataset"] = {
-        "kind": "csv", "train_path": str(src), "test_path": str(src),
-        "imbalance": {"kind": "step", "ratio": 10, "base_count": 200},
+        "kind": "csv", "train_path": str(src), "test_path": str(src), "imbalance": imbalance,
     }
     if command == "sweep":
         doc = {"base": doc, "vary": {"train.loss.lam": [0.5]}, "seeds": [0], "output_dir": str(out)}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert (
-        f"{src}: expected a balanced dataset of base_count 200 rows per class, "
-        "got class counts [200, 20]"
-    ) in err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_csv_imbalance_on_an_unbalanced_train_file_exits_2_naming_it(tmp_path, capsys, command):
+    err = _csv_imbalance_err(tmp_path, capsys, command, 10.0, {"kind": "step", "ratio": 10})
+    src = tmp_path / "train.csv"
+    assert f"{src}: expected a balanced dataset, got class counts [200, 20]" in err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_csv_imbalance_naming_a_base_count_exits_2(tmp_path, capsys, command):
+    # the base is the balanced train file's own class size; no key sets it
+    imbalance = {"kind": "step", "ratio": 10, "base_count": 20}
+    err = _csv_imbalance_err(tmp_path, capsys, command, 1.0, imbalance)
+    prefix = "sweep run_000_seed0: " if command == "sweep" else ""
+    assert f"error: {prefix}dataset.imbalance: unknown keys ['base_count']" in err
 
 
 @pytest.mark.parametrize(
@@ -1042,7 +1077,7 @@ def test_train_on_csv_dataset(tmp_path, under_classes):
         labels = np.repeat(np.arange(4), per_class)
         ds = LabeledDataset(rng.normal(size=(4 * per_class, 3)), labels, 4)
         save_csv(ds, tmp_path / f"{name}.csv")
-    spec = ImbalanceSpec("step", 3.0, 12)
+    spec = ImbalanceSpec("step", 3.0)
     doc = _experiment_doc(tmp_path / "run")
     doc["dataset"] = {
         "kind": "csv",

@@ -36,15 +36,15 @@ def _balanced(num_classes, per_class, dim=2, seed=0):
 
 
 def test_step_profile_matches_published_construction():
-    spec = ImbalanceSpec("step", 100.0, 5000)
-    counts = imbalanced_counts(spec, 10)
+    spec = ImbalanceSpec("step", 100.0)
+    counts = imbalanced_counts(spec, 5000, 10)
     assert counts == [5000] * 5 + [50] * 5
     assert reduced_classes(spec, 10) == [5, 6, 7, 8, 9]
 
 
 def test_exp_profile_endpoint_and_midpoint():
-    spec = ImbalanceSpec("exp", 100.0, 5000)
-    counts = imbalanced_counts(spec, 10)
+    spec = ImbalanceSpec("exp", 100.0)
+    counts = imbalanced_counts(spec, 5000, 10)
     assert counts[0] == 5000
     assert counts[-1] == 50  # endpoint forced by the count ratio
     # class 5 keeps round(5000 * 100**(-5/9)) = 387
@@ -57,14 +57,14 @@ def test_exp_profile_endpoint_and_midpoint():
 
 def test_ratio_one_profiles_are_noops():
     for kind in ("step", "exp"):
-        spec = ImbalanceSpec(kind, 1.0, 40)
-        assert imbalanced_counts(spec, 6) == [40] * 6
+        spec = ImbalanceSpec(kind, 1.0)
+        assert imbalanced_counts(spec, 40, 6) == [40] * 6
         assert reduced_classes(spec, 6) == []
 
 
 def test_apply_imbalance_counts_and_reproducibility():
     ds = _balanced(4, 60)
-    spec = ImbalanceSpec("step", 10.0, 60)
+    spec = ImbalanceSpec("step", 10.0)
     a = apply_imbalance(ds, spec, seed=3)
     b = apply_imbalance(ds, spec, seed=3)
     c = apply_imbalance(ds, spec, seed=4)
@@ -75,7 +75,7 @@ def test_apply_imbalance_counts_and_reproducibility():
 
 def test_apply_imbalance_subsamples_without_replacement():
     ds = _balanced(2, 30, dim=1)
-    spec = ImbalanceSpec("step", 15.0, 30)
+    spec = ImbalanceSpec("step", 15.0)
     shrunk = apply_imbalance(ds, spec, seed=1)
     kept = shrunk.features[shrunk.labels == 1].ravel()
     original = ds.features[ds.labels == 1].ravel()
@@ -83,17 +83,52 @@ def test_apply_imbalance_subsamples_without_replacement():
     assert np.isin(kept, original).all()
 
 
+def _interleaved(num_classes, per_class):
+    """A balanced dataset whose labels cycle through the classes row by
+    row and whose one feature is the row index."""
+    n = num_classes * per_class
+    return LabeledDataset(np.arange(n, dtype=float)[:, None], np.tile(np.arange(num_classes), per_class))
+
+
+@pytest.mark.parametrize("kind", ["step", "exp"])
+def test_apply_imbalance_keeps_the_input_row_order(kind):
+    shrunk = apply_imbalance(_interleaved(4, 60), ImbalanceSpec(kind, 10.0), seed=3)
+    assert shrunk.class_counts[-1] == 6
+    assert np.all(np.diff(shrunk.features[:, 0]) > 0)
+
+
+def test_reduced_classes_of_equal_size_draw_their_own_rows():
+    shrunk = apply_imbalance(_interleaved(4, 60), ImbalanceSpec("step", 10.0), seed=3)
+    # row i is the (i // 4)-th row of its class; each class draws on its
+    # own stream, so two classes of one size keep different positions
+    positions = {c: (shrunk.features[shrunk.labels == c, 0] // 4).tolist() for c in (2, 3)}
+    assert positions == {2: [11, 27, 31, 48, 51, 56], 3: [1, 6, 16, 42, 43, 56]}
+
+
 def test_apply_imbalance_requires_balanced_input():
     ds = _balanced(2, 10)
     shrunk = ds.subset(np.arange(15))
-    message = r"base_count 10 rows per class, got class counts \[10, 5\]"
+    message = r"expected a balanced dataset, got class counts \[10, 5\]"
     with pytest.raises(DomainError, match=message):
-        apply_imbalance(shrunk, ImbalanceSpec("step", 2.0, 10), seed=0)
+        apply_imbalance(shrunk, ImbalanceSpec("step", 2.0), seed=0)
 
 
 def test_ratio_larger_than_base_count_is_rejected():
-    with pytest.raises(DomainError):
-        imbalanced_counts(ImbalanceSpec("step", 20.0, 10), 4)
+    message = "ratio 20.0 exceeds the 10 rows per class"
+    with pytest.raises(DomainError, match=message):
+        imbalanced_counts(ImbalanceSpec("step", 20.0), 10, 4)
+    with pytest.raises(DomainError, match=message):
+        apply_imbalance(_balanced(4, 10), ImbalanceSpec("exp", 20.0), seed=0)
+    # up to ratio = base, every class keeps a row: base / ratio >= 1 is the
+    # smallest count of both profiles, and rounding cannot take it to 0
+    for base in range(1, 61):
+        for ratio in {1.0, base ** 0.3, base ** 0.5, base - 0.5, base * (1 - 1e-12), float(base)}:
+            if not 1 <= ratio <= base:
+                continue
+            for kind in ("step", "exp"):
+                for num_classes in range(2, 25):
+                    counts = imbalanced_counts(ImbalanceSpec(kind, ratio), base, num_classes)
+                    assert min(counts) >= 1, (kind, base, ratio, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +264,12 @@ def test_csv_rejects_malformed_header(tmp_path):
 
 def test_manifest_contents(tmp_path):
     ds = _balanced(3, 5)
-    spec = ImbalanceSpec("exp", 5.0, 5)
+    spec = ImbalanceSpec("exp", 5.0)
     path = tmp_path / "manifest.json"
     write_manifest(path, ds, seed=7, imbalance=spec)
     doc = json.loads(path.read_text())
     assert doc["class_counts"] == [5, 5, 5]
-    assert doc["imbalance"]["kind"] == "exp"
+    assert doc["imbalance"] == {"kind": "exp", "ratio": 5.0}
     assert doc["seed"] == 7
 
 
