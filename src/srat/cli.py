@@ -3,9 +3,9 @@ experiment grids, dataset construction, and feature export.
 
 Exit codes: 0 success, 1 a verified inequality failed inside its
 hypothesis, 2 usage/config/ingestion problems, 3 numeric failure during
-training. Configs are JSON; unknown keys are rejected up front. All
-artifacts land inside the designated output directory; the environment
-variable SRAT_OUTPUT_ROOT re-roots relative output paths.
+training or evaluation. Configs are JSON; unknown keys are rejected up
+front. All artifacts land inside the designated output directory; the
+environment variable SRAT_OUTPUT_ROOT re-roots relative output paths.
 """
 
 import argparse
@@ -31,7 +31,6 @@ from srat.data import (
     sample_gaussian_mixture,
     save_csv,
     write_json,
-    write_manifest,
     write_rows,
 )
 from srat.errors import ConfigError, DomainError, IngestionError, SratError, TrainingError
@@ -142,7 +141,6 @@ class SyntheticData:
     imbalanced train split and a balanced test split. ``srat make-dataset
     --kind synthetic`` builds one from its flags."""
 
-    kind: str
     eta: float
     sigma: float
     dim: int
@@ -179,7 +177,6 @@ class CsvData:
     under-represented classes default to those the imbalance reduced
     (none without one)."""
 
-    kind: str
     train_path: str
     test_path: str
     num_classes: int | None = None
@@ -213,8 +210,9 @@ class ExperimentConfig:
             where="experiment",
         )
         self.raw = copy.deepcopy(doc)
-        section = doc["dataset"]
-        kind = section.get("kind") if isinstance(section, dict) else None
+        # the kind picks the class; its other keys are the class's fields
+        section = dict(doc["dataset"]) if isinstance(doc["dataset"], dict) else {}
+        kind = section.pop("kind", None)
         if kind not in ("synthetic", "csv"):
             raise ConfigError("dataset.kind: expected 'synthetic' or 'csv'")
         cls = SyntheticData if kind == "synthetic" else CsvData
@@ -392,12 +390,12 @@ def cmd_make_dataset(args) -> int:
         # --n-test-per-class 0 writes no test split: a one-row-per-class
         # split is drawn on its own stream and dropped
         data = SyntheticData(
-            "synthetic", args.eta, args.sigma, args.dim, args.ratio, args.n_minority,
+            args.eta, args.sigma, args.dim, args.ratio, args.n_minority,
             args.n_test_per_class or 1, args.seed,
         )
         train_set, test_set, _ = data.build()
         test_set = test_set if args.n_test_per_class else None
-        imbalance, extra = None, {"mixture": dataclasses.asdict(data.mixture)}
+        source = {"imbalance": None, "mixture": dataclasses.asdict(data.mixture)}
     else:
         if not args.input:
             raise ConfigError("--input is required for step/exp imbalance")
@@ -405,12 +403,17 @@ def cmd_make_dataset(args) -> int:
         imbalance = ImbalanceSpec(args.kind, args.ratio)
         with _prefixed(args.input):
             train_set = apply_imbalance(balanced, imbalance, seed=args.seed)
-        test_set, extra = None, None
+        test_set, source = None, {"imbalance": dataclasses.asdict(imbalance)}
     out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(train_set, out_dir / "train.csv")
-    write_manifest(
-        out_dir / "manifest.json", train_set, seed=args.seed, imbalance=imbalance, extra=extra
-    )
+    write_json(out_dir / "manifest.json", {
+        "num_examples": len(train_set),
+        "dim": train_set.dim,
+        "num_classes": train_set.num_classes,
+        "class_counts": list(train_set.class_counts),
+        "seed": args.seed,
+        **source,
+    })
     if test_set is not None:
         save_csv(test_set, out_dir / "test.csv")
     print(f"wrote {out_dir}")
@@ -540,7 +543,8 @@ def cmd_sweep(args) -> int:
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ConfigError(f"sweep.seeds: seed {seed} is given twice; it names one run per config")
-    out_dir = _resolve_out(args.out or _value(str, grid["output_dir"], "sweep.output_dir"))
+    output_dir = _value(str, grid["output_dir"], "sweep.output_dir")  # checked under --out too
+    out_dir = _resolve_out(args.out or output_dir)
 
     # Every run's config and data are checked before anything is written.
     keys = sorted(vary)

@@ -11,7 +11,7 @@ Floats are written with shortest round-trip formatting, so a save/load
 cycle is bit-exact.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from decimal import Decimal
 import csv
 import json
@@ -74,12 +74,6 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "LabeledDataset":
-        indices = np.asarray(indices)
-        return LabeledDataset(
-            self.features[indices], self.labels[indices], self.num_classes
-        )
-
 
 @dataclass(frozen=True)
 class ImbalanceSpec:
@@ -99,24 +93,26 @@ class ImbalanceSpec:
 def imbalanced_counts(spec: ImbalanceSpec, base: int, num_classes: int) -> list[int]:
     """Per-class kept counts from ``base`` rows per class.
 
-    step: the first ceil(C/2) classes keep base, the rest keep
-    round(base / ratio). exp: class i keeps round(base * t^i) with
-    t = ratio^(-1/(C-1)). Since ratio <= base, every count is at least 1.
+    step: the classes of ``reduced_classes`` keep round(base / ratio), the
+    others base. exp: class i keeps round(base * t^i) with
+    t = ratio^(-1/(C-1)). One class has no tail to reduce, so both
+    profiles take it at ratio 1 only. Since ratio <= base, every count is
+    at least 1.
     """
-    if num_classes < 1:
-        raise DomainError("num_classes must be >= 1")
     ratio = spec.ratio
     if ratio > base:
         raise DomainError(
             f"ratio {ratio} exceeds the {base} rows per class; a class would be empty"
         )
-    if spec.kind == "step":
-        head = (num_classes + 1) // 2
-        return [base if i < head else round(base / ratio) for i in range(num_classes)]
     if num_classes == 1:
         if ratio != 1:
-            raise DomainError("exp imbalance with one class requires ratio = 1")
+            raise DomainError(
+                f"imbalance ratio {ratio} needs two or more classes; one class has no tail"
+            )
         return [base]
+    if spec.kind == "step":
+        tail = reduced_classes(spec, num_classes)
+        return [round(base / ratio) if i in tail else base for i in range(num_classes)]
     decay = ratio ** (-1.0 / (num_classes - 1))
     return [round(base * decay**i) for i in range(num_classes)]
 
@@ -125,10 +121,10 @@ def reduced_classes(spec: ImbalanceSpec, num_classes: int) -> list[int]:
     """The under-represented set: the floor(C/2) least frequent classes.
 
     Both profiles order counts non-increasingly by class index, so this is
-    the tail of the class range. For the step profile it coincides with
-    the classes whose counts were cut; for the exponential profile the
-    mildly-shrunk head classes still count as well-represented. Empty when
-    ratio is 1 (nothing was reduced). ``apply_imbalance`` checks the profile.
+    the tail of the class range. The step profile cuts exactly these
+    classes; for the exponential profile the mildly-shrunk head classes
+    still count as well-represented. Empty when ratio is 1 (nothing was
+    reduced). ``apply_imbalance`` checks the profile.
     """
     if spec.ratio == 1:
         return []
@@ -153,12 +149,10 @@ def apply_imbalance(
     keep: list[np.ndarray] = []
     for c, target in enumerate(targets):
         members = np.flatnonzero(dataset.labels == c)
-        if target < len(members):
-            rng = derive_rng(seed, c)
-            members = rng.choice(members, size=target, replace=False)
-        keep.append(members)
+        rng = derive_rng(seed, c)
+        keep.append(rng.choice(members, size=target, replace=False))
     order = np.sort(np.concatenate(keep))
-    return dataset.subset(order)
+    return LabeledDataset(dataset.features[order], dataset.labels[order], dataset.num_classes)
 
 
 def sample_gaussian_mixture(
@@ -196,7 +190,7 @@ def sample_gaussian_mixture(
 
 
 # ---------------------------------------------------------------------------
-# CSV, JSON and manifest IO
+# CSV and JSON IO
 # ---------------------------------------------------------------------------
 
 
@@ -291,20 +285,6 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
         np.asarray(labels, dtype=np.int64),
         num_classes,
     )
-
-
-def write_manifest(path, dataset: LabeledDataset, seed: int, imbalance=None, extra=None):
-    manifest = {
-        "num_examples": len(dataset),
-        "dim": dataset.dim,
-        "num_classes": dataset.num_classes,
-        "class_counts": list(dataset.class_counts),
-        "seed": seed,
-        "imbalance": asdict(imbalance) if imbalance is not None else None,
-    }
-    if extra:
-        manifest.update(extra)
-    write_json(path, manifest)
 
 
 def batches(dataset: LabeledDataset, batch_size: int, epoch_seed) -> list[np.ndarray]:

@@ -21,5 +21,9 @@ class AttackError(SratError):
     """Adversarial example generation failed (non-finite gradients)."""
 
 
+class EvaluationError(SratError):
+    """An evaluation pass met non-finite logits or features."""
+
+
 class TrainingError(SratError):
     """Training failed; the message carries epoch/batch context."""

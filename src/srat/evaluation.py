@@ -21,7 +21,7 @@ import numpy as np
 
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset, write_lines
-from srat.errors import DomainError
+from srat.errors import DomainError, EvaluationError
 from srat.losses import PredictionLoss
 from srat.mlp import MlpModel, forward
 
@@ -106,6 +106,9 @@ def _percent(hits, total) -> float:
     return 100.0 * float(hits) / int(total) if total else float("nan")
 
 
+# Rows too large for the model are reported once, as an EvaluationError
+# from the explicit non-finite checks, not as NumPy overflow warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     model: MlpModel,
     test_set: LabeledDataset,
@@ -117,7 +120,7 @@ def evaluate(
 
     Robust predictions come from a cross-entropy PGD attack configured by
     ``attack_config``; the ``seed`` pins its randomness so repeated
-    evaluations are identical.
+    evaluations are identical. A non-finite logit raises EvaluationError.
     """
     partition = tuple(int(c) for c in partition)
     if any(not 0 <= c < test_set.num_classes for c in partition):
@@ -128,7 +131,10 @@ def evaluate(
     tally = np.zeros((2, n), dtype=np.int64)
     for labels, rows, adv in _chunks(model, test_set, attack_config, seed):
         for hits, x in zip(tally, (rows, adv)):
-            preds = np.argmax(forward(model, x).logits, axis=1)
+            logits = forward(model, x).logits
+            if not np.isfinite(logits).all():
+                raise EvaluationError("non-finite logits in the evaluation pass")
+            preds = np.argmax(logits, axis=1)
             hits += np.bincount(labels[preds == labels], minlength=n)
     std, rob = tally
     totals = np.array(test_set.class_counts)
@@ -157,6 +163,7 @@ def per_class_csv(report: EvalReport, path) -> None:
     write_lines(path, lines)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def export_features(
     model: MlpModel,
     dataset: LabeledDataset,
@@ -167,11 +174,14 @@ def export_features(
 ) -> None:
     """Write penultimate-layer features as CSV rows: label, then
     coordinates, in dataset order. With an attack config the features of
-    the perturbed inputs are exported instead. The parent directory of
-    ``path`` is made once the pass has checked the inputs."""
+    the perturbed inputs are exported instead; a non-finite one raises
+    EvaluationError. The parent directory of ``path`` is made once the
+    pass has checked the inputs."""
     lines = []
     for labels, rows, adv in _chunks(model, dataset, attack_config, seed):
         feats = forward(model, rows if adv is None else adv).features
+        if not np.isfinite(feats).all():
+            raise EvaluationError("non-finite features in the export pass")
         for label, row in zip(labels, feats):
             lines.append(",".join([str(int(label)), *(repr(float(v)) for v in row)]))
     Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -80,6 +80,29 @@ MUTANTS = [
            "the reduced classes are the tail of the class range (taken from the head)"),
     Mutant("data.py", "round(base * decay**i)", "round(base * decay**(i + 1))",
            "exp class i keeps base * t^i (one decay step ahead)"),
+    Mutant("data.py", "if i in tail else base", "if i not in tail else base",
+           "the step profile cuts the tail classes (the head ones)"),
+    Mutant("data.py", "if ratio != 1:", "if False:",
+           "one class takes ratio 1 only (any ratio, keeping every row)"),
+    Mutant("theory.py", "(label * bias - shift) / scale", "(label * bias + shift) / scale",
+           "a Z-score subtracts the class mean (adds it)"),
+    Mutant("theory.py", "2.15311535474403846e-8", "2.15311535474403846e-7",
+           "the erfc rational's numerator coefficient (ten times too large)"),
+    Mutant("losses.py", "logits[rows, labels] -= loss.margins[labels]",
+           "logits[rows, labels] += loss.margins[labels]",
+           "LDAM subtracts each label's margin from its logit (adds it)"),
+    Mutant("losses.py", "modulator = one_minus**gamma", "modulator = one_minus**(gamma + 1.0)",
+           "the focal modulator is (1 - p_t)^gamma (one power higher)"),
+    Mutant("losses.py", "d_z /= tau", "d_z /= tau * tau",
+           "the separation gradient scales by 1/tau (by 1/tau^2)"),
+    Mutant("mlp.py", 'model.params.astype("<f8")', 'model.params.astype(">f8")',
+           "a checkpoint stores its blob little-endian (big-endian)"),
+    Mutant("attack.py", "lo = batch - config.epsilon", "lo = batch - 2 * config.epsilon",
+           "the ball's lower edge lies epsilon below the clean rows (2 epsilon)"),
+    Mutant("training.py", "if m <= epoch)", "if m < epoch)",
+           "the learning rate decays at its milestone epoch (one epoch late)"),
+    Mutant("evaluation.py", "seed=(seed, start)", "seed=(seed, 0)",
+           "each evaluation chunk draws its attack on its own stream (all on one)"),
 ]
 
 

@@ -14,7 +14,9 @@ an edit such as ``num_steps`` 10^30 still runs the code it reaches.
 random start and an open box. The commands that read ``balanced.csv``
 (``train`` on a csv config, ``make-dataset`` step and exp, ``eval`` and
 ``export-features``) are also edited in its data: one feature cell set to
-a huge, subnormal or non-finite value.
+a huge, subnormal or non-finite value. Those cell edits also run ``eval``
+with a zero-step attack and ``export-features`` without ``--attack``, so
+the clean forward pass meets the huge cells itself.
 
 On exit 0 (or 1, whose theory table is written too), every CSV, JSON
 file and feature export the command wrote is read back, and each number in it must be finite. The documented
@@ -136,7 +138,8 @@ def _paths(node, prefix=()):
 
 
 _LEAVES = {name: list(_paths(doc)) for name, doc in _BASES.items()}
-_ATTACKS = {"": _ATTACK, "open": _OPEN_ATTACK}
+# "clean": a zero-step attack for eval; export-features gets no --attack
+_ATTACKS = {"": _ATTACK, "open": _OPEN_ATTACK, "clean": {**_OPEN_ATTACK, "num_steps": 0}}
 _ATTACK_LEAVES = list(_paths(_ATTACK))
 
 
@@ -402,11 +405,13 @@ _EDITS = {
     "eval": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--under", "--seed"]),
     "export-features": _set_edits(_ATTACK_LEAVES) + _flag_edits(["--seed"]),
     **{f"{command} open": _set_edits(_ATTACK_LEAVES) for command in ("eval", "export-features")},
+    **{f"{command} clean": [] for command in ("eval", "export-features")},
     **{f"theory {thm}": _flag_edits(_THEORY_FLAGS) for thm in ("lemma", "1", "2")},
 }
 # each group whose command reads balanced.csv also edits its cells
 for group in ("train_csv", "train_csv open", "make-dataset step", "make-dataset exp", "eval",
-              "export-features", "eval open", "export-features open"):
+              "export-features", "eval open", "export-features open", "eval clean",
+              "export-features clean"):
     _EDITS[group] += [("cell", cell, text) for cell in _CELLS for text in EDGE_CELLS]
 
 
@@ -427,8 +432,9 @@ def _trial(group: str, edits):
         base = ["--points", "3"] if mode == "lemma" else []
         return command, ["--thm", mode, *base, *flags, "--out", "out"], None, cells
     under = ["--under", "1"] if command == "eval" else []
-    attack = json.dumps(_edited(_ATTACKS[mode], sets))
-    argv = ["--checkpoint", "model.ckpt", "--data", "balanced.csv", "--attack", attack]
+    argv = ["--checkpoint", "model.ckpt", "--data", "balanced.csv"]
+    if (command, mode) != ("export-features", "clean"):
+        argv += ["--attack", json.dumps(_edited(_ATTACKS[mode], sets))]
     return command, [*argv, *under, *flags, "--out", "out"], None, cells
 
 

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import srat.cli
 import srat.training
 from srat.attack import AttackConfig
 from srat.cli import main
@@ -21,6 +22,7 @@ from srat.data import (
     sample_gaussian_mixture,
     save_csv,
 )
+from srat.mlp import build_mlp, save_model
 from srat.rand import derive_rng
 from srat.theory import GaussianMixtureSpec
 
@@ -180,6 +182,23 @@ def test_theory_output_bytes_are_pinned(tmp_path, flags, table_sha256, reports_s
     assert _sha256(out / "reports.json") == reports_sha256
 
 
+@pytest.mark.parametrize("thm", ["1", "2"])
+def test_theory_violation_inside_the_hypothesis_exits_1(tmp_path, capsys, monkeypatch, thm):
+    # a stubbed check whose inequality fails where its precondition holds
+    name = f"verify_theorem{thm}"
+    real = getattr(srat.cli, name)
+
+    def violated(*args):
+        return dataclasses.replace(real(*args), holds=False, precondition_met=True)
+
+    monkeypatch.setattr(srat.cli, name, violated)
+    out = tmp_path / "thm"
+    assert main(["theory", "--thm", thm, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"2 grid points, 2 violation(s); wrote {out}\n"
+    reports = json.loads((out / "reports.json").read_text())
+    assert [(r["holds"], r["precondition_met"]) for r in reports] == [(False, True)] * 2
+
+
 def test_theory_malformed_flag_exits_2_without_output(tmp_path):
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as exc:
@@ -285,6 +304,60 @@ def test_out_of_range_integer_flag_exits_2_naming_it(tmp_path, capsys, argv, nam
     assert not out.exists()
 
 
+def _balanced_csv(path) -> None:
+    """A balanced CSV of 4 classes of 40 rows, dim 3, labels cycling."""
+    features = derive_rng(5).normal(size=(160, 3))
+    save_csv(LabeledDataset(features, np.tile(np.arange(4), 40), 4), path)
+
+
+def _manifest(num_examples, dim, class_counts, seed, **source) -> dict:
+    return {
+        "num_examples": num_examples, "dim": dim, "num_classes": len(class_counts),
+        "class_counts": class_counts, "seed": seed, **source,
+    }
+
+
+# make-dataset's flags, its manifest.json and the sha256 of that file's
+# bytes, recorded when write_manifest still wrote it: each key and byte
+# stays in place
+_MANIFESTS = {
+    "synthetic": (
+        ["--kind", "synthetic", "--eta", "1", "--sigma", "2", "--dim", "3", "--ratio", "4",
+         "--n-minority", "5", "--n-test-per-class", "6", "--seed", "1"],
+        _manifest(25, 3, [20, 5], 1, imbalance=None,
+                  mixture={"dim": 3, "eta": 1.0, "imbalance_ratio": 4.0, "sigma": 2.0}),
+        "1b95ef5e8b995b284b5019dbb3136406cba79a8510b1f2c5d4d08a16e8f57eeb",
+    ),
+    "synthetic_without_test_split": (
+        ["--kind", "synthetic", "--n-minority", "1", "--n-test-per-class", "0"],
+        _manifest(11, 10, [10, 1], 0, imbalance=None,
+                  mixture={"dim": 10, "eta": 1.0, "imbalance_ratio": 10.0, "sigma": 1.0}),
+        "e05e41b53828d01535515da657bd9a2192f6eb41f9dd10f9bbff6f58f29174de",
+    ),
+    "step": (
+        ["--kind", "step", "--ratio", "8", "--input", "balanced.csv", "--seed", "3"],
+        _manifest(90, 3, [40, 40, 5, 5], 3, imbalance={"kind": "step", "ratio": 8.0}),
+        "7a7628351755ac94978422dbdc9d7cdc215f60928a9534c91a5346e7ae446291",
+    ),
+    "exp": (
+        ["--kind", "exp", "--ratio", "8", "--input", "balanced.csv", "--seed", "3"],
+        _manifest(75, 3, [40, 20, 10, 5], 3, imbalance={"kind": "exp", "ratio": 8.0}),
+        "7336882fb07ae411f9dc347ea97167d8713fe14b32e9bb3e360cfc8f9df29a20",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MANIFESTS))
+def test_make_dataset_manifest_is_pinned(tmp_path, monkeypatch, case):
+    flags, doc, sha256 = _MANIFESTS[case]
+    _balanced_csv(tmp_path / "balanced.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["make-dataset", *flags, "--out", "data"]) == 0
+    manifest = tmp_path / "data" / "manifest.json"
+    assert json.loads(manifest.read_text()) == doc
+    assert _sha256(manifest) == sha256
+
+
 # sha256 of make-dataset's train.csv on the balanced CSV of
 # test_make_dataset_keeps_the_rows_it_kept, recorded when the base count
 # was still a field of the imbalance spec
@@ -297,8 +370,7 @@ _PROFILE_SHA256 = {
 @pytest.mark.parametrize("kind", ["step", "exp"])
 def test_make_dataset_keeps_the_rows_it_kept(tmp_path, kind):
     # fixes which rows each profile keeps, not only how many
-    features = derive_rng(5).normal(size=(160, 3))
-    save_csv(LabeledDataset(features, np.tile(np.arange(4), 40), 4), tmp_path / "balanced.csv")
+    _balanced_csv(tmp_path / "balanced.csv")
     argv = ["make-dataset", "--kind", kind, "--ratio", "8", "--input", str(tmp_path / "balanced.csv"),
             "--seed", "3", "--out", str(tmp_path / "imb")]
     assert main(argv) == 0
@@ -346,12 +418,30 @@ def test_make_dataset_refuses_an_unbalanced_input_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
-def _csv_imbalance_err(tmp_path, capsys, command, ratio, imbalance) -> str:
+@pytest.mark.parametrize("kind", ["step", "exp"])
+def test_make_dataset_one_class_input_takes_ratio_one_only(tmp_path, capsys, kind):
+    # one class has no tail to reduce, under either profile
+    src = tmp_path / "one.csv"
+    save_csv(LabeledDataset(derive_rng(7).normal(size=(6, 2)), np.zeros(6, dtype=np.int64)), src)
+    argv = ["make-dataset", "--kind", kind, "--input", str(src)]
+    assert main([*argv, "--ratio", "2", "--out", str(tmp_path / "never")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src}: imbalance ratio 2.0 needs two or more classes; one class has no tail\n"
+    )
+    assert not (tmp_path / "never").exists()
+    assert main([*argv, "--ratio", "1", "--out", str(tmp_path / "kept")]) == 0
+    assert (tmp_path / "kept" / "train.csv").read_bytes() == src.read_bytes()
+
+
+def _csv_imbalance_err(tmp_path, capsys, command, ratio, imbalance, num_classes=2) -> str:
     """stderr of ``srat command`` (train, or a one-run sweep) on a csv
     config with ``imbalance`` whose train file is a 2-class mixture of
-    ``ratio`` * 20 and 20 rows; checks exit 2 and that nothing was made."""
+    ``ratio`` * 20 and 20 rows (only its first class with ``num_classes``
+    1); checks exit 2 and that nothing was made."""
     src = tmp_path / "train.csv"
-    save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, ratio), 20, seed=0), src)
+    mixture = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, ratio), 20, seed=0)
+    first = mixture.labels < num_classes
+    save_csv(LabeledDataset(mixture.features[first], mixture.labels[first]), src)
     out = tmp_path / "never"
     doc = _experiment_doc(out)
     doc["dataset"] = {
@@ -371,6 +461,16 @@ def test_csv_imbalance_on_an_unbalanced_train_file_exits_2_naming_it(tmp_path, c
     err = _csv_imbalance_err(tmp_path, capsys, command, 10.0, {"kind": "step", "ratio": 10})
     src = tmp_path / "train.csv"
     assert f"{src}: expected a balanced dataset, got class counts [200, 20]" in err
+
+
+@pytest.mark.parametrize("kind", ["step", "exp"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_csv_imbalance_on_a_one_class_train_file_exits_2_naming_it(
+    tmp_path, capsys, command, kind
+):
+    err = _csv_imbalance_err(tmp_path, capsys, command, 1.0, {"kind": kind, "ratio": 2}, 1)
+    src = tmp_path / "train.csv"
+    assert f"{src}: imbalance ratio 2.0 needs two or more classes; one class has no tail" in err
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -555,25 +655,28 @@ def test_eval_checkpoint_twice_is_identical(trained_run, tmp_path):
     ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 30, seed=5)
     save_csv(ds, data)
     attack = json.dumps({"epsilon": 0.1, "step_size": 0.05, "num_steps": 3})
+    (tmp_path / "attack.json").write_text(attack)
     outs = []
-    for name in ("e1", "e2"):
+    # twice inline, then the same attack read from a .json file
+    for name, given in (("e1", attack), ("e2", attack), ("file", str(tmp_path / "attack.json"))):
         out = tmp_path / name
         rc = main(
             [
                 "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data",
-                str(data), "--attack", attack, "--under", "1", "--out", str(out),
+                str(data), "--attack", given, "--under", "1", "--out", str(out),
             ]
         )
         assert rc == 0
         outs.append((out / "metrics.json").read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_eval_flags_classes_missing_from_the_csv(trained_run, tmp_path):
     _, run_dir = trained_run
     ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 5, seed=5)
     data = tmp_path / "class0.csv"
-    save_csv(ds.subset(np.flatnonzero(ds.labels == 0)), data)
+    class0 = ds.labels == 0
+    save_csv(LabeledDataset(ds.features[class0], ds.labels[class0], 2), data)
     attack = json.dumps({"epsilon": 0.1, "step_size": 0.05, "num_steps": 1})
     out = tmp_path / "eval"
     rc = main(
@@ -654,10 +757,12 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
              '"random_start":false,"clip_min":NaN}'],
             "attack: clip_min/clip_max must be numbers",
         ),
+        ("eval", ["--attack", "{bad"], "error: --attack: invalid JSON ("),
     ],
     ids=[
         "eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed",
         "export_attack_box_excluding_the_data", "eval_nan_clip_max", "export_nan_clip_min",
+        "eval_invalid_attack_json",
     ],
 )
 def test_eval_and_export_rejected_flag_write_nothing(
@@ -823,6 +928,26 @@ def test_export_features_cli(trained_run, tmp_path):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == len(ds)
+
+
+def test_rows_too_large_for_the_model_warn_nowhere(tmp_path, capsys):
+    # the hidden layer holds ~1e308 on these rows and the logits overflow:
+    # export-features writes the finite features, eval exits 3 naming the file
+    save_model(build_mlp(3, (4,), 2, seed=5), tmp_path / "model.ckpt", seed=5)
+    data = tmp_path / "huge.csv"
+    data.write_text("dim=3,label_col=3\n1e308,1.0,0.0,0\n-1e308,0.0,1.0,1\n0.5,0.5,0.5,0\n")
+    common = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(data)]
+    features = tmp_path / "features.csv"
+    attack = json.dumps({"epsilon": 0.1, "step_size": 0.1, "num_steps": 0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["export-features", *common, "--out", str(features)]) == 0
+        assert main(["eval", *common, "--attack", attack, "--out", str(tmp_path / "e")]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {data}: non-finite logits in the evaluation pass\n"
+    assert all(math.isfinite(float(v)) for line in features.read_text().splitlines()
+               for v in line.split(","))
+    assert not (tmp_path / "e").exists()
 
 
 def test_train_missing_config_exits_2(tmp_path):
@@ -1215,16 +1340,36 @@ def test_sweep_cannot_vary_what_it_sets_per_run(tmp_path, capsys, key):
     assert not (tmp_path / "unused").exists()
 
 
-def test_sweep_bad_vary_key_exits_2(tmp_path):
-    grid = {
-        "base": _experiment_doc(tmp_path / "unused"),
-        "vary": {"train.no_such.key": [1]},
-        "seeds": [0],
-        "output_dir": str(tmp_path / "sweep"),
-    }
-    cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(grid))
-    assert main(["sweep", "--config", str(cfg)]) == 2
+def test_sweep_bad_vary_key_exits_2(tmp_path, capsys):
+    # a missing key, and a key that runs through a value (train.lr is a number)
+    for key in ("train.no_such.key", "train.lr.x"):
+        grid = {
+            "base": _experiment_doc(tmp_path / "unused"),
+            "vary": {key: [1]},
+            "seeds": [0],
+            "output_dir": str(tmp_path / "sweep"),
+        }
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(grid))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"vary key {key!r} does not address the base config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_output_dir_of_another_type_exits_2_under_out(tmp_path, capsys, command):
+    # --out replaces the config's output_dir, which is still checked
+    doc = _experiment_doc(tmp_path / "unused", output_dir=7)
+    where = "output_dir"
+    if command == "sweep":
+        doc = {"base": doc, "vary": {"train.loss.lam": [0.5]}, "seeds": [0], "output_dir": 7}
+        where = "sweep.output_dir"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: expected a string, got 7\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

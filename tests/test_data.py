@@ -1,7 +1,5 @@
 """Imbalance construction, mixture sampling, CSV ingestion, batching."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from srat.data import (
     reduced_classes,
     sample_gaussian_mixture,
     save_csv,
-    write_manifest,
 )
 from srat.errors import DomainError, IngestionError
 from srat.rand import derive_rng
@@ -107,10 +104,23 @@ def test_reduced_classes_of_equal_size_draw_their_own_rows():
 
 def test_apply_imbalance_requires_balanced_input():
     ds = _balanced(2, 10)
-    shrunk = ds.subset(np.arange(15))
+    shrunk = LabeledDataset(ds.features[:15], ds.labels[:15], 2)
     message = r"expected a balanced dataset, got class counts \[10, 5\]"
     with pytest.raises(DomainError, match=message):
         apply_imbalance(shrunk, ImbalanceSpec("step", 2.0), seed=0)
+
+
+@pytest.mark.parametrize("kind", ["step", "exp"])
+def test_one_class_takes_ratio_one_only(kind):
+    # one class has no tail to reduce: ratio 1 keeps every row, any other
+    # ratio is refused, under both profiles alike
+    one = _balanced(1, 6)
+    kept = apply_imbalance(one, ImbalanceSpec(kind, 1.0), seed=0)
+    assert np.array_equal(kept.features, one.features)
+    assert reduced_classes(ImbalanceSpec(kind, 2.0), 1) == []
+    message = r"imbalance ratio 2\.0 needs two or more classes; one class has no tail"
+    with pytest.raises(DomainError, match=message):
+        apply_imbalance(one, ImbalanceSpec(kind, 2.0), seed=0)
 
 
 def test_ratio_larger_than_base_count_is_rejected():
@@ -262,15 +272,20 @@ def test_csv_rejects_malformed_header(tmp_path):
         load_csv(path)
 
 
-def test_manifest_contents(tmp_path):
-    ds = _balanced(3, 5)
-    spec = ImbalanceSpec("exp", 5.0)
-    path = tmp_path / "manifest.json"
-    write_manifest(path, ds, seed=7, imbalance=spec)
-    doc = json.loads(path.read_text())
-    assert doc["class_counts"] == [5, 5, 5]
-    assert doc["imbalance"] == {"kind": "exp", "ratio": 5.0}
-    assert doc["seed"] == 7
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("dim=2,label_col=5\n1.0,2.0,0\n", "line 1: inconsistent header 'dim=2,label_col=5'"),
+        ("dim=2,label_col=2\n\n", "no data rows"),
+    ],
+    ids=["empty", "label_col_past_dim", "header_only"],
+)
+def test_csv_without_rows_to_read_is_refused_naming_it(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(IngestionError, match=f"bad.csv: {message}"):
+        load_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,12 @@ def test_checkpoint_round_trip(tmp_path):
         lambda raw: b'{"format": "srat-mlp-f64le-v1"}\n' + raw.split(b"\n", 1)[1],
         lambda raw: raw[:300],  # blob of the wrong size
         lambda raw: raw.replace(b'"relu", "relu"', b'"identity", "identity"', 1),
+        lambda raw: raw.replace(b"srat-mlp-f64le-v1", b"srat-mlp-f32le-v1", 1),
     ],
-    ids=["bad_header", "missing_header_keys", "truncated_blob", "foreign_architecture"],
+    ids=[
+        "bad_header", "missing_header_keys", "truncated_blob", "foreign_architecture",
+        "other_format",
+    ],
 )
 def test_corrupt_checkpoint_raises_ingestion_error(tmp_path, corrupt):
     path = tmp_path / "model.ckpt"
