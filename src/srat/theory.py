@@ -48,9 +48,9 @@ p, so the estimate stays unbiased and its variance is at most the
 binomial p(1-p)/n that the tests and the benchmark bound it by.
 
 ``grid_search_bias`` returns the exact first argmin of its grid, the one
-a brute-force scan finds, but skips the blocks that a monotone lower bound
-on their risk rules out; the bound, its slack and why the slack is needed
-are in its docstring.
+a brute-force scan finds, but evaluates only the sub-blocks of 32 points
+that a monotone lower bound on their risk cannot rule out; the bound, its
+slack and why the slack is needed are in its docstring.
 """
 
 from dataclasses import asdict, dataclass
@@ -208,16 +208,20 @@ _INV_SQRT2 = 0.7071067811865476
 
 # Arrays are evaluated in blocks of this many float64 elements (64 KiB), so
 # every temporary is served from the allocator's free lists: glibc gets
-# allocations of 128 KiB and more as fresh pages from the OS.
+# allocations of 128 KiB and more as fresh pages from the OS (the rational
+# forms' two-row arrays reach 128 KiB, but glibc then raises that threshold).
 _BLOCK = 8192
-# The bounded grid search skips a block only when its lower bound exceeds
+# The bounded grid search bounds the risk of each run of this many points.
+_SUB_BLOCK = 32
+# The bounded grid search skips a sub-block only when its lower bound exceeds
 # the best risk found by more than this fraction of that risk, plus a floor
 # of the smallest normal float times the risk weights (an err value in the
 # subnormal range is exact only to a subnormal ULP). The bound and the risk
 # are the same float expression, but float Phi is monotone only to a few
 # ULPs: sweeps over consecutive floats found drops of at most about 5e-16
-# relative, so a bound may exceed its block's true minimum by that much.
-# Any slack from 1e-9 to 1e-4 skips the same blocks of the README lemma grid.
+# relative, so a bound may exceed its sub-block's true minimum by that much.
+# Slacks from 0 to 1e-2 give the same README lemma grid results; its
+# normal_cdf elements are 3.56 M up to 1e-10, 3.61 M at 1e-6, 4.90 M at 1e-4.
 _PRUNE_SLACK = 1e-6
 # erfc(y) rounds to +0.0 from y ~ 27.3 on; capping y at this value keeps
 # y*y and the exponent split finite for every finite y
@@ -242,24 +246,28 @@ def _times_exp_neg_square(ys: np.ndarray, r: np.ndarray) -> np.ndarray:
     return ysq
 
 
-def _rational_parts(t: np.ndarray, a: tuple, b: tuple):
-    """Numerator and denominator of one of Cody's rational forms in t.
+# Each rational form's coefficients as (2, 1) columns of numerator over
+# denominator, in Horner order: the leading pair (a[-1], 1), then (a[i], b[i])
+_ERF_AB, _ERFC_CD, _ERFC_PQ = (
+    tuple(np.array([[x], [y]]) for x, y in [(a[-1], 1.0), *zip(a, b)])
+    for a, b in ((_ERF_A, _ERF_B), (_ERFC_C, _ERFC_D), (_ERFC_P, _ERFC_Q))
+)
 
-    With n = len(b) - 1 the numerator is built as a[-1]*t, then n Horner
-    steps (num + a[i]) * t, then + a[n]; the denominator starts at t and
-    takes b the same way. Each step runs in place: num += c; num *= t.
+
+def _rational_parts(t: np.ndarray, cols: tuple) -> np.ndarray:
+    """Numerator and denominator of one of Cody's rational forms in t, as
+    the two rows of one array.
+
+    The numerator is built as a[-1]*t, then Horner steps (num + a[i]) * t,
+    then + a[n]; the denominator starts at 1*t = t and takes b the same
+    way. Each step runs on both rows in place: nd += column; nd *= t.
     """
-    n = len(b) - 1
-    num = a[-1] * t
-    den = t.copy()
-    for i in range(n):
-        num += a[i]
-        num *= t
-        den += b[i]
-        den *= t
-    num += a[n]
-    den += b[n]
-    return num, den
+    nd = cols[0] * t
+    for col in cols[1:-1]:
+        nd += col
+        nd *= t
+    nd += cols[-1]
+    return nd
 
 
 def _erfc_nonneg(y: np.ndarray, out: np.ndarray) -> None:
@@ -267,7 +275,7 @@ def _erfc_nonneg(y: np.ndarray, out: np.ndarray) -> None:
     small = y <= 0.46875
     if small.any():
         ys = y[small]
-        num, den = _rational_parts(np.where(ys > 1.11e-16, ys * ys, 0.0), _ERF_A, _ERF_B)
+        num, den = _rational_parts(np.where(ys > 1.11e-16, ys * ys, 0.0), _ERF_AB)
         num *= ys
         num /= den
         out[small] = np.subtract(1.0, num, out=num)
@@ -275,7 +283,7 @@ def _erfc_nonneg(y: np.ndarray, out: np.ndarray) -> None:
     mid = (y > 0.46875) & (y <= 4.0)
     if mid.any():
         ys = y[mid]
-        num, den = _rational_parts(ys, _ERFC_C, _ERFC_D)
+        num, den = _rational_parts(ys, _ERFC_CD)
         num /= den
         out[mid] = _times_exp_neg_square(ys, num)
 
@@ -284,7 +292,7 @@ def _erfc_nonneg(y: np.ndarray, out: np.ndarray) -> None:
         ys = np.minimum(y[big], _Y_SATURATED)
         z = ys * ys
         np.divide(1.0, z, out=z)
-        num, den = _rational_parts(z, _ERFC_P, _ERFC_Q)
+        num, den = _rational_parts(z, _ERFC_PQ)
         num *= z
         num /= den
         np.subtract(_ONE_OVER_SQRT_PI, num, out=num)
@@ -406,17 +414,20 @@ def grid_search_bias(
     ``optimal_bias``; it never trusts the closed form beyond centering.
 
     The result is the first minimum of the risk over the whole grid, the
-    one ``np.argmin`` of a brute-force scan gives, bit for bit; but blocks
-    of ``_BLOCK`` points that cannot hold it are skipped. err(-1) falls and
-    err(+1) rises with the bias, so the risk of a block is at least the
-    weighted err(-1) of its last point plus the weighted err(+1) of its
-    first, computed by the same float expression as the risk. Blocks are
-    scanned in ascending order of that bound until a bound exceeds the best
-    risk found by more than a slack: ``_PRUNE_SLACK`` of that risk plus a
-    floor for errors in the subnormal range. The slack is needed because
-    float Phi is monotone only to a few ULPs, so a bound can exceed the
-    true minimum of its block by that much. A flat or saturated risk curve
-    gives equal bounds everywhere and is scanned in full.
+    one ``np.argmin`` of a brute-force scan gives, bit for bit; but
+    sub-blocks of ``_SUB_BLOCK`` points that cannot hold it are skipped.
+    err(-1) falls and err(+1) rises with the bias, so the risk of a
+    sub-block is at least the weighted err(-1) of its last point plus the
+    weighted err(+1) of its first, computed by the same float expression as
+    the risk. The least bound's sub-block gives a best risk; a sub-block is
+    kept if its bound exceeds that by at most a slack: ``_PRUNE_SLACK`` of
+    it plus a floor for errors in the subnormal range. The slack is needed
+    because float Phi is monotone only to a few ULPs, so a bound can exceed
+    the true minimum of its sub-block by that much. Kept sub-blocks are
+    evaluated as contiguous runs of at most ``_BLOCK`` points in ascending
+    order, and only a strictly lower risk replaces the best, so the first
+    minimum wins. A flat or saturated risk curve gives equal bounds
+    everywhere and is scanned in full.
     """
     if not 3 <= num_points < 2**60:  # NumPy holds no float64 array of 2^63 bytes
         raise DomainError("num_points must lie in [3, 2^60)")
@@ -433,20 +444,23 @@ def grid_search_bias(
             f"the Z-scores of the bias bracket [{lo}, {hi}] overflow at scale {scale}"
         )
     biases = np.linspace(lo, hi, num_points)
-    starts = np.arange(0, num_points, _BLOCK)
-    ends = np.minimum(starts + _BLOCK, num_points)
+    starts = np.arange(0, num_points, _SUB_BLOCK)
+    ends = np.minimum(starts + _SUB_BLOCK, num_points)
     bounds = _weighted_risk(biases[ends - 1], biases[starts], spec, rho, shift, scale)
+    j = int(np.argmin(bounds))
+    block = biases[starts[j] : ends[j]]
+    best = float(np.min(_weighted_risk(block, block, spec, rho, shift, scale)))
     floor = (rho * spec.minority_prior + spec.majority_prior) * sys.float_info.min
+    kept = np.flatnonzero(bounds <= best + _PRUNE_SLACK * best + floor)
     idx, best = 0, math.inf
-    for j in np.argsort(bounds, kind="stable"):
-        if bounds[j] > best + _PRUNE_SLACK * best + floor:
-            break  # every later block's bound is at least as large
-        start = int(starts[j])
-        block = biases[start : ends[j]]
-        risk = _weighted_risk(block, block, spec, rho, shift, scale)
-        i = int(np.argmin(risk))
-        if risk[i] < best or (risk[i] == best and start + i < idx):
-            idx, best = start + i, risk[i]
+    for run in np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1):
+        stop = int(ends[run[-1]])
+        for start in range(int(starts[run[0]]), stop, _BLOCK):
+            block = biases[start : min(start + _BLOCK, stop)]
+            risk = _weighted_risk(block, block, spec, rho, shift, scale)
+            i = int(np.argmin(risk))
+            if risk[i] < best:
+                idx, best = start + i, risk[i]
     resolution = (hi - lo) / (num_points - 1)
     return float(biases[idx]), resolution
 

@@ -5,7 +5,7 @@
 Each mutant below is a one-line change to the package that breaks one
 behaviour the tests are meant to judge by its meaning, not by a hash. For
 each mutant the runner copies the tree to a temporary directory, applies
-the mutant there, and runs tier-1 with ``-x`` and the criterion-9 pins
+the mutant there, and runs tier-1 with ``-x`` and every byte pin
 deselected. It prints ``killed`` with the first failing test, or
 ``survived``. Exits 1 when a mutant survives or its text does not occur
 exactly once in its file, 0 when every mutant is killed.
@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-k", "not criterion_9"]
+# every byte pin: the criterion-9 checkpoints, the theory, manifest and
+# profile hashes and the eval metrics hash; a mutant must fail a test of
+# the meaning
+BYTE_PINS = ("criterion_9", "pinned", "test_make_dataset_keeps_the_rows_it_kept",
+             "test_eval_flags_classes_missing_from_the_csv")
+TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-k", " and ".join(f"not {pin}" for pin in BYTE_PINS)]
 # what building, testing and running leave in a tree; not copied
 _LEFTOVERS = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", "*.egg-info", ".pytest_cache", ".hypothesis", ".bench_*"
@@ -103,6 +109,17 @@ MUTANTS = [
            "the learning rate decays at its milestone epoch (one epoch late)"),
     Mutant("evaluation.py", "seed=(seed, start)", "seed=(seed, 0)",
            "each evaluation chunk draws its attack on its own stream (all on one)"),
+    Mutant("theory.py", "if risk[i] < best:", "if risk[i] <= best:",
+           "the grid search keeps the first of tied minima (a later tie wins)"),
+    Mutant("theory.py", "stop = int(ends[run[-1]])", "stop = int(starts[run[-1]])",
+           "a kept run of the grid search ends with its last sub-block (one sub-block early)"),
+    Mutant("theory.py", "best + _PRUNE_SLACK * best + floor", "best + _PRUNE_SLACK * best - floor",
+           "the prune threshold adds the subnormal floor (subtracts it)"),
+    Mutant("training.py", "velocity = config.momentum * velocity + grads",
+           "velocity = config.momentum * config.momentum * velocity + grads",
+           "heavy-ball momentum scales the velocity by m (by m squared)"),
+    Mutant("theory.py", "holds=lhs < rhs,", "holds=lhs <= rhs,",
+           "Theorem 2 holds only when lhs < rhs (also on a tie)"),
 ]
 
 

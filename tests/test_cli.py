@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import srat.cli
+import srat.theory
 import srat.training
 from srat.attack import AttackConfig
 from srat.cli import main
@@ -180,6 +181,24 @@ def test_theory_output_bytes_are_pinned(tmp_path, flags, table_sha256, reports_s
     assert main(["theory", *flags, "--out", str(out)]) == 0
     assert _sha256(out / "table.csv") == table_sha256
     assert _sha256(out / "reports.json") == reports_sha256
+
+
+def test_readme_lemma_grid_bounds_its_normal_cdf_work(tmp_path, monkeypatch):
+    # 216 grid points of 100,000 biases: a full scan takes 43.2 M normal_cdf
+    # elements, the search with 32-point bounds about 3.61 M
+    real = srat.theory.normal_cdf
+    calls, elements = 0, 0
+
+    def counting(z):
+        nonlocal calls, elements
+        calls, elements = calls + 1, elements + np.size(z)
+        return real(z)
+
+    monkeypatch.setattr(srat.theory, "normal_cdf", counting)
+    argv = ["theory", "--thm", "lemma", "--eta", "0.5", "1", "2", "--sigma", "0.5", "1", "2", "4",
+            "--d", "1", "5", "20", "--out", str(tmp_path / "lemma")]
+    assert main(argv) == 0
+    assert elements <= 4_500_000, f"{elements} normal_cdf elements in {calls} calls"
 
 
 @pytest.mark.parametrize("thm", ["1", "2"])

@@ -390,6 +390,7 @@ def test_dataset_csv_round_trip_is_bit_exact(
 # ---------------------------------------------------------------------------
 
 BLOCK = theory._BLOCK
+SUB_BLOCK = theory._SUB_BLOCK
 
 
 def _neighbours(z: float, ulps: int = 3) -> list[float]:
@@ -523,7 +524,10 @@ def test_normal_cdf_saturates_up_to_the_largest_float():
     st.sampled_from([-3.0, -1.5, 0.0, 1.5, 3.0]),
     st.sampled_from(list(StdConvention)),
     st.one_of(
-        st.sampled_from([3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 100_000]),
+        st.sampled_from(
+            [3, SUB_BLOCK - 1, SUB_BLOCK, SUB_BLOCK + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+             BLOCK + SUB_BLOCK + 1, 2 * BLOCK + 1, 100_000]
+        ),
         st.integers(3, 3 * BLOCK),
     ),
 )
@@ -537,6 +541,14 @@ def test_normal_cdf_saturates_up_to_the_largest_float():
 @example(1e-300, 1.0, 1, 20.0, -1.5, StdConvention.SUMMED, 100_000)
 @example(1e100, 1.0, 1, 20.0, -1.5, StdConvention.EXACT, 100_000)
 @example(1.0, 1e-100, 5, 20.0, 0.0, StdConvention.SUMMED, 100_000)
+# a risk of exactly 0 everywhere, one kept run past the _BLOCK cap by a
+# sub-block and a point
+@example(10.0, 0.1, 1, 20.0, 0.0, StdConvention.SUMMED, BLOCK + SUB_BLOCK + 1)
+# one kept run of 14,176 points from mid-grid, cut at the _BLOCK cap
+@example(0.5, 4.0, 1, 20.0, 0.0, StdConvention.SUMMED, 100_000)
+# the minimum risk, about 5e-313, is subnormal and lies mid-grid, far below
+# the floor of the prune threshold
+@example(3.78, 0.1, 1, 20.0, -1.5, StdConvention.SUMMED, 100_000)
 def test_grid_search_bias_matches_reference(eta, sigma, dim, k, log_ratio, conv, num_points):
     # eta 10 with sigma 0.1 gives a risk of exactly 0 over many blocks: the
     # first grid point of the minimum must win, as in np.argmin

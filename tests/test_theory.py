@@ -488,6 +488,16 @@ def test_theorem2_identical_specs_rejected():
         verify_theorem2(spec, spec, StdConvention.SUMMED)
 
 
+@pytest.mark.parametrize("conv", BOTH)
+def test_theorem2_tie_does_not_hold(conv):
+    # at K = 1 the rho = K classifier is the rho = 1 one, so both sides are
+    # exactly 0: a tie is no strict ordering
+    spec1 = GaussianMixtureSpec(1.0, 0.5, 5, 1.0)
+    spec2 = GaussianMixtureSpec(1.0, 2.0, 5, 1.0)
+    r = verify_theorem2(spec1, spec2, conv)
+    assert (r.lhs, r.rhs, r.margin, r.holds) == (0.0, 0.0, 0.0, False)
+
+
 def test_theorems_hold_on_reduced_grid():
     sigmas = (0.5, 1.0, 2.0, 4.0)
     for conv in BOTH:

@@ -318,6 +318,38 @@ def test_momentum_accumulates_velocity():
     assert np.array_equal(one_plain.params, one_momentum.params)
 
 
+def test_momentum_follows_the_heavy_ball_recurrence():
+    # three batches at momentum 0.9, no attack and lam 0: velocity =
+    # 0.9 * velocity + grads, then params -= lr * velocity, recomputed from
+    # forward, backward and sgd_step
+    ds = _small_dataset()
+    cfg = _config(
+        total_epochs=1,
+        defer_epoch=2,
+        batch_size=24,
+        momentum=0.9,
+        loss=LossConfig(kind="ce", tau=0.1, lam=0.0),
+        attack=AttackConfig(epsilon=0.0, step_size=0.05, num_steps=2),
+        weighting="none",
+        lr_milestones=(),
+    )
+    model, _ = train_srat(ds, ModelSpec((6,)), cfg)
+
+    ref = build_mlp(ds.dim, (6,), ds.num_classes, seed=(cfg.seed, STREAM_MODEL_INIT))
+    uniform = ClassWeights.uniform(ds.num_classes)
+    velocity = np.zeros_like(ref.params)
+    order = batches(ds, cfg.batch_size, (cfg.seed, STREAM_SHUFFLE, 1))
+    assert len(order) == 3
+    for idx in order:
+        trace = forward(ref, ds.features[idx])
+        _, d_logits = prediction_loss(trace.logits, ds.labels[idx], uniform, PredictionLoss())
+        grads, _ = backward(ref, trace, d_logits)
+        velocity = 0.9 * velocity + grads
+        ref = sgd_step(ref, velocity, cfg.lr)
+
+    assert np.array_equal(model.params, ref.params)
+
+
 def test_history_csv_round_trip(tmp_path):
     ds = _small_dataset()
     cfg = _config(total_epochs=2, defer_epoch=3, eval_every=1, lr_milestones=())
