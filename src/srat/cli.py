@@ -245,10 +245,10 @@ def _load_json(path) -> dict:
 
 
 def _attack_arg(text: str) -> AttackConfig:
-    """Attack given inline as JSON or as a path to a JSON file."""
-    candidate = Path(text)
-    if candidate.suffix == ".json" and candidate.exists():
-        doc = _load_json(candidate)
+    """Attack given inline as JSON or as a path to a JSON file: any value
+    with a ``.json`` suffix is read as a path, so a missing file is named."""
+    if Path(text).suffix == ".json":
+        doc = _load_json(text)
     else:
         try:
             doc = json.loads(text)

@@ -245,8 +245,11 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     if not lines:
         raise IngestionError(f"{path}: empty file")
     header = lines[0].strip()
+    pairs = [part.split("=", 1) for part in header.split(",")]
     try:
-        fields = dict(part.split("=", 1) for part in header.split(","))
+        fields = dict(pairs)
+        if len(pairs) != 2:  # two pairs with both keys: no other key, none twice
+            raise KeyError(header)
         dim = int(fields["dim"])
         label_col = int(fields["label_col"])
     except (ValueError, KeyError) as exc:

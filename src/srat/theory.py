@@ -26,7 +26,9 @@ from its caller:
 Both conventions describe the same one-dimensional family of classifiers;
 they differ in which risk surface the bias minimizes. Every theorem check
 reports the sufficient "K large enough" precondition derived for its
-convention, so reports are never asserted outside their hypothesis.
+convention, so reports are never asserted outside their hypothesis. Both
+checks claim lhs < rhs, and for both ``holds`` is the sign of the stable
+margin rhs - lhs: margin > 0.
 
 The normal CDF is computed from a rational-approximation erfc accurate to
 a few ULPs. The test suite validates it against Monte Carlo sampling,
@@ -330,20 +332,15 @@ def normal_cdf(z):
 # ---------------------------------------------------------------------------
 
 
-def _all_ones_scale(spec: GaussianMixtureSpec, conv: StdConvention):
-    """Mean multiplier and Z-score scale of w.x for the all-ones w, as
-    (shift, scale): w.x ~ N(y*eta*d, d*sigma^2), so shift = eta*d. EXACT
-    uses the true deviation sqrt(d)*sigma; SUMMED adds the per-coordinate
-    deviations, d*sigma."""
-    d = float(spec.dim)
-    return spec.eta * d, spec.sigma * (d if conv is StdConvention.SUMMED else math.sqrt(d))
-
-
-def _zscore(bias, label, shift, scale):
+def _zscore(bias, label, spec: GaussianMixtureSpec, conv: StdConvention):
     """Z-score of the class-``label`` error of sign(w.x - b) at the bias
-    ``bias`` (a float or an array): err(label) = Phi(z), where w.x has
-    mean label*shift and deviation ``scale``."""
-    return (label * bias - shift) / scale
+    ``bias`` (a float or an array): err(label) = Phi(z). For the all-ones
+    w, w.x ~ N(label*eta*d, d*sigma^2); EXACT scales by the true deviation
+    sqrt(d)*sigma, SUMMED by the sum of the per-coordinate deviations,
+    d*sigma."""
+    d = float(spec.dim)
+    scale = spec.sigma * (d if conv is StdConvention.SUMMED else math.sqrt(d))
+    return (label * bias - spec.eta * d) / scale
 
 
 def classwise_error(
@@ -357,7 +354,7 @@ def classwise_error(
         raise DomainError(f"label must be +1 or -1, got {label!r}")
     if clf.dim != spec.dim:
         raise DomainError(f"classifier has dim {clf.dim}, distribution dim is {spec.dim}")
-    return normal_cdf(_zscore(clf.bias, label, *_all_ones_scale(spec, conv)))
+    return normal_cdf(_zscore(clf.bias, label, spec, conv))
 
 
 def optimal_bias(
@@ -384,17 +381,16 @@ def _weighted_risk(
     b_plus: np.ndarray,
     spec: GaussianMixtureSpec,
     rho: float,
-    shift: float,
-    scale: float,
+    conv: StdConvention,
 ) -> np.ndarray:
     """rho * Pr(y=-1) * err(-1) at the biases ``b_minus`` plus
     Pr(y=+1) * err(+1) at the biases ``b_plus``, for the all-ones
-    classifier whose w.x has mean multiplier ``shift`` and Z-score
-    ``scale``. With one grid block as both it is that block's risk."""
-    risk = normal_cdf(_zscore(b_minus, -1, shift, scale))  # err(-1)
+    classifier under the convention's Z-score. With one grid block as
+    both it is that block's risk."""
+    risk = normal_cdf(_zscore(b_minus, -1, spec, conv))  # err(-1)
     risk *= rho
     risk *= spec.minority_prior
-    err_plus = normal_cdf(_zscore(b_plus, 1, shift, scale))
+    err_plus = normal_cdf(_zscore(b_plus, 1, spec, conv))
     err_plus *= spec.majority_prior
     risk += err_plus
     return risk
@@ -435,21 +431,18 @@ def grid_search_bias(
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
     if not math.isfinite(hi - lo):
         raise DomainError(f"the bias bracket [{lo}, {hi}] or its width is not finite")
-    shift, scale = _all_ones_scale(spec, conv)
     # both Z-scores are monotone in the bias, so the bracket's ends bound
     # them over the whole grid
-    bracket_z = (_zscore(b, y, shift, scale) for b in (lo, hi) for y in (-1, 1))
+    bracket_z = (_zscore(b, y, spec, conv) for b in (lo, hi) for y in (-1, 1))
     if not all(map(math.isfinite, bracket_z)):
-        raise DomainError(
-            f"the Z-scores of the bias bracket [{lo}, {hi}] overflow at scale {scale}"
-        )
+        raise DomainError(f"the Z-scores of the bias bracket [{lo}, {hi}] overflow")
     biases = np.linspace(lo, hi, num_points)
     starts = np.arange(0, num_points, _SUB_BLOCK)
     ends = np.minimum(starts + _SUB_BLOCK, num_points)
-    bounds = _weighted_risk(biases[ends - 1], biases[starts], spec, rho, shift, scale)
+    bounds = _weighted_risk(biases[ends - 1], biases[starts], spec, rho, conv)
     j = int(np.argmin(bounds))
     block = biases[starts[j] : ends[j]]
-    best = float(np.min(_weighted_risk(block, block, spec, rho, shift, scale)))
+    best = float(np.min(_weighted_risk(block, block, spec, rho, conv)))
     floor = (rho * spec.minority_prior + spec.majority_prior) * sys.float_info.min
     kept = np.flatnonzero(bounds <= best + _PRUNE_SLACK * best + floor)
     idx, best = 0, math.inf
@@ -457,7 +450,7 @@ def grid_search_bias(
         stop = int(ends[run[-1]])
         for start in range(int(starts[run[0]]), stop, _BLOCK):
             block = biases[start : min(start + _BLOCK, stop)]
-            risk = _weighted_risk(block, block, spec, rho, shift, scale)
+            risk = _weighted_risk(block, block, spec, rho, conv)
             i = int(np.argmin(risk))
             if risk[i] < best:
                 idx, best = start + i, risk[i]
@@ -537,10 +530,10 @@ def monte_carlo_classwise_error(
 class TheoremReport:
     """Outcome of one ordering check between two mixtures.
 
-    ``holds`` records whether lhs < rhs in exact arithmetic; ``margin`` is
-    rhs - lhs evaluated through stable tail differences, so it stays
-    meaningful even where the rounded ``lhs``/``rhs`` floats saturate and
-    tie (large K pushes both gaps to 1.0 in double precision).
+    The claim is lhs < rhs. ``margin`` is rhs - lhs evaluated through
+    stable tail differences, so it stays meaningful even where the rounded
+    ``lhs``/``rhs`` floats saturate and tie (large K pushes both gaps to
+    1.0 in double precision), and ``holds`` is its sign: margin > 0.
     ``precondition_met`` records the sufficient "K large enough" condition
     of the corresponding proof; callers must not treat a failed ordering
     as a counterexample unless the precondition held.
@@ -601,6 +594,23 @@ def _precondition(
     return math.log(spec1.imbalance_ratio) > threshold
 
 
+def _report(theorem, lhs, rhs, margin, spec1, spec2, spec2c, conv) -> TheoremReport:
+    """The report of one theorem check on (spec1, spec2), whose canonical
+    second mixture is ``spec2c``: the claim holds when the stable margin
+    is positive."""
+    return TheoremReport(
+        theorem=theorem,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        holds=margin > 0.0,
+        precondition_met=_precondition(spec1, spec2c, conv),
+        spec1=spec1,
+        spec2=spec2,
+        convention=conv,
+    )
+
+
 def _cdf_pairs(*pairs: tuple[float, float]) -> list[tuple[float, float, float]]:
     """(Phi(a), Phi(b), Phi(b) - Phi(a)) for each Z-score pair (a, b), from
     one ``normal_cdf`` call over every score and its reflection.
@@ -632,27 +642,14 @@ def verify_theorem1(
 
     def zscore(s: GaussianMixtureSpec, label: int) -> float:
         """err(label) Z-score of the unweighted optimal classifier."""
-        return _zscore(optimal_bias(s, 1.0, conv), label, *_all_ones_scale(s, conv))
+        return _zscore(optimal_bias(s, 1.0, conv), label, s, conv)
 
     (em1, em2, dm), (ep1, ep2, dp) = _cdf_pairs(
         (zscore(spec1, -1), zscore(spec2c, -1)), (zscore(spec1, 1), zscore(spec2c, 1))
     )
-    lhs = em1 - ep1
-    rhs = em2 - ep2
     # rhs - lhs = [err2(-1) - err1(-1)] - [err2(+1) - err1(+1)], each piece
     # a stable same-side CDF difference
-    margin = dm - dp
-    return TheoremReport(
-        theorem=1,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=margin > 0.0,
-        precondition_met=_precondition(spec1, spec2c, conv),
-        spec1=spec1,
-        spec2=spec2,
-        convention=conv,
-    )
+    return _report(1, em1 - ep1, em2 - ep2, dm - dp, spec1, spec2, spec2c, conv)
 
 
 def verify_theorem2(
@@ -672,21 +669,11 @@ def verify_theorem2(
 
     def plus_zscores(s: GaussianMixtureSpec) -> tuple[float, float]:
         """err(+1) Z-scores at rho = 1 and at rho = K."""
-        shift, scale = _all_ones_scale(s, conv)
         return tuple(
-            _zscore(optimal_bias(s, rho, conv), 1, shift, scale)
-            for rho in (1.0, s.imbalance_ratio)
+            _zscore(optimal_bias(s, rho, conv), 1, s, conv) for rho in (1.0, s.imbalance_ratio)
         )
 
     (_, _, lhs), (_, _, rhs) = _cdf_pairs(plus_zscores(spec1), plus_zscores(spec2c))
-    return TheoremReport(
-        theorem=2,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        holds=lhs < rhs,
-        precondition_met=_precondition(spec1, spec2c, conv),
-        spec1=spec1,
-        spec2=spec2,
-        convention=conv,
-    )
+    # both sides are finite and lie in [-1, 1], so with gradual underflow
+    # rhs - lhs > 0 exactly when lhs < rhs
+    return _report(2, lhs, rhs, rhs - lhs, spec1, spec2, spec2c, conv)

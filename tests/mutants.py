@@ -90,7 +90,7 @@ MUTANTS = [
            "the step profile cuts the tail classes (the head ones)"),
     Mutant("data.py", "if ratio != 1:", "if False:",
            "one class takes ratio 1 only (any ratio, keeping every row)"),
-    Mutant("theory.py", "(label * bias - shift) / scale", "(label * bias + shift) / scale",
+    Mutant("theory.py", "(label * bias - spec.eta * d) / scale", "(label * bias + spec.eta * d) / scale",
            "a Z-score subtracts the class mean (adds it)"),
     Mutant("theory.py", "2.15311535474403846e-8", "2.15311535474403846e-7",
            "the erfc rational's numerator coefficient (ten times too large)"),
@@ -118,8 +118,25 @@ MUTANTS = [
     Mutant("training.py", "velocity = config.momentum * velocity + grads",
            "velocity = config.momentum * config.momentum * velocity + grads",
            "heavy-ball momentum scales the velocity by m (by m squared)"),
-    Mutant("theory.py", "holds=lhs < rhs,", "holds=lhs <= rhs,",
-           "Theorem 2 holds only when lhs < rhs (also on a tie)"),
+    Mutant("theory.py", "holds=margin > 0.0,", "holds=margin >= 0.0,",
+           "a theorem holds only on a positive margin (also on a tie)"),
+    Mutant("theory.py", "dm - dp,", "dm + dp,",
+           "Theorem 1's margin subtracts the +1 error difference (adds it)"),
+    Mutant("theory.py", "ra - rb if a + b > 0.0", "ra + rb if a + b > 0.0",
+           "a right-tail CDF difference subtracts the reflected tails (adds them)"),
+    Mutant("theory.py", "(rho * spec.minority_prior + spec.majority_prior)",
+           "(rho * spec.minority_prior - spec.majority_prior)",
+           "the prune floor adds the majority weight (subtracts it)"),
+    Mutant("attack.py", "if not lo < hi:", "if lo >= hi:",
+           "an attack box refuses a NaN bound (NaN fails every comparison and passes)"),
+    Mutant("attack.py", 'object.__setattr__(self, "epsilon", self.epsilon + 0.0)',
+           'object.__setattr__(self, "epsilon", self.epsilon)',
+           "an epsilon of -0.0 is stored as +0.0 (kept as -0.0)"),
+    Mutant("attack.py", '@np.errstate(over="ignore", invalid="ignore", divide="ignore")\n', "",
+           "pgd_attack keeps NumPy's warnings in (lets them out)"),
+    Mutant("cli.py", 'output_dir = _value(str, grid["output_dir"], "sweep.output_dir")',
+           'output_dir = grid["output_dir"]',
+           "a sweep checks its output_dir under --out too (not at all)"),
 ]
 
 

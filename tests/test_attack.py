@@ -1,5 +1,7 @@
 """PGD contracts: ball/box containment, linear closed form, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ import srat.attack
 import srat.evaluation
 from srat.attack import AttackConfig, pgd_attack
 from srat.data import LabeledDataset
-from srat.errors import DomainError
+from srat.errors import AttackError, DomainError
 from srat.evaluation import evaluate, export_features
 from srat.losses import ClassWeights, LossConfig, PredictionLoss, prediction_loss
 from srat.mlp import MlpModel, ModelSpec, build_mlp, forward
@@ -312,3 +314,17 @@ def test_pgd_returns_an_empty_batch_as_is():
     empty = np.zeros((0, 2))
     adv = pgd_attack(build_mlp(2, (4,), 2, seed=0), CE, empty, np.zeros(0, dtype=int), cfg, seed=0)
     assert adv.shape == (0, 2) and adv is not empty
+
+
+@pytest.mark.parametrize("cell", [1e308, -1e308])
+def test_a_diverging_attack_raises_one_attack_error_and_no_warning(cell):
+    # a row of huge cells overflows the first layer; the attack reports that
+    # once, by its own non-finite check, with no NumPy warning on the way
+    model = build_mlp(3, (4,), 2, seed=0)
+    x = derive_rng(1).normal(size=(2, 3))
+    x[0] = cell
+    cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=1, random_start=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AttackError, match="non-finite input gradient"):
+            pgd_attack(model, CE, x, np.array([0, 1]), cfg, seed=0)

@@ -777,16 +777,25 @@ def test_eval_non_integer_under_exits_2(trained_run, tmp_path, capsys):
             "attack: clip_min/clip_max must be numbers",
         ),
         ("eval", ["--attack", "{bad"], "error: --attack: invalid JSON ("),
+        # a value with a .json suffix is a path: a missing file is named, not
+        # parsed as inline JSON
+        ("eval", ["--attack", "missing.json"], "No such file or directory: 'missing.json'"),
+        (
+            "export-features",
+            ["--attack", "missing.json"],
+            "No such file or directory: 'missing.json'",
+        ),
     ],
     ids=[
         "eval_under_beyond_classes", "eval_negative_seed", "export_negative_seed",
         "export_attack_box_excluding_the_data", "eval_nan_clip_max", "export_nan_clip_min",
-        "eval_invalid_attack_json",
+        "eval_invalid_attack_json", "eval_missing_attack_file", "export_missing_attack_file",
     ],
 )
 def test_eval_and_export_rejected_flag_write_nothing(
-    trained_run, tmp_path, capsys, command, flags, named
+    trained_run, tmp_path, capsys, monkeypatch, command, flags, named
 ):
+    monkeypatch.chdir(tmp_path)  # relative paths in ``flags`` resolve here
     _, run_dir = trained_run
     data = tmp_path / "data.csv"
     save_csv(sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.5, 4, 1.0), 3, seed=5), data)

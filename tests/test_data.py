@@ -266,10 +266,19 @@ def test_csv_label_errors_count_blank_lines(tmp_path, label, num_classes, messag
 
 
 def test_csv_rejects_malformed_header(tmp_path):
+    # the header holds exactly the keys dim and label_col, once each
     path = tmp_path / "bad.csv"
-    path.write_text("dims=2\n1.0,2.0,0\n")
-    with pytest.raises(IngestionError, match="line 1"):
-        load_csv(path)
+    for header in (
+        "dims=2",
+        "dim=2,label_col=2,foo=1",
+        "dim=2,label_col=2,dim=2",
+        "dim=2,dim=2",
+        "dim=2",
+        "dim=2,label_col",
+    ):
+        path.write_text(f"{header}\n1.0,2.0,0\n")
+        with pytest.raises(IngestionError, match=f"bad.csv: line 1: bad header '{header}'"):
+            load_csv(path)
 
 
 @pytest.mark.parametrize(

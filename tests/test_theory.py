@@ -1,5 +1,6 @@
 """Gaussian-mixture theory: closed forms against brute-force oracles."""
 
+import itertools
 import json
 import math
 
@@ -489,13 +490,71 @@ def test_theorem2_identical_specs_rejected():
 
 
 @pytest.mark.parametrize("conv", BOTH)
-def test_theorem2_tie_does_not_hold(conv):
-    # at K = 1 the rho = K classifier is the rho = 1 one, so both sides are
-    # exactly 0: a tie is no strict ordering
+def test_a_tie_holds_for_neither_theorem(conv):
+    # at K = 1 the rho = 1 bias is 0, so err(-1) = err(+1) on each mixture
+    # (Theorem 1), and the rho = K classifier is the rho = 1 one (Theorem
+    # 2): both sides and the margin are exactly 0, and a tie is no strict
+    # ordering
     spec1 = GaussianMixtureSpec(1.0, 0.5, 5, 1.0)
     spec2 = GaussianMixtureSpec(1.0, 2.0, 5, 1.0)
-    r = verify_theorem2(spec1, spec2, conv)
-    assert (r.lhs, r.rhs, r.margin, r.holds) == (0.0, 0.0, 0.0, False)
+    for verify in (verify_theorem1, verify_theorem2):
+        r = verify(spec1, spec2, conv)
+        assert (r.lhs, r.rhs, r.margin, r.holds) == (0.0, 0.0, 0.0, False), verify.__name__
+
+
+@pytest.mark.parametrize("conv", BOTH)
+def test_theorem_margins_match_50_digit_tails(conv):
+    # each verifier's margin against Phi at 50 digits on the same Z-scores;
+    # the stable tail differences agree to within 1e-12 relative, down to
+    # margins near 1e-40 and up to K = 1e6, where err(-1) sits in the right
+    # tail. The pairs share eta (a power of 2), so spec2 is its own
+    # canonical form.
+    mpmath = pytest.importorskip("mpmath")
+    for eta, (s1, s2), d, k in itertools.product(
+        (0.5, 1.0, 2.0), ((0.5, 1.0), (1.0, 2.0), (1.0, 4.0)), (1, 5, 20), (1.5, 20.0, 1e3, 1e6)
+    ):
+        spec1, spec2 = GaussianMixtureSpec(eta, s1, d, k), GaussianMixtureSpec(eta, s2, d, k)
+
+        def err(spec, rho, label):
+            z = srat.theory._zscore(optimal_bias(spec, rho, conv), label, spec, conv)
+            return mpmath.ncdf(z)
+
+        with mpmath.workdps(50):
+            exact = {
+                verify_theorem1: (err(spec2, 1.0, -1) - err(spec1, 1.0, -1))
+                - (err(spec2, 1.0, 1) - err(spec1, 1.0, 1)),
+                verify_theorem2: (err(spec2, k, 1) - err(spec2, 1.0, 1))
+                - (err(spec1, k, 1) - err(spec1, 1.0, 1)),
+            }
+        for verify, margin in exact.items():
+            got = verify(spec1, spec2, conv).margin
+            assert math.isclose(got, float(margin), rel_tol=1e-9), (verify.__name__, spec1, spec2)
+
+
+def test_the_abstracts_observations_are_theorem_instances():
+    # The worst l-inf shift of budget eps < eta against the all-ones rule
+    # moves each class mean eps toward the other, so robust accuracy is
+    # clean accuracy on the mixture with mean eta - eps: the same sigma and
+    # a lower separability. Both theorems then compare the clean mixture
+    # with its attacked one. Theorem 2 holds on the whole grid. Theorem 1
+    # holds wherever its margin resolves; elsewhere Phi saturates at large
+    # K, both gaps round to 1.0 and the margin underflows to 0.
+    for conv, eta, sigma, d, eps_frac, k in itertools.product(
+        BOTH,
+        (0.25, 0.5, 1.0, 2.0),
+        (0.5, 1.0, 2.0, 4.0),
+        (1, 5, 10, 50),
+        (0.1, 0.3, 0.5, 0.9),
+        (1.5, 2.0, 5.0, 10.0, 20.0, 100.0, 1000.0, 1e6),
+    ):
+        clean = GaussianMixtureSpec(eta, sigma, d, k)
+        attacked = GaussianMixtureSpec(eta - eps_frac * eta, sigma, d, k)
+        assert verify_theorem2(clean, attacked, conv).holds, (clean, attacked, conv)
+        r = verify_theorem1(clean, attacked, conv)
+        if r.margin != 0.0:
+            assert r.holds, r
+        else:
+            assert r.lhs == r.rhs and k >= 1000, r
 
 
 def test_theorems_hold_on_reduced_grid():
