@@ -464,8 +464,6 @@ def cmd_theory(args) -> int:
         for conv, eta, d, log_k, s1, s2 in itertools.product(
             convs, args.eta, args.d, args.logK, args.sigma1, args.sigma2
         ):
-            if not s1 < s2:
-                continue
             with _prefixed(
                 "grid point", convention=conv.value, eta=eta, d=d, logK=log_k, sigma1=s1,
                 sigma2=s2,
@@ -473,6 +471,10 @@ def cmd_theory(args) -> int:
                 k = float(np.exp(log_k))
                 spec1 = GaussianMixtureSpec(eta, s1, d, k)
                 spec2 = GaussianMixtureSpec(eta, s2, d, k)
+                # every value is checked above; only valid pairs out of
+                # order are skipped
+                if not s1 < s2:
+                    continue
                 report = verify(spec1, spec2, conv)
                 biases = {
                     f"bias{i}_rho{name}": optimal_bias(spec, rho, conv)

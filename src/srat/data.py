@@ -16,6 +16,7 @@ from decimal import Decimal
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,10 @@ from srat.theory import GaussianMixtureSpec
 _IMBALANCE_KINDS = ("step", "exp")
 # labels are stored as int64
 _MAX_LABEL = np.iinfo(np.int64).max
+# int() and float() also read digit-group underscores, surrounding blanks
+# and non-ASCII digits, which no number that save_csv writes holds; a
+# character outside printable ASCII (a blank is one) or an underscore
+_NOT_WRITTEN = re.compile(r"[^!-~]|_")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,8 +239,9 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse a dataset CSV, preserving row order.
 
     Raises IngestionError naming the offending 1-based file line on ragged
-    rows, non-numeric or non-finite cells, or out-of-range labels, and
-    naming the file when it is not UTF-8 text.
+    rows, non-numeric or non-finite cells, out-of-range labels, or a
+    header value or cell with a blank, an underscore or a non-ASCII
+    character, and naming the file when it is not UTF-8 text.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -244,11 +250,13 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
         raise IngestionError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise IngestionError(f"{path}: empty file")
-    header = lines[0].strip()
+    header = lines[0]
     pairs = [part.split("=", 1) for part in header.split(",")]
     try:
         fields = dict(pairs)
-        if len(pairs) != 2:  # two pairs with both keys: no other key, none twice
+        # two pairs with both keys (no other key, none twice) and values
+        # as save_csv writes them
+        if len(pairs) != 2 or any(map(_NOT_WRITTEN.search, fields.values())):
             raise KeyError(header)
         dim = int(fields["dim"])
         label_col = int(fields["label_col"])
@@ -265,6 +273,10 @@ def load_csv(path, num_classes: int | None = None) -> LabeledDataset:
         if len(cells) != dim + 1:
             raise IngestionError(
                 f"{path}: line {lineno}: expected {dim + 1} cells, got {len(cells)}"
+            )
+        if _NOT_WRITTEN.search(line):
+            raise IngestionError(
+                f"{path}: line {lineno}: a cell holds a blank, '_' or a non-ASCII character"
             )
         try:
             label = int(cells[label_col])

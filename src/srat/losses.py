@@ -198,10 +198,10 @@ def separation_loss(features, labels, tau: float):
     n_valid = np.count_nonzero(valid)
     if n_valid == 0:
         return 0.0, np.zeros_like(features)
-    # the positives of an anchor are the other rows of its class, so their
-    # feature sum is its class sum minus itself: no n x n mask
+    # an anchor's positives are the other rows of its class: their feature
+    # sum is its class sum, gathered by label, minus itself (no n x n mask)
     onehot = (labels[:, None] == np.arange(counts.size)).astype(np.float64)
-    pos_z = onehot @ (onehot.T @ z)
+    pos_z = (onehot.T @ z)[labels]
     pos_z -= z
 
     # Column j holds anchor j's logits, so every per-anchor reduction runs

@@ -38,9 +38,10 @@ against ``scipy.special.ndtr``: absolute error at most 1e-15 on
 
 The oracles stream through fixed buffers: ``normal_cdf`` and the risk in
 ``grid_search_bias`` work in blocks of ``_BLOCK`` elements, and
-``monte_carlo_classwise_error`` draws its normals into reused buffers of
-that size, so their temporaries come from the allocator's free lists
-rather than fresh pages from the OS.
+``monte_carlo_classwise_error`` draws each chunk's normals into one reused
+buffer that holds the chunk's samples and then their reflections, so
+their temporaries come from the allocator's free lists rather than fresh
+pages from the OS.
 
 ``monte_carlo_classwise_error`` draws antithetic pairs: each normal
 vector z gives the sample label*mu + sigma*z and its reflection
@@ -473,7 +474,8 @@ def monte_carlo_classwise_error(
     label*mu - sigma*z; an odd ``n_samples`` drops the last reflection.
     Each sample is scored in full dimension (never using the
     one-dimensional reduction the analytic path relies on), counting
-    sign(w.x - b) != label with sign(0) as an error.
+    sign(w.x - b) != label with sign(0) as an error: a sample errs when
+    w.x <= b for label +1 and when w.x >= b for label -1.
 
     The estimate is unbiased, and the pairing never widens it: a sample
     errs when S = sum(z) lies on one side of a threshold t and its
@@ -482,9 +484,11 @@ def monte_carlo_classwise_error(
     (p(1-p) - min(p, 1-p)^2)/n for even n, is at most the binomial
     p(1-p)/n of independent draws.
 
-    The pairs are drawn chunk by chunk into reused buffers of ``_BLOCK``
-    normals; the counter-based stream is consumed in the same order
-    whatever the chunk size, so the result is reproducible per seed.
+    The pairs are drawn chunk by chunk, about ``_BLOCK`` normals at a
+    time, into one reused buffer that holds a chunk's samples and then
+    their reflections, and one product scores both. The counter-based
+    stream is consumed in the same order whatever the chunk size, so the
+    result is reproducible per seed.
     """
     if label not in (1, -1):
         raise DomainError(f"label must be +1 or -1, got {label!r}")
@@ -495,28 +499,22 @@ def monte_carlo_classwise_error(
     rng = derive_rng(seed)
     mean = label * spec.eta
     chunk = max(1, _BLOCK // spec.dim)  # pairs per chunk
-    plus = np.empty((chunk, spec.dim))
-    minus = np.empty((chunk, spec.dim))
+    samples = np.empty((2 * chunk, spec.dim))
     scores = np.empty(2 * chunk)
     ones = np.ones(spec.dim)
+    errs = np.less_equal if label == 1 else np.greater_equal
     wrong = 0
     remaining = n_samples
     while remaining > 0:
         m = min(chunk, (remaining + 1) // 2)
         k = min(2 * m, remaining)  # an odd remainder drops the last reflection
-        pm, mm = plus[:m], minus[:k - m]
-        rng.standard_normal(out=pm)
-        pm *= spec.sigma
-        np.subtract(mean, pm[:k - m], out=mm)
-        pm += mean
-        sm = scores[:k]
-        np.matmul(pm, ones, out=sm[:m])
-        np.matmul(mm, ones, out=sm[m:])
-        sm -= clf.bias
-        if label == 1:
-            wrong += int(np.count_nonzero(sm <= 0.0))
-        else:
-            wrong += int(np.count_nonzero(sm >= 0.0))
+        drawn = samples[:m]
+        rng.standard_normal(out=drawn)
+        drawn *= spec.sigma
+        np.subtract(mean, drawn[:k - m], out=samples[m:k])
+        drawn += mean
+        np.matmul(samples[:k], ones, out=scores[:k])
+        wrong += int(np.count_nonzero(errs(scores[:k], clf.bias)))
         remaining -= k
     return wrong / n_samples
 

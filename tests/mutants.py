@@ -137,6 +137,14 @@ MUTANTS = [
     Mutant("cli.py", 'output_dir = _value(str, grid["output_dir"], "sweep.output_dir")',
            'output_dir = grid["output_dir"]',
            "a sweep checks its output_dir under --out too (not at all)"),
+    Mutant("theory.py", "np.less_equal if label == 1 else np.greater_equal",
+           "np.less if label == 1 else np.greater",
+           "the Monte Carlo oracle counts a score on the bias as an error (as correct)"),
+    Mutant("theory.py", "np.subtract(mean, drawn[:k - m], out=samples[m:k])",
+           "np.add(mean, drawn[:k - m], out=samples[m:k])",
+           "a Monte Carlo reflection is label*mu - sigma*z (a copy of its sample)"),
+    Mutant("losses.py", "(onehot.T @ z)[labels]", "(onehot.T @ z)[np.sort(labels)]",
+           "each anchor's positives are gathered from its own class sum (from a sorted label's)"),
 ]
 
 

@@ -248,6 +248,10 @@ def test_theory_malformed_flag_exits_2_without_output(tmp_path):
             (["--thm", thm, "--d", str(2**1024)], "dim must be at most the largest float")
             for thm in ("lemma", "1", "2")
         ),
+        # a bad deviation is refused even where its pair is out of order
+        (["--thm", "1", "--sigma1", "nan", "1", "--sigma2", "2"], "sigma1=nan"),
+        (["--thm", "1", "--sigma1", "3", "1", "--sigma2", "-1", "2"], "sigma2=-1.0"),
+        (["--thm", "2", "--sigma1", "inf", "1", "--sigma2", "2"], "sigma1=inf"),
     ],
 )
 def test_theory_out_of_range_grid_point_exits_2_naming_it(tmp_path, capsys, flags, named):
@@ -825,6 +829,34 @@ def test_eval_and_export_refuse_a_csv_of_another_width_naming_it(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: {data}: data of dim 5 does not match model input width 4\n"
+    assert not (tmp_path / "out").exists()
+
+
+_NOT_WRITTEN = "a cell holds a blank, '_' or a non-ASCII character"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim=4,label_col=4\n1_0.5,2,3,4,1\n", f"line 2: {_NOT_WRITTEN}"),
+        ("dim=4,label_col=4\n1,2,3,4, 1 \n", f"line 2: {_NOT_WRITTEN}"),
+        ("dim=4,label_col=4 \n1,2,3,4,1\n", "line 1: bad header 'dim=4,label_col=4 '"),
+    ],
+    ids=["underscore", "blank", "header_blank"],
+)
+def test_eval_refuses_a_csv_number_save_csv_never_writes(
+    trained_run, tmp_path, capsys, text, message
+):
+    _, run_dir = trained_run
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    argv = [
+        "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data),
+        "--attack", '{"epsilon":0.1,"step_size":0.05,"num_steps":1}',
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

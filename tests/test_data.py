@@ -231,8 +231,14 @@ def test_csv_reports_ragged_row_with_line_number(tmp_path):
 def test_csv_reports_non_numeric_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("dim=2,label_col=2\n1.0,x,0\n")
-    with pytest.raises(IngestionError, match="line 2"):
+    with pytest.raises(IngestionError, match="line 2: non-numeric cell"):
         load_csv(path)
+    # int() and float() read these, but save_csv never writes them
+    for row in ("1_0.5,2.0,0", "1.0, 2.0,0", "1.0,2.0 ,0", "1.0,2.0,1_0", "1.0,2.0, 1 ",
+                "1.0,2.0,0\t", "\uff11.5,2.0,0", "1.0,2.0,\u0661", "1.0,2.0\u00a0,0"):
+        path.write_text(f"dim=2,label_col=2\n1.0,2.0,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(IngestionError, match="bad.csv: line 3: a cell holds a blank, '_' or a"):
+            load_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
@@ -275,8 +281,14 @@ def test_csv_rejects_malformed_header(tmp_path):
         "dim=2,dim=2",
         "dim=2",
         "dim=2,label_col",
+        "dim=1_0,label_col=1_0",
+        "dim=2,label_col=2_",
+        "dim= 2,label_col=2",
+        "dim=2,label_col=2 ",
+        " dim=2,label_col=2",
+        "dim=2,label_col=\u0662",
     ):
-        path.write_text(f"{header}\n1.0,2.0,0\n")
+        path.write_text(f"{header}\n1.0,2.0,0\n", encoding="utf-8")
         with pytest.raises(IngestionError, match=f"bad.csv: line 1: bad header '{header}'"):
             load_csv(path)
 

@@ -360,6 +360,22 @@ def test_monte_carlo_draws_one_full_dimensional_normal_per_pair(monkeypatch):
     assert draws == [(pairs, 3), (pairs, 3), (3, 3)]
 
 
+@pytest.mark.parametrize("label", [1, -1])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_monte_carlo_counts_a_score_on_the_bias_as_an_error(monkeypatch, label, dim):
+    # all-zero draws put every sample and reflection on the class mean,
+    # whose score label*eta*d is exact for eta 0.5 and d <= 4: sign(0)
+    # errs for both labels
+    class Zeros:
+        def standard_normal(self, *, out):
+            out[...] = 0.0
+
+    monkeypatch.setattr(srat.theory, "derive_rng", lambda seed: Zeros())
+    spec = GaussianMixtureSpec(0.5, 1.0, dim, 2.0)
+    clf = LinearClassifier.all_ones(dim, label * spec.eta * dim)
+    assert monte_carlo_classwise_error(clf, spec, label, 7, seed=0) == 1.0
+
+
 def test_monte_carlo_single_sample_is_binary():
     clf = LinearClassifier.all_ones(2, 0.0)
     spec = GaussianMixtureSpec(1.0, 1.0, 2, 1.0)
