@@ -2,13 +2,13 @@
 
 The iteration is x <- project(x + step * sign(grad_x loss)), where the
 projection clips x into the epsilon ball around the clean input, cut by
-the data-domain box when one is configured. sign(0)
-is 0, so coordinates with zero gradient never move. Given a seed the
-attack is fully deterministic, including the optional uniform random
-start inside the ball. The gradient comes from the softmax that
-``srat.losses`` shares with every prediction loss: on cross-entropy a
-step reads only its softmax minus one-hot, on focal and LDAM the full
-``prediction_loss``.
+the data-domain box [clip_min, clip_max], whose open sides are stored as
+-inf and inf. sign(0) is 0, so coordinates with zero gradient never
+move. Given a seed the attack is fully deterministic, including the
+optional uniform random start inside the ball. The gradient comes from
+the softmax that ``srat.losses`` shares with every prediction loss: on
+cross-entropy a step reads only its softmax minus one-hot, on focal and
+LDAM the full ``prediction_loss``.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,9 @@ from srat.rand import derive_rng
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Budget epsilon, per-step size, iteration count, and optional box."""
+    """Budget epsilon, per-step size, iteration count, and box. An absent
+    bound (``None``) is open and is stored as ``-math.inf`` (``clip_min``)
+    or ``math.inf`` (``clip_max``), so both bounds are always floats."""
 
     epsilon: float
     step_size: float
@@ -52,18 +54,18 @@ class AttackConfig:
                 "clip_min/clip_max must be numbers with clip_min < clip_max, "
                 f"got [{self.clip_min}, {self.clip_max}]"
             )
+        object.__setattr__(self, "clip_min", lo)
+        object.__setattr__(self, "clip_max", hi)
 
     def check_box(self, x: np.ndarray, where: str = "attack") -> None:
         """Raise DomainError unless every value of the clean rows ``x`` lies
         in [clip_min, clip_max]. Projecting into a box that excludes the
         data would move a clean row by more than epsilon. ``where`` names
         this config in the message."""
-        if x.size == 0 or (self.clip_min is None and self.clip_max is None):
+        if x.size == 0:
             return
         lo, hi = float(x.min()), float(x.max())
-        if (self.clip_min is not None and lo < self.clip_min) or (
-            self.clip_max is not None and hi > self.clip_max
-        ):
+        if lo < self.clip_min or hi > self.clip_max:
             raise DomainError(
                 f"{where}.clip_min/clip_max: the box [{self.clip_min}, {self.clip_max}] "
                 f"does not contain the data, whose values lie in [{lo}, {hi}]"
@@ -95,16 +97,11 @@ def pgd_attack(
     any, ``model.num_classes`` wide, and the batch inside ``config``'s
     box. An empty batch is returned as an empty copy.
     """
-    if batch.shape[0] == 0:
-        return batch.copy()
-
     # the ball around the clean rows, cut by the box: one clip per step
     lo = batch - config.epsilon
     hi = batch + config.epsilon
-    if config.clip_min is not None:
-        np.maximum(lo, config.clip_min, out=lo)
-    if config.clip_max is not None:
-        np.minimum(hi, config.clip_max, out=hi)
+    np.maximum(lo, config.clip_min, out=lo)
+    np.minimum(hi, config.clip_max, out=hi)
 
     adv = batch.copy()
     if config.random_start:

@@ -149,11 +149,8 @@ def effective_number_weights(class_counts, beta: float) -> ClassWeights:
     counts = _check_counts(class_counts)
     if not 0.0 <= beta < 1.0:
         raise DomainError("beta must lie in [0, 1)")
-    if beta == 0.0:
-        raw = np.ones_like(counts)
-    else:
-        raw = (1.0 - beta) / (1.0 - beta**counts)
-    return ClassWeights.normalized(raw)
+    # every count is >= 1, so beta = 0 gives (1 - 0) / (1 - 0) = 1 exactly
+    return ClassWeights.normalized((1.0 - beta) / (1.0 - beta**counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +244,10 @@ def prediction_loss(logits, labels, weights: ClassWeights, loss: PredictionLoss)
     scaled back.
 
     This is an inner-loop entry and checks nothing: ``logits`` must be a
-    float64 n x C matrix with n >= 1, ``labels`` int64 indices in [0, C)
-    and the weights and margins C wide. ``train_srat`` and the evaluation
-    pass check that once per run.
+    float64 n x C matrix, ``labels`` int64 indices in [0, C) and the
+    weights and margins C wide; n = 0 gives a NaN loss (0/0) and an empty
+    gradient. ``train_srat`` and the evaluation pass check that once per
+    run.
     """
     n = len(labels)
     rows = np.arange(n)

@@ -48,8 +48,8 @@ class Mutant:
 MUTANTS = [
     Mutant("attack.py", "step *= config.step_size", "step *= -config.step_size",
            "a PGD step ascends the loss (sign negated: it descends)"),
-    Mutant("losses.py", "raw = (1.0 - beta) / (1.0 - beta**counts)",
-           "raw = (1.0 - beta**counts) / (1.0 - beta)",
+    Mutant("losses.py", "normalized((1.0 - beta) / (1.0 - beta**counts))",
+           "normalized((1.0 - beta**counts) / (1.0 - beta))",
            "class-balanced weights fall with the effective number (inverted)"),
     Mutant("training.py", "weights = uniform if epoch < config.defer_epoch else deferred",
            "weights = uniform if epoch <= config.defer_epoch else deferred",
@@ -145,6 +145,12 @@ MUTANTS = [
            "a Monte Carlo reflection is label*mu - sigma*z (a copy of its sample)"),
     Mutant("losses.py", "(onehot.T @ z)[labels]", "(onehot.T @ z)[np.sort(labels)]",
            "each anchor's positives are gathered from its own class sum (from a sorted label's)"),
+    Mutant("attack.py", "np.maximum(lo, config.clip_min, out=lo)",
+           "np.minimum(lo, config.clip_min, out=lo)",
+           "the ball's lower edge is cut by clip_min from below (opened to clip_min and beyond)"),
+    Mutant("attack.py", 'object.__setattr__(self, "clip_max", hi)',
+           'object.__setattr__(self, "clip_max", lo)',
+           "an attack config stores its upper bound as clip_max (as the lower bound)"),
 ]
 
 

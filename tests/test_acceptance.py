@@ -370,7 +370,7 @@ def directional_arms():
     train_attack = AttackConfig(epsilon=0.3, step_size=0.1, num_steps=5)
     eval_attack = AttackConfig(epsilon=0.3, step_size=0.1, num_steps=10)
 
-    def run(seed, *, weighting, lam, defer, manual=None):
+    def run(seed, *, weighting, lam, defer, manual=None, attack=train_attack):
         cfg = TrainConfig(
             total_epochs=60,
             defer_epoch=defer,
@@ -379,7 +379,7 @@ def directional_arms():
             lr_milestones=(40,),
             lr_decay=0.1,
             loss=LossConfig(kind="ce", tau=0.1, lam=lam),
-            attack=train_attack,
+            attack=attack,
             weighting=weighting,
             manual_weights=manual,
             seed=seed,
@@ -398,6 +398,9 @@ def directional_arms():
         "w200": dict(weighting="manual", lam=0.0, defer=1, manual=(1.0, 200.0)),
         # deferred class-balanced reweighting + feature separation
         "srat": dict(weighting="class_balanced", lam=1.0, defer=40),
+        # natural training: no attack, no weighting, no separation
+        "natural": dict(weighting="none", lam=0.0, defer=61, attack=AttackConfig(
+            epsilon=0.3, step_size=0.1, num_steps=0, random_start=False)),
     }
     for name, kwargs in specs.items():
         t0 = time.time()
@@ -448,6 +451,25 @@ def test_criterion_8c_srat_beats_ce_on_minority(directional_arms):
         srat > ce and timings["srat"] < 600.0,
         f"median minority robust recall {srat:.1f} vs {ce:.1f}, margin "
         f"{srat - ce:.1f} > 0 ({timings['srat']:.0f}s/arm)",
+    )
+
+
+# Stated before the natural arm first ran: the "ce" arm's five minority
+# clean recalls are 26.4, 29.8, 18.0, 23.4 and 32.4, an interquartile
+# range of 6.4 points, so the natural median must clear the "ce" median by
+# 6 points, not by a seed's luck.
+NATURAL_MARGIN = 6.0
+
+
+def test_criterion_8d_adversarial_training_costs_the_minority(directional_arms):
+    arms, timings = directional_arms
+    natural = statistics.median(r.per_class_standard[1] for r in arms["natural"])
+    ce = statistics.median(r.per_class_standard[1] for r in arms["ce"])
+    _criterion(
+        "criterion 8d (adversarial training lowers minority clean recall)",
+        natural > ce + NATURAL_MARGIN and timings["natural"] < 600.0,
+        f"median minority clean recall natural {natural:.1f} vs ce {ce:.1f}, "
+        f"margin {natural - ce:.1f} > {NATURAL_MARGIN} ({timings['natural']:.0f}s/arm)",
     )
 
 

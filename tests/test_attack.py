@@ -1,5 +1,7 @@
 """PGD contracts: ball/box containment, linear closed form, determinism."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -274,6 +276,19 @@ def test_attack_config_validation():
             AttackConfig(0.1, 0.1, 1, clip_min=box[0], clip_max=box[1])
 
 
+def test_an_open_bound_is_stored_as_an_infinity():
+    open_box = AttackConfig(0.1, 0.1, 1, clip_min=None)
+    assert (open_box.clip_min, open_box.clip_max) == (-math.inf, math.inf)
+    half_open = AttackConfig(0.1, 0.1, 1, clip_min=-2.0)
+    assert (half_open.clip_min, half_open.clip_max) == (-2.0, math.inf)
+    half_open = AttackConfig(0.1, 0.1, 1, clip_max=3.0)
+    assert (half_open.clip_min, half_open.clip_max) == (-math.inf, 3.0)
+    # the stored infinities check any finite data, and a bound still refuses
+    open_box.check_box(np.array([[-1e308, 1e308]]))
+    with pytest.raises(DomainError, match=r"the box \[-2.0, inf\]"):
+        AttackConfig(0.1, 0.1, 1, clip_min=-2.0).check_box(np.array([[-3.0]]), "attack")
+
+
 @pytest.mark.parametrize(
     "labels", [np.array([0.0, 1.0, 0.0]), np.array([0, -1, 1])], ids=["float", "negative"]
 )
@@ -310,10 +325,16 @@ def test_evaluation_refuses_labels_beyond_the_logits_before_any_step(
 
 
 def test_pgd_returns_an_empty_batch_as_is():
-    cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=3)
+    # no special case: the general path clips, starts and steps zero rows
+    model = build_mlp(2, (4,), 2, seed=0)
     empty = np.zeros((0, 2))
-    adv = pgd_attack(build_mlp(2, (4,), 2, seed=0), CE, empty, np.zeros(0, dtype=int), cfg, seed=0)
-    assert adv.shape == (0, 2) and adv is not empty
+    focal, ldam = PredictionLoss(gamma=2.0), PredictionLoss(margins=np.array([0.5, 0.2]), scale=30.0)
+    for loss, random_start in itertools.product((CE, focal, ldam), (False, True)):
+        cfg = AttackConfig(epsilon=0.1, step_size=0.05, num_steps=3, random_start=random_start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adv = pgd_attack(model, loss, empty, np.zeros(0, dtype=int), cfg, seed=0)
+        assert adv.shape == (0, 2) and adv.dtype == np.float64 and adv is not empty
 
 
 @pytest.mark.parametrize("cell", [1e308, -1e308])

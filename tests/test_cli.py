@@ -1340,7 +1340,7 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
         ("dataset.seed", [3, -1], "dataset: seed must be >= 0"),
         # checks that need the run's data
         ("dataset.under_classes", [[1], [5]], "dataset.under_classes: [5] not all in [0, 2)"),
-        ("train.attack.clip_min", [None, 0], "train.attack.clip_min/clip_max: the box [0.0, None]"),
+        ("train.attack.clip_min", [None, 0], "train.attack.clip_min/clip_max: the box [0.0, inf]"),
         ("dataset.num_classes", [2, 3], _EMPTY_CLASS_BALANCED),
         (
             "train.manual_weights",

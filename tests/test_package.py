@@ -70,18 +70,36 @@ def test_per_step_functions_raise_no_domain_error():
 
 # The checks a run makes of its data, which the command line must reach
 # through the run's own start and evaluation pass, never call itself.
-RUN_CHECKS = ("check_box", "resolve_loss")
+# ``check_box`` is matched by its last name, on any config; ``resolve`` is
+# too common a name, so the loss's is matched by its whole callee.
+RUN_CHECKS = ("check_box",)
+RUN_CHECK_CALLEES = ("PredictionLoss.resolve",)
 
 
-def test_cli_makes_no_copy_of_the_run_checks():
-    tree = ast.parse((SRC / "srat" / "cli.py").read_text())
+def _run_check_calls(source: str) -> list[str]:
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in RUN_CHECKS:
+            if name in RUN_CHECKS or ast.unparse(func) in RUN_CHECK_CALLEES:
                 found.append(f"{ast.unparse(func)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("call, flagged", [
+    ("cfg.attack.check_box(x)", True),
+    ("check_box(x)", True),
+    ("PredictionLoss.resolve(cfg, counts)", True),
+    ("Path(out).resolve()", False),
+])
+def test_the_run_check_guard_flags_each_call(call, flagged):
+    found = _run_check_calls(f"def f():\n    return {call}\n")
+    assert found == ([f"{call.rsplit('(', 1)[0]} (line 2)"] if flagged else [])
+
+
+def test_cli_makes_no_copy_of_the_run_checks():
+    found = _run_check_calls((SRC / "srat" / "cli.py").read_text())
     assert not found, f"srat.cli calls the run's checks directly: {found}"
 
 

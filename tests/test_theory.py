@@ -573,6 +573,42 @@ def test_the_abstracts_observations_are_theorem_instances():
             assert r.lhs == r.rhs and k >= 1000, r
 
 
+def test_adversarial_minority_keeps_no_more_of_its_accuracy():
+    # Observation 1 as a fraction: the minority's accuracy at imbalance K
+    # over its accuracy at K = 1, for the rho = 1 rule. The natural rule is
+    # optimal for the clean mixture, the adversarial rule for the attacked
+    # one (mean eta - eps, as above); the latter is scored clean and under
+    # the attack. Neither of its fractions may exceed the natural one, and
+    # a tie is allowed only where Phi saturates and both are 0 or 1.
+    conv = StdConvention.EXACT
+
+    def minority_accuracy(trained, scored, k):
+        rule = GaussianMixtureSpec(trained.eta, trained.sigma, trained.dim, k)
+        clf = LinearClassifier(scored.dim, optimal_bias(rule, 1.0, conv))
+        return 1.0 - classwise_error(clf, scored, -1, conv)
+
+    def kept(trained, scored, k):
+        return minority_accuracy(trained, scored, k) / minority_accuracy(trained, scored, 1.0)
+
+    ties = 0
+    for eta, sigma, d, eps_frac, k in itertools.product(
+        (0.25, 0.5, 1.0, 2.0),
+        (0.5, 1.0, 2.0, 4.0),
+        (1, 5, 10, 50),
+        (0.1, 0.3, 0.5, 0.9),
+        (1.5, 2.0, 5.0, 10.0, 20.0, 100.0, 1000.0),
+    ):
+        clean = GaussianMixtureSpec(eta, sigma, d, k)
+        attacked = GaussianMixtureSpec(eta - eps_frac * eta, sigma, d, k)
+        natural = kept(clean, clean, k)
+        for adversarial in (kept(attacked, clean, k), kept(attacked, attacked, k)):
+            assert adversarial <= natural, (clean, attacked, adversarial, natural)
+            if adversarial == natural:
+                assert natural in (0.0, 1.0), (clean, attacked, natural)
+                ties += 1
+    assert ties < 3584 // 4  # most points resolve the two fractions apart
+
+
 def test_theorems_hold_on_reduced_grid():
     sigmas = (0.5, 1.0, 2.0, 4.0)
     for conv in BOTH:
