@@ -122,6 +122,8 @@ def evaluate(
     ``attack_config``; the ``seed`` pins its randomness so repeated
     evaluations are identical. A non-finite logit raises EvaluationError.
     """
+    if attack_config is None:
+        raise DomainError("evaluate needs an attack config to score robust accuracy")
     partition = tuple(int(c) for c in partition)
     if any(not 0 <= c < test_set.num_classes for c in partition):
         raise DomainError("partition contains class indices outside the test set")

@@ -72,7 +72,7 @@ class LossConfig:
 
 @dataclass(frozen=True, eq=False)
 class ClassWeights:
-    """One positive weight per class, normalized to mean 1."""
+    """One positive weight per class: the given weights over their mean."""
 
     weights: np.ndarray
 
@@ -80,31 +80,23 @@ class ClassWeights:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("class weights must be a non-empty vector")
+        # checked before the division: all-negative input would pass once
+        # divided by its own (negative) mean, and an infinite weight would
+        # reach it as NaN after a NumPy warning
         if not np.isfinite(w).all() or (w <= 0).any():
             raise DomainError("class weights must be positive and finite")
-        if abs(w.mean() - 1.0) > 1e-9:
-            raise DomainError("class weights must be normalized to mean 1")
-        w = w.copy()
+        with np.errstate(over="ignore"):  # an overflowing mean is refused below
+            w = w / w.mean()
+        # a weight that underflows to 0, or all of them when the mean overflows
+        if not (w > 0).all():
+            raise DomainError("class weights must stay positive once divided by their mean")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def normalized(cls, raw) -> "ClassWeights":
-        raw = np.asarray(raw, dtype=np.float64)
-        # __post_init__ checks the rest; all-negative input would pass it
-        # once divided by its own (negative) mean, and an infinite weight
-        # would reach it as NaN after a NumPy warning.
-        if not np.isfinite(raw).all() or (raw <= 0).any():
-            raise DomainError("class weights must be positive and finite")
-        return cls(raw / raw.mean())
 
     @classmethod
     @functools.cache  # the value is immutable: one per class count
     def uniform(cls, num_classes: int) -> "ClassWeights":
         return cls(np.ones(num_classes))
-
-    def per_example(self, labels: np.ndarray) -> np.ndarray:
-        return self.weights[labels]
 
 
 def softmax_direction(logits: np.ndarray, onehot: np.ndarray):
@@ -150,7 +142,7 @@ def effective_number_weights(class_counts, beta: float) -> ClassWeights:
     if not 0.0 <= beta < 1.0:
         raise DomainError("beta must lie in [0, 1)")
     # every count is >= 1, so beta = 0 gives (1 - 0) / (1 - 0) = 1 exactly
-    return ClassWeights.normalized((1.0 - beta) / (1.0 - beta**counts))
+    return ClassWeights((1.0 - beta) / (1.0 - beta**counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +252,7 @@ def prediction_loss(logits, labels, weights: ClassWeights, loss: PredictionLoss)
     onehot = (labels == np.arange(logits.shape[1])[:, None]).astype(np.float64)
     logp, grad = softmax_direction(logits, onehot)
     logpt = logp[labels, rows]
-    w = weights.per_example(labels)
+    w = weights.weights[labels]
     w_loss = w_grad = w
     if gamma != 0.0:
         # d/dlogits = (p - onehot) * (modulator - gamma*(1-pt)^(gamma-1)*pt*logpt)
@@ -297,16 +289,16 @@ def combined_objective(
     """prediction_loss + lam * separation_loss, with both gradients.
 
     ``config`` gives lam and tau; ``loss`` is the resolved prediction loss.
-    Class weights enter only the prediction term. With lam = 0, or a
-    batch of fewer than two rows (no pairs to separate), the separation
-    head is skipped entirely: its term is zero and ``d_features`` is None.
+    Class weights enter only the prediction term. With lam = 0 the
+    separation head is skipped: its term is zero and ``d_features`` is
+    None. A batch with no same-class pair gives zeros (``separation_loss``).
     A non-finite total is returned as is; ``train_srat`` stops on it.
     The inputs are those of ``prediction_loss`` and ``separation_loss``,
     unchecked here.
     """
     pred, d_logits = prediction_loss(logits, labels, weights, loss)
     sep, d_feats = 0.0, None
-    if config.lam != 0.0 and len(labels) >= 2:
+    if config.lam != 0.0:
         sep, d_feats = separation_loss(features, labels, config.tau)
         d_feats = config.lam * d_feats
     return ObjectiveValue(pred + config.lam * sep, d_logits, d_feats, pred, sep)

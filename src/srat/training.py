@@ -130,7 +130,7 @@ def start_run(dataset: LabeledDataset, model_spec: ModelSpec, config: TrainConfi
                 f"train.manual_weights: {len(config.manual_weights)} weights for "
                 f"{len(counts)} classes"
             )
-        deferred = ClassWeights.normalized(config.manual_weights)
+        deferred = ClassWeights(config.manual_weights)
     elif 0 in counts:
         raise DomainError("train.weighting: 'class_balanced' needs a training row of every class")
     else:

@@ -21,7 +21,7 @@ def cross_entropy(logits, labels, weights: ClassWeights):
     n = logits.shape[0]
     rows = np.arange(n)
     logp = _log_softmax(logits)
-    w = weights.per_example(labels)
+    w = weights.weights[labels]
     loss = float((w * (-logp[rows, labels])).sum() / n)
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
@@ -40,7 +40,7 @@ def focal_loss(logits, labels, weights: ClassWeights, gamma: float):
     p = np.exp(logp)
     pt = p[rows, labels]
     logpt = logp[rows, labels]
-    w = weights.per_example(labels)
+    w = weights.weights[labels]
 
     modulator = (1.0 - pt) ** gamma
     loss = float((w * modulator * (-logpt)).sum() / n)

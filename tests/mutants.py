@@ -1,25 +1,40 @@
 """Mutation check of the tier-1 suite.
 
     python3 tests/mutants.py
+    python3 tests/mutants.py --sample 24 --seed 11
 
-Each mutant below is a one-line change to the package that breaks one
-behaviour the tests are meant to judge by its meaning, not by a hash. For
-each mutant the runner copies the tree to a temporary directory, applies
-the mutant there, and runs tier-1 with ``-x`` and every byte pin
+Each listed mutant below is a one-line change to the package that breaks
+one behaviour the tests are meant to judge by its meaning, not by a hash.
+For each mutant the runner copies the tree to a temporary directory,
+applies the mutant there, and runs tier-1 with ``-x`` and every byte pin
 deselected. It prints ``killed`` with the first failing test, or
-``survived``. Exits 1 when a mutant survives or its text does not occur
+``survived``; a run still going after ``TIMEOUT`` seconds (tier-1 takes
+about 40) is stopped and counts as killed, since a mutant can make a
+loop never end. Exits 1 when a mutant survives or its text does not occur
 exactly once in its file, 0 when every mutant is killed.
+
+With ``--sample N --seed S`` the runner makes its own mutants instead: it
+swaps N operators (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``,
+``*``/``/`` and their augmented forms) drawn with seed S from the
+functions in ``SAMPLED``, and runs each the same way. A survivor listed in
+``EQUIVALENT`` is reported with the reason it cannot change a result and
+does not fail the run; any other survivor does.
 
 Pytest does not collect this file: its name does not start with ``test_``.
 """
 
+import argparse
+import ast
+import io
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +46,7 @@ BYTE_PINS = ("criterion_9", "pinned", "test_make_dataset_keeps_the_rows_it_kept"
              "test_eval_flags_classes_missing_from_the_csv")
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "-k", " and ".join(f"not {pin}" for pin in BYTE_PINS)]
+TIMEOUT = 300
 # what building, testing and running leave in a tree; not copied
 _LEFTOVERS = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", "*.egg-info", ".pytest_cache", ".hypothesis", ".bench_*"
@@ -48,8 +64,8 @@ class Mutant:
 MUTANTS = [
     Mutant("attack.py", "step *= config.step_size", "step *= -config.step_size",
            "a PGD step ascends the loss (sign negated: it descends)"),
-    Mutant("losses.py", "normalized((1.0 - beta) / (1.0 - beta**counts))",
-           "normalized((1.0 - beta**counts) / (1.0 - beta))",
+    Mutant("losses.py", "ClassWeights((1.0 - beta) / (1.0 - beta**counts))",
+           "ClassWeights((1.0 - beta**counts) / (1.0 - beta))",
            "class-balanced weights fall with the effective number (inverted)"),
     Mutant("training.py", "weights = uniform if epoch < config.defer_epoch else deferred",
            "weights = uniform if epoch <= config.defer_epoch else deferred",
@@ -151,6 +167,14 @@ MUTANTS = [
     Mutant("attack.py", 'object.__setattr__(self, "clip_max", hi)',
            'object.__setattr__(self, "clip_max", lo)',
            "an attack config stores its upper bound as clip_max (as the lower bound)"),
+    Mutant("losses.py", "w / w.mean()", "w / w.max()",
+           "class weights are divided by their mean (by their largest weight)"),
+    Mutant("losses.py", "(w > 0).all()", "(w >= 0).all()",
+           "a class weight that underflows to 0 once divided is refused (kept)"),
+    Mutant("losses.py", "if n_valid == 0:", "if n_valid < 0:",
+           "a batch with no same-class pair has a zero separation term (0 / 0)"),
+    Mutant("evaluation.py", "if not np.isfinite(feats).all():", "if False:",
+           "export-features refuses non-finite features (writes them)"),
 ]
 
 
@@ -163,36 +187,163 @@ def _source(root: Path, mutant: Mutant) -> str:
     return source
 
 
-def run(mutant: Mutant) -> str | None:
-    """The first failing test of tier-1 on the mutated tree, or None."""
+# --sample draws from the operators of these functions (nested ones
+# included): the inner loop, the data rules and the theory
+SAMPLED = {
+    "attack.py": ("check_box", "pgd_attack"),
+    "data.py": ("imbalanced_counts", "reduced_classes", "apply_imbalance",
+                "sample_gaussian_mixture", "batches"),
+    "evaluation.py": ("_percent", "evaluate", "export_features"),
+    "losses.py": ("softmax_direction", "ldam_margins", "effective_number_weights",
+                  "separation_loss", "prediction_loss", "combined_objective"),
+    "mlp.py": ("build_mlp", "forward", "backward", "sgd_step"),
+    "training.py": ("_epoch_lr", "train_srat"),
+    "theory.py": ("_times_exp_neg_square", "_rational_parts", "_erfc_nonneg", "normal_cdf",
+                  "_zscore", "optimal_bias", "_weighted_risk", "grid_search_bias",
+                  "monte_carlo_classwise_error", "_precondition", "_cdf_pairs",
+                  "verify_theorem1", "verify_theorem2"),
+}
+SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+         "+": "-", "-": "+", "*": "/", "/": "*", "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*="}
+_BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_CMP_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+# Sampled survivors that no test can kill, keyed by (file, stripped line,
+# column of the operator in the stripped line), with the reason.
+EQUIVALENT = {
+    ("mlp.py", "if needed * 8 > np.iinfo(np.intp).max:", 14):
+        "needed * 8 is a multiple of 8 and intp's maximum is odd: they are never equal",
+    ("theory.py", "kept = np.flatnonzero(bounds <= best + _PRUNE_SLACK * best + floor)", 29):
+        "the bound of a sub-block holding a minimum exceeds it by a few ULPs at most, "
+        "far less than the slack, so it lies strictly below the threshold",
+}
+
+
+@dataclass(frozen=True)
+class Site:
+    """One swappable operator: ``op`` at 1-based ``line``, 0-based character
+    ``col`` of ``file`` under src/srat, inside ``function``."""
+
+    file: str
+    function: str
+    line: int
+    col: int
+    op: str
+
+    def key(self, source: str) -> tuple:
+        text = source.splitlines()[self.line - 1]
+        return self.file, text.strip(), self.col - (len(text) - len(text.lstrip()))
+
+    def mutate(self, source: str) -> str:
+        lines = source.splitlines(keepends=True)
+        text = lines[self.line - 1]
+        assert text[self.col:self.col + len(self.op)] == self.op
+        lines[self.line - 1] = text[:self.col] + SWAPS[self.op] + text[self.col + len(self.op):]
+        return "".join(lines)
+
+
+def _operands(node):
+    """The left operand of each operator of ``node`` that ``SWAPS`` swaps."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _BIN_OPS):
+        yield node.left
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, _BIN_OPS):
+        yield node.target
+    elif isinstance(node, ast.Compare):
+        for left, op in zip([node.left, *node.comparators], node.ops):
+            if isinstance(op, _CMP_OPS):
+                yield left
+
+
+def sites(file: str, source: str) -> list[Site]:
+    """Every swappable operator in the ``SAMPLED`` functions of ``file``.
+    An operator is the first token after its left operand that is not a
+    closing bracket."""
+    lines = source.splitlines()
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+              if t.type == tokenize.OP]
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in SAMPLED[file]):
+            continue
+        for node in ast.walk(fn):
+            for left in _operands(node):
+                # AST columns count UTF-8 bytes, token columns characters
+                row = left.end_lineno
+                col = len(lines[row - 1].encode()[:left.end_col_offset].decode())
+                op = next(t for t in tokens if t.start >= (row, col) and t.string not in ")]")
+                assert op.string in SWAPS, (file, op)
+                found.setdefault(op.start, Site(file, fn.name, *op.start, op.string))
+    return sorted(found.values(), key=lambda s: (s.line, s.col))
+
+
+def run(file: str, mutated: str) -> str | None:
+    """The first failing test of tier-1 on a copy of the tree whose
+    ``file`` under src/srat holds ``mutated``, or None."""
     with tempfile.TemporaryDirectory(prefix="srat-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_LEFTOVERS)
-        mutated = _source(tree, mutant).replace(mutant.text, mutant.replacement)
-        (tree / "src" / "srat" / mutant.file).write_text(mutated, encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-        )
+        (tree / "src" / "srat" / file).write_text(mutated, encoding="utf-8")
+        try:
+            result = subprocess.run(
+                [sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": "src"}, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return f"timeout after {TIMEOUT} s"
     if result.returncode == 0:
         return None
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", result.stdout, re.MULTILINE)
     return failed.group(1) if failed else f"exit {result.returncode}"
 
 
-def main() -> int:
-    for mutant in MUTANTS:
-        _source(ROOT, mutant)
+def run_listed() -> int:
+    sources = [_source(ROOT, mutant) for mutant in MUTANTS]
     start = time.perf_counter()
     survivors = 0
-    for mutant in MUTANTS:
-        first = run(mutant)
+    for mutant, source in zip(MUTANTS, sources):
+        first = run(mutant.file, source.replace(mutant.text, mutant.replacement))
         survivors += first is None
         verdict = "survived" if first is None else f"killed by {first}"
         print(f"{mutant.file}: {mutant.breaks}: {verdict}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
+
+
+def run_sample(n: int, seed: int) -> int:
+    sources = {f: (ROOT / "src" / "srat" / f).read_text(encoding="utf-8") for f in SAMPLED}
+    pool = [site for f, source in sources.items() for site in sites(f, source)]
+    drawn = random.Random(seed).sample(pool, n)
+    print(f"{n} of {len(pool)} operators in {sum(map(len, SAMPLED.values()))} functions, "
+          f"seed {seed}", flush=True)
+    start = time.perf_counter()
+    killed = survivors = 0
+    for site in drawn:
+        source = sources[site.file]
+        first = run(site.file, site.mutate(source))
+        key = site.key(source)
+        if first is not None:
+            killed += 1
+            verdict = f"killed by {first}"
+        elif key in EQUIVALENT:
+            verdict = f"survived, equivalent: {EQUIVALENT[key]}"
+        else:
+            survivors += 1
+            verdict = "survived"
+        print(f"{site.file}:{site.line} {site.function}: {key[1]!r} col {key[2]} "
+              f"{site.op} -> {SWAPS[site.op]}: {verdict}", flush=True)
+    print(f"{killed} of {n} killed, {n - killed - survivors} equivalent, {survivors} survived "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Mutation check of the tier-1 suite.")
+    parser.add_argument("--sample", type=int, metavar="N",
+                        help="swap N operators drawn from SAMPLED in place of the listed mutants")
+    parser.add_argument("--seed", type=int, default=0, help="the draw's seed (with --sample)")
+    args = parser.parse_args()
+    return run_listed() if args.sample is None else run_sample(args.sample, args.seed)
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ def _case_objective(kind, rng):
     n = int(rng.integers(3, 6))
     x = rng.normal(size=(n, model.input_dim))
     y = rng.integers(0, model.num_classes, size=n)
-    weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=model.num_classes))
+    weights = ClassWeights(rng.uniform(0.5, 2.0, size=model.num_classes))
     counts = tuple(int(c) for c in rng.integers(2, 60, size=model.num_classes))
     if kind == "combined":
         cfg = LossConfig(kind="ce", tau=0.4, lam=0.9)
@@ -227,7 +227,7 @@ def test_criterion_5_reductions_bit_exact():
         c = int(rng.integers(2, 6))
         logits = 3.0 * rng.normal(size=(n, c))
         labels = rng.integers(0, c, size=n)
-        weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
+        weights = ClassWeights(rng.uniform(0.5, 2.0, size=c))
         counts = tuple(int(v) for v in rng.integers(1, 500, size=c))
         l_ce, g_ce = prediction_loss(logits, labels, weights, PredictionLoss())
         focal = PredictionLoss.resolve(

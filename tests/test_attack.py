@@ -242,6 +242,11 @@ def test_runs_refuse_clean_rows_outside_the_box(box):
     _train_and_evaluate(np.array([[0.0, 1.0], [1.0, 0.0]]), y, cfg)
 
 
+def test_the_box_contains_an_empty_batch():
+    # no value lies outside the box, and an empty array has no min or max
+    AttackConfig(0.1, 0.05, 2, clip_min=0.0, clip_max=1.0).check_box(np.zeros((0, 2)))
+
+
 def test_pgd_deterministic_per_seed():
     model = build_mlp(3, (5,), 2, seed=0)
     rng = derive_rng(11)

@@ -990,6 +990,23 @@ def test_export_features_cli(trained_run, tmp_path):
     assert len(out.read_text().splitlines()) == len(ds)
 
 
+def test_export_features_exits_3_on_non_finite_features_and_writes_nothing(tmp_path, capsys):
+    # every row is +-1e308: each hidden unit sums terms of order 1e308 and
+    # overflows, so no row has finite features
+    save_model(build_mlp(3, (4,), 2, seed=0), tmp_path / "model.ckpt", seed=0)
+    data = tmp_path / "e.csv"
+    data.write_text("dim=3,label_col=3\n1e308,1e308,1e308,0\n-1e308,-1e308,-1e308,1\n")
+    out = tmp_path / "out" / "features.csv"
+    argv = ["export-features", "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--data", str(data), "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {data}: non-finite features in the export pass\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "model.ckpt"]
+
+
 def test_rows_too_large_for_the_model_warn_nowhere(tmp_path, capsys):
     # the hidden layer holds ~1e308 on these rows and the logits overflow:
     # export-features writes the finite features, eval exits 3 naming the file

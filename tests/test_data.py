@@ -347,6 +347,26 @@ def test_dataset_validation():
         LabeledDataset(np.zeros((3, 2)), np.array([0, -1, 1]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LabeledDataset(np.zeros(3), [0, 1, 0]), "features must be a 2-D matrix"),
+        (lambda: LabeledDataset(np.zeros((3, 2)), [0, 1]), "one integer per feature row"),
+        (lambda: LabeledDataset(np.zeros((3, 2)), [[0, 1, 0]]), "one integer per feature row"),
+        (
+            lambda: sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 2, 2.0), 0, seed=0),
+            "n_minority must be >= 1",
+        ),
+        (lambda: batches(LabeledDataset(np.zeros((3, 2)), [0, 1, 0]), 0, 0),
+         "batch_size must be >= 1"),
+    ],
+    ids=["features_1d", "labels_short", "labels_2d", "no_minority_row", "batch_size_0"],
+)
+def test_data_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_dataset_keeps_a_frozen_copy_of_the_features():
     f = np.zeros((3, 2))
     ds = LabeledDataset(f, [0, 1, 0])

@@ -96,6 +96,13 @@ def test_partition_validation():
         evaluate(model, ds, NO_ATTACK, partition=[3], seed=0)
 
 
+def test_evaluate_refuses_a_missing_attack_config():
+    # robust accuracy needs an attack; export_features alone runs without one
+    ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 3, 1.0), 4, seed=0)
+    with pytest.raises(DomainError, match="needs an attack config"):
+        evaluate(build_mlp(3, (4,), 2, seed=0), ds, None, [], seed=0)
+
+
 def test_evaluation_refuses_data_of_another_width(tmp_path):
     # checked once, where the pass enters
     ds = sample_gaussian_mixture(GaussianMixtureSpec(1.0, 1.0, 3, 1.0), 5, seed=8)

@@ -73,7 +73,7 @@ def test_ce_weights_scale_per_example_terms():
 def test_ce_gradient_matches_finite_differences():
     rng = derive_rng(22)
     logits, labels = _random_batch(rng)
-    weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
+    weights = ClassWeights(rng.uniform(0.5, 2.0, size=4))
     _, grad = _loss("ce", logits, labels, weights)
     fd = central_diff(
         lambda flat: _loss("ce", flat.reshape(logits.shape), labels, weights)[0],
@@ -91,7 +91,7 @@ def test_focal_gamma_zero_is_ce_bit_for_bit():
     rng = derive_rng(23)
     for _ in range(20):
         logits, labels = _random_batch(rng, n=5, c=3)
-        weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
+        weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
         l_ce, g_ce = _loss("ce", logits, labels, weights)
         l_f, g_f = _loss("focal", logits, labels, weights, focal_gamma=0.0)
         assert l_ce == l_f
@@ -115,7 +115,7 @@ def test_focal_gradient_matches_finite_differences():
     rng = derive_rng(24)
     for gamma in (0.5, 2.0):
         logits, labels = _random_batch(rng)
-        weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
+        weights = ClassWeights(rng.uniform(0.5, 2.0, size=4))
         _, grad = _loss("focal", logits, labels, weights, focal_gamma=gamma)
         fd = central_diff(
             lambda flat: _loss(
@@ -135,7 +135,7 @@ def test_margin_loss_reduces_to_ce_bit_for_bit():
     rng = derive_rng(25)
     for _ in range(20):
         logits, labels = _random_batch(rng, n=5, c=3)
-        weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
+        weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
         l_ce, g_ce = _loss("ce", logits, labels, weights)
         l_m, g_m = _loss(
             "ldam", logits, labels, weights, (7, 3, 11), ldam_max_margin=0.0, ldam_scale=1.0
@@ -159,7 +159,7 @@ def test_margins_shrink_with_count():
 def test_margin_loss_gradient_matches_finite_differences():
     rng = derive_rng(26)
     logits, labels = _random_batch(rng, spread=0.5)
-    weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=4))
+    weights = ClassWeights(rng.uniform(0.5, 2.0, size=4))
     counts = (50, 10, 200, 5)
     knobs = dict(ldam_max_margin=0.5, ldam_scale=10.0)
     _, grad = _loss("ldam", logits, labels, weights, counts, **knobs)
@@ -175,6 +175,14 @@ def test_margin_loss_gradient_matches_finite_differences():
 def test_margin_loss_rejects_zero_counts():
     with pytest.raises(DomainError, match="every class count must be >= 1"):
         _loss("ldam", np.zeros((2, 2)), np.array([0, 1]), ClassWeights.uniform(2), (5, 0))
+
+
+@pytest.mark.parametrize("counts", [(), ((5, 7),)])
+def test_class_counts_must_be_a_non_empty_vector(counts):
+    with pytest.raises(DomainError, match="class_counts must be a non-empty vector"):
+        ldam_margins(counts, 0.5)
+    with pytest.raises(DomainError, match="class_counts must be a non-empty vector"):
+        effective_number_weights(counts, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +385,7 @@ def test_combined_single_row_batch_has_zero_separation():
     obj = combined_objective(logits[:1], rng.normal(size=(1, 5)), labels[:1], weights, cfg, CE)
     pred, _ = _loss("ce", logits[:1], labels[:1], weights)
     assert obj.separation == 0.0 and obj.total == pred
-    assert obj.d_features is None
+    assert obj.d_features.shape == (1, 5) and not obj.d_features.any()
 
 
 def test_combined_gradients_match_finite_differences():
@@ -385,7 +393,7 @@ def test_combined_gradients_match_finite_differences():
     for kind in ("ce", "focal", "ldam"):
         logits, labels = _random_batch(rng, n=5, c=3, spread=0.8)
         feats = rng.normal(size=(5, 4))
-        weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=3))
+        weights = ClassWeights(rng.uniform(0.5, 2.0, size=3))
         cfg = LossConfig(kind=kind, tau=0.4, lam=0.8, ldam_scale=5.0)
         counts = (20, 7, 55)
         loss = PredictionLoss.resolve(cfg, counts)
@@ -436,12 +444,30 @@ def test_loss_config_validation():
 
 
 def test_class_weights_invariants():
+    assert np.array_equal(ClassWeights(np.array([2.0, 2.0])).weights, [1.0, 1.0])
     with pytest.raises(DomainError):
-        ClassWeights(np.array([2.0, 2.0]))  # mean != 1
-    with pytest.raises(DomainError):
-        ClassWeights.normalized(np.array([1.0, -1.0]))
+        ClassWeights(np.array([1.0, -1.0]))
     with np.errstate(all="raise"), pytest.raises(DomainError, match="finite"):
-        ClassWeights.normalized(np.array([1.0, np.inf]))
-    w = ClassWeights.normalized(np.array([1.0, 3.0]))
+        ClassWeights(np.array([1.0, np.inf]))
+    w = ClassWeights(np.array([1.0, 3.0]))
     assert w.weights.mean() == pytest.approx(1.0)
-    assert np.array_equal(w.per_example(np.array([1, 0, 1])), w.weights[[1, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (np.ones((2, 2)), "non-empty vector"),
+        (np.array([]), "non-empty vector"),
+        (np.array([1.0, np.nan]), "positive and finite"),
+        (np.array([0.0, 1.0]), "positive and finite"),
+        # positive and finite, but the smaller weight underflows to 0 once
+        # divided by the mean
+        (np.array([5e-324, 1e300]), "stay positive once divided"),
+        # the mean overflows to inf, refused without a NumPy warning
+        (np.array([1e308, 1e308]), "stay positive once divided"),
+    ],
+    ids=["matrix", "empty", "nan", "zero", "underflow", "mean_overflows"],
+)
+def test_class_weights_refusals(raw, message):
+    with pytest.raises(DomainError, match=message):
+        ClassWeights(raw)

@@ -221,6 +221,20 @@ def test_sgd_rejects_overflowing_update():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MlpModel((), np.zeros(0)), "at least one layer"),
+        (lambda: build_mlp(0, (4,), 2, seed=0), "input_dim and num_classes must be >= 1"),
+        (lambda: build_mlp(3, (4,), 0, seed=0), "input_dim and num_classes must be >= 1"),
+    ],
+    ids=["no_layer", "input_dim_0", "num_classes_0"],
+)
+def test_model_shape_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_build_mlp_is_seeded_and_bounded():
     a = build_mlp(5, (8, 8), 3, seed=11)
     b = build_mlp(5, (8, 8), 3, seed=11)

@@ -135,7 +135,7 @@ def prediction_batches(
     elif ties == "equal_rows":  # every class scores the same
         logits[:, :] = logits[:, :1]
     labels = rng.integers(0, c, size=n)
-    weights = ClassWeights.normalized(rng.uniform(0.5, 2.0, size=c))
+    weights = ClassWeights(rng.uniform(0.5, 2.0, size=c))
     counts = tuple(int(v) for v in rng.integers(1, 1001, size=c))
     return logits, labels, weights, counts
 

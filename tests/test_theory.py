@@ -1,5 +1,6 @@
 """Gaussian-mixture theory: closed forms against brute-force oracles."""
 
+import functools
 import itertools
 import json
 import math
@@ -189,6 +190,24 @@ def test_grid_argmin_matches_closed_form_on_small_grid():
                         assert abs(searched - optimal_bias(spec, rho, conv)) <= 2 * res
 
 
+def test_a_flat_risk_is_scored_as_one_run(monkeypatch):
+    # at rho = K the risk is pi+ * (Phi(-b/s) + Phi(b/s)) once eta
+    # vanishes: flat, so every sub-block is kept, and the kept sub-blocks,
+    # all adjacent, are scored as one run in blocks of _BLOCK points
+    sizes = []
+    real = srat.theory._weighted_risk
+
+    def spy(b_minus, b_plus, *args):
+        sizes.append(len(b_minus))
+        return real(b_minus, b_plus, *args)
+
+    monkeypatch.setattr(srat.theory, "_weighted_risk", spy)
+    grid_search_bias(GaussianMixtureSpec(1e-300, 1.0, 1, 2.0), 2.0, StdConvention.SUMMED, 20_000)
+    block = srat.theory._BLOCK
+    # the sub-block bounds, the best sub-block, then the run
+    assert sizes == [625, 32, block, block, 20_000 - 2 * block]
+
+
 def test_bias_antisymmetric_in_log_rho_over_k():
     spec = GaussianMixtureSpec(1.3, 0.8, 6, 5.0)
     for conv in BOTH:
@@ -257,6 +276,31 @@ def test_classwise_error_monotone_in_bias():
         minus = [classwise_error(LinearClassifier.all_ones(3, b), spec, -1, conv) for b in biases]
         assert (np.diff(plus) >= 0).all()
         assert (np.diff(minus) <= 0).all()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: classwise_error(
+                LinearClassifier.all_ones(2, 0.0), GaussianMixtureSpec(1.0, 1.0, 2, 1.0), 0,
+                StdConvention.SUMMED,
+            ),
+            "label must be",
+        ),
+        (
+            lambda: monte_carlo_classwise_error(
+                LinearClassifier.all_ones(2, 0.0), GaussianMixtureSpec(1.0, 1.0, 3, 1.0), 1, 10,
+                seed=0,
+            ),
+            "dimension mismatch",
+        ),
+    ],
+    ids=["label_0", "monte_carlo_dim"],
+)
+def test_theory_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_classwise_error_dimension_mismatch():
@@ -472,6 +516,28 @@ def test_theorem1_rejects_degenerate_pairs():
         verify_theorem1(a, GaussianMixtureSpec(1.0, 2.0, 3, k), StdConvention.SUMMED)
     with pytest.raises(DomainError):
         verify_theorem1(a, GaussianMixtureSpec(1.0, 2.0, 4, math.e**2), StdConvention.SUMMED)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+@pytest.mark.parametrize("conv", list(StdConvention))
+def test_precondition_needs_the_canonical_deviations_in_order(verify, conv):
+    # spec2 rescaled to eta 1 has sigma 3 * 1 / 4 = 0.75 < 1; log K = 13.8
+    # clears both thresholds 2 * d * eta^2 / (s1 * s2c) = 2.67 at d = 1
+    spec1 = GaussianMixtureSpec(1.0, 1.0, 1, 1e6)
+    spec2 = GaussianMixtureSpec(4.0, 3.0, 1, 1e6)
+    assert not verify(spec1, spec2, conv).precondition_met
+
+
+@pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+@pytest.mark.parametrize("conv, threshold", [(StdConvention.SUMMED, 4.0), (StdConvention.EXACT, 12.0)])
+def test_precondition_threshold_grows_with_eta_squared(verify, conv, threshold):
+    # eta 2, sigmas 1 and 2, d 3: 2 * eta^2 / (s1 * s2) = 4 under SUMMED,
+    # times d = 12 under EXACT; the precondition flips as log K crosses it
+    spec = functools.partial(GaussianMixtureSpec, 2.0, dim=3)
+    for log_k, met in ((threshold - 0.5, False), (threshold + 0.5, True)):
+        k = math.exp(log_k)
+        assert verify(spec(1.0, imbalance_ratio=k), spec(2.0, imbalance_ratio=k), conv
+                      ).precondition_met is met
 
 
 def test_theorem1_precondition_flips_over_k_scan():
