@@ -67,11 +67,8 @@ class TrainConfig:
             raise DomainError(f"unknown weighting {self.weighting!r}")
         if (self.weighting == "manual") != (self.manual_weights is not None):
             raise DomainError("manual_weights must be given exactly when weighting='manual'")
-        if self.manual_weights is not None:
-            weights = tuple(float(w) for w in self.manual_weights)
-            if not all(math.isfinite(w) and w > 0 for w in weights):
-                raise DomainError("manual_weights must be positive and finite")
-            object.__setattr__(self, "manual_weights", weights)
+        if self.manual_weights is not None:  # start_run checks the values with ClassWeights
+            object.__setattr__(self, "manual_weights", tuple(self.manual_weights))
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
         if self.seed < 0:
@@ -125,12 +122,12 @@ def start_run(dataset: LabeledDataset, model_spec: ModelSpec, config: TrainConfi
     if config.weighting == "none":
         deferred = ClassWeights.uniform(len(counts))
     elif config.weighting == "manual":
-        if len(config.manual_weights) != len(counts):
-            raise DomainError(
-                f"train.manual_weights: {len(config.manual_weights)} weights for "
-                f"{len(counts)} classes"
-            )
-        deferred = ClassWeights(config.manual_weights)
+        try:
+            if len(config.manual_weights) != len(counts):
+                raise DomainError(f"{len(config.manual_weights)} weights for {len(counts)} classes")
+            deferred = ClassWeights(config.manual_weights)
+        except DomainError as exc:
+            raise DomainError(f"train.manual_weights: {exc}") from None
     elif 0 in counts:
         raise DomainError("train.weighting: 'class_balanced' needs a training row of every class")
     else:
@@ -142,9 +139,19 @@ def start_run(dataset: LabeledDataset, model_spec: ModelSpec, config: TrainConfi
     return model, loss, deferred
 
 
-def _epoch_lr(config: TrainConfig, epoch: int) -> float:
-    passed = sum(1 for m in config.lr_milestones if m <= epoch)
-    return config.lr * config.lr_decay**passed
+def _train_batch(xb, yb, model, velocity, config, loss, weights, lr, seed):
+    """One training step on the rows ``xb`` with labels ``yb``: a PGD attack
+    drawn with ``seed``, the combined objective on the adversarial rows and
+    a heavy-ball update at ``lr``. Returns (model, velocity, ObjectiveValue).
+    """
+    adv = pgd_attack(model, loss, xb, yb, config.attack, seed)
+    trace = forward(model, adv)
+    obj = combined_objective(trace.logits, trace.features, yb, weights, config.loss, loss)
+    if not math.isfinite(obj.total):
+        raise TrainingError("non-finite loss")
+    grads, _ = backward(model, trace, obj.d_logits, obj.d_features)
+    velocity = config.momentum * velocity + grads
+    return sgd_step(model, velocity, lr), velocity, obj
 
 
 # A diverging run is reported once, as a TrainingError from the explicit
@@ -175,7 +182,7 @@ def train_srat(
     history = []
 
     for epoch in range(1, config.total_epochs + 1):
-        lr = _epoch_lr(config, epoch)
+        lr = config.lr * config.lr_decay ** sum(1 for m in config.lr_milestones if m <= epoch)
         weights = uniform if epoch < config.defer_epoch else deferred
         epoch_batches = batches(
             dataset, config.batch_size, (config.seed, STREAM_SHUFFLE, epoch)
@@ -183,26 +190,11 @@ def train_srat(
         pred_sum = 0.0
         sep_sum = 0.0
         for b_idx, idx in enumerate(epoch_batches):
-            xb = dataset.features[idx]
-            yb = dataset.labels[idx]
             try:
-                adv = pgd_attack(
-                    model,
-                    loss,
-                    xb,
-                    yb,
-                    config.attack,
-                    seed=(config.seed, STREAM_ATTACK, epoch, b_idx),
+                model, velocity, obj = _train_batch(
+                    dataset.features[idx], dataset.labels[idx], model, velocity, config, loss,
+                    weights, lr, (config.seed, STREAM_ATTACK, epoch, b_idx),
                 )
-                trace = forward(model, adv)
-                obj = combined_objective(
-                    trace.logits, trace.features, yb, weights, config.loss, loss
-                )
-                if not math.isfinite(obj.total):
-                    raise TrainingError("non-finite loss")
-                grads, _ = backward(model, trace, obj.d_logits, obj.d_features)
-                velocity = config.momentum * velocity + grads
-                model = sgd_step(model, velocity, lr)
             except (AttackError, TrainingError) as exc:
                 raise TrainingError(f"{exc} at epoch {epoch} batch {b_idx}") from exc
             pred_sum += obj.prediction

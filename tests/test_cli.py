@@ -1170,13 +1170,22 @@ _EMPTY_CLASS_BALANCED = "train.weighting: 'class_balanced' needs a training row 
             {"weighting": "manual", "manual_weights": [1.0, 2.0]},
             "train.manual_weights: 2 weights for 3 classes",
         ),
-        # refused by TrainConfig before any count is read
         *(
             (
                 {"weighting": "manual", "manual_weights": weights},
-                "error: train: manual_weights must be positive and finite",
+                "error: train.manual_weights: class weights must be positive and finite",
             )
-            for weights in ([1.0, -1.0], [0.0, 1.0], [1.0, float("inf")])
+            for weights in ([1.0, -1.0, 1.0], [0.0, 1.0, 1.0], [1.0, float("inf"), 1.0])
+        ),
+        # positive and finite, but the mean overflows or the smallest weight
+        # underflows once divided by it
+        *(
+            (
+                {"weighting": "manual", "manual_weights": weights},
+                "error: train.manual_weights: class weights must stay positive once divided "
+                "by their mean",
+            )
+            for weights in ([1e308, 1e308, 1e308], [5e-324, 1e300, 1.0])
         ),
     ],
     ids=[
@@ -1187,6 +1196,8 @@ _EMPTY_CLASS_BALANCED = "train.weighting: 'class_balanced' needs a training row 
         "manual_weights_negative",
         "manual_weights_zero",
         "manual_weights_infinite",
+        "manual_weights_mean_overflows",
+        "manual_weights_underflow",
     ],
 )
 def test_train_loss_settings_the_counts_cannot_serve_exit_2_writing_nothing(
@@ -1362,7 +1373,7 @@ def test_sweep_rejects_a_bad_run_before_writing(tmp_path, capsys):
         (
             "train.manual_weights",
             [[1.0, 2.0], [1.0, -1.0]],
-            "train: manual_weights must be positive and finite",
+            "train.manual_weights: class weights must be positive and finite",
         ),
         # a later run whose model cannot be built: too many parameters for
         # NumPy, or more bytes than the allocator gives

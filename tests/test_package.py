@@ -1,5 +1,6 @@
-"""Every module imports on its own, the command line starts, and the
-per-step functions check no input.
+"""Every module imports on its own, the command line starts, the
+per-step functions check no input, and the mutation check's lists match
+the source.
 
 The package imports no module up front, so each one is imported in a
 fresh interpreter: an import cycle or a dependence on another module
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import srat
+from mutants import MUTANTS, SAMPLED
 
 SRC = Path(srat.__file__).resolve().parent.parent
 MODULES = ["srat"] + sorted(f"srat.{m.name}" for m in pkgutil.iter_modules(srat.__path__))
@@ -51,6 +53,7 @@ PER_STEP = {
     "mlp": ("forward", "backward", "sgd_step"),
     "attack": ("pgd_attack",),
     "losses": ("softmax_direction", "prediction_loss", "separation_loss", "combined_objective"),
+    "training": ("_train_batch",),
 }
 
 
@@ -66,6 +69,21 @@ def test_per_step_functions_raise_no_domain_error():
                     if ast.unparse(exc).endswith("DomainError"):
                         found.append(f"srat.{module}.{name} (line {node.lineno})")
     assert not found, f"per-step functions that raise DomainError: {found}"
+
+
+def test_mutants_and_sampled_functions_are_in_the_source():
+    # a refactor that moves code out from under tests/mutants.py fails here,
+    # not only in a run of the mutation check
+    missing = [
+        f"{m.file}: {m.text!r} occurs {count} times"
+        for m in MUTANTS
+        if (count := (SRC / "srat" / m.file).read_text().count(m.text)) != 1
+    ]
+    for file, names in SAMPLED.items():
+        tree = ast.parse((SRC / "srat" / file).read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        missing += [f"{file}: no function {name}" for name in names if name not in defined]
+    assert not missing, missing
 
 
 # The checks a run makes of its data, which the command line must reach

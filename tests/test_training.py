@@ -296,6 +296,20 @@ def test_manual_weighting_applies_from_defer_epoch():
     assert history[0].class_weights == expected
 
 
+@pytest.mark.parametrize(
+    "weights, refusal",
+    [
+        ((1.0, -1.0), "must be positive and finite"),
+        ((1e308, 1e308), "must stay positive once divided by their mean"),
+    ],
+)
+def test_manual_weight_values_are_refused_by_the_run_naming_their_key(weights, refusal):
+    # TrainConfig holds any values; start_run checks them with ClassWeights
+    cfg = _config(weighting="manual", manual_weights=weights)
+    with pytest.raises(DomainError, match=rf"^train\.manual_weights: class weights {refusal}$"):
+        train_srat(_small_dataset(), ModelSpec((4,)), cfg)
+
+
 def test_momentum_accumulates_velocity():
     ds = _small_dataset()
     plain = _config(total_epochs=3, defer_epoch=4, lr_milestones=())
