@@ -41,7 +41,10 @@ The oracles stream through fixed buffers: ``normal_cdf`` and the risk in
 ``monte_carlo_classwise_error`` draws each chunk's normals into one reused
 buffer that holds the chunk's samples and then their reflections, so
 their temporaries come from the allocator's free lists rather than fresh
-pages from the OS.
+pages from the OS. ``grid_search_bias`` holds no ``num_points``-long
+array: it computes each bias it scores from its grid index, its bound
+pass takes ceil(num_points/32) points and each of its scans at most
+``_BLOCK``.
 
 ``monte_carlo_classwise_error`` draws antithetic pairs: each normal
 vector z gives the sample label*mu + sigma*z and its reflection
@@ -59,6 +62,7 @@ slack and why the slack is needed are in its docstring.
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import partial
 import math
 import sys
 
@@ -213,6 +217,7 @@ _INV_SQRT2 = 0.7071067811865476
 # every temporary is served from the allocator's free lists: glibc gets
 # allocations of 128 KiB and more as fresh pages from the OS (the rational
 # forms' two-row arrays reach 128 KiB, but glibc then raises that threshold).
+# The grid search's scans build at most this many grid points at a time.
 _BLOCK = 8192
 # The bounded grid search bounds the risk of each run of this many points.
 _SUB_BLOCK = 32
@@ -397,6 +402,16 @@ def _weighted_risk(
     return risk
 
 
+def _grid_points(lo: float, hi: float, num_points: int, idx: np.ndarray) -> np.ndarray:
+    """The points at the indices ``idx`` of ``np.linspace(lo, hi,
+    num_points)``, bit for bit, by its own arithmetic: idx * step + lo for
+    step = (hi - lo) / (num_points - 1), and hi at the last index."""
+    points = idx * ((hi - lo) / (num_points - 1))
+    points += lo
+    points[idx == num_points - 1] = hi
+    return points
+
+
 def grid_search_bias(
     spec: GaussianMixtureSpec,
     rho: float,
@@ -425,9 +440,17 @@ def grid_search_bias(
     order, and only a strictly lower risk replaces the best, so the first
     minimum wins. A flat or saturated risk curve gives equal bounds
     everywhere and is scanned in full.
+
+    No array of ``num_points`` elements is built: each scored bias comes
+    from its grid index by ``np.linspace``'s own arithmetic
+    (``_grid_points``), the bound pass holds ceil(num_points/32) points
+    and each scan at most ``_BLOCK``.
     """
-    if not 3 <= num_points < 2**60:  # NumPy holds no float64 array of 2^63 bytes
-        raise DomainError("num_points must lie in [3, 2^60)")
+    # past 2^53 a grid index has no exact float64 and neighbouring indices
+    # would score one bias twice; a grid whose bound pass fits no memory
+    # fails as a MemoryError
+    if not 3 <= num_points <= 2**53:
+        raise DomainError("num_points must lie in [3, 2^53]")
     center = abs(optimal_bias(spec, rho, conv))
     lo, hi = -20.0 * center - 1.0, 20.0 * center + 1.0
     if not math.isfinite(hi - lo):
@@ -437,26 +460,26 @@ def grid_search_bias(
     bracket_z = (_zscore(b, y, spec, conv) for b in (lo, hi) for y in (-1, 1))
     if not all(map(math.isfinite, bracket_z)):
         raise DomainError(f"the Z-scores of the bias bracket [{lo}, {hi}] overflow")
-    biases = np.linspace(lo, hi, num_points)
+    points = partial(_grid_points, lo, hi, num_points)
     starts = np.arange(0, num_points, _SUB_BLOCK)
     ends = np.minimum(starts + _SUB_BLOCK, num_points)
-    bounds = _weighted_risk(biases[ends - 1], biases[starts], spec, rho, conv)
+    bounds = _weighted_risk(points(ends - 1), points(starts), spec, rho, conv)
     j = int(np.argmin(bounds))
-    block = biases[starts[j] : ends[j]]
+    block = points(np.arange(starts[j], ends[j]))
     best = float(np.min(_weighted_risk(block, block, spec, rho, conv)))
     floor = (rho * spec.minority_prior + spec.majority_prior) * sys.float_info.min
     kept = np.flatnonzero(bounds <= best + _PRUNE_SLACK * best + floor)
-    idx, best = 0, math.inf
+    bias, best = lo, math.inf
     for run in np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1):
         stop = int(ends[run[-1]])
         for start in range(int(starts[run[0]]), stop, _BLOCK):
-            block = biases[start : min(start + _BLOCK, stop)]
+            block = points(np.arange(start, min(start + _BLOCK, stop)))
             risk = _weighted_risk(block, block, spec, rho, conv)
             i = int(np.argmin(risk))
             if risk[i] < best:
-                idx, best = start + i, risk[i]
+                bias, best = float(block[i]), risk[i]
     resolution = (hi - lo) / (num_points - 1)
-    return float(biases[idx]), resolution
+    return bias, resolution
 
 
 def monte_carlo_classwise_error(

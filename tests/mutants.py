@@ -132,6 +132,8 @@ MUTANTS = [
            "the grid search keeps the first of tied minima (a later tie wins)"),
     Mutant("theory.py", "stop = int(ends[run[-1]])", "stop = int(starts[run[-1]])",
            "a kept run of the grid search ends with its last sub-block (one sub-block early)"),
+    Mutant("theory.py", "points[idx == num_points - 1] = hi", "points[idx == num_points] = hi",
+           "the grid's last index holds hi, as in np.linspace (the index past the grid does)"),
     Mutant("theory.py", "best + _PRUNE_SLACK * best + floor", "best + _PRUNE_SLACK * best - floor",
            "the prune threshold adds the subnormal floor (subtracts it)"),
     Mutant("training.py", "velocity = config.momentum * velocity + grads",
@@ -202,7 +204,7 @@ SAMPLED = {
     "mlp.py": ("build_mlp", "forward", "backward", "sgd_step"),
     "training.py": ("_train_batch", "train_srat"),
     "theory.py": ("_times_exp_neg_square", "_rational_parts", "_erfc_nonneg", "normal_cdf",
-                  "_zscore", "optimal_bias", "_weighted_risk", "grid_search_bias",
+                  "_zscore", "optimal_bias", "_weighted_risk", "_grid_points", "grid_search_bias",
                   "monte_carlo_classwise_error", "_precondition", "_cdf_pairs",
                   "verify_theorem1", "verify_theorem2"),
 }

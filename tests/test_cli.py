@@ -317,8 +317,17 @@ def test_make_dataset_without_test_split(tmp_path):
          "--points: expected an integer >= 3, got '0'"),
         (["theory", "--thm", "lemma", "--points", "2.5"],
          "--points: expected an integer >= 3, got '2.5'"),
+        # past 2^53 a grid index has no exact float64; 2^60 - 1 rounds to
+        # 2^60 as a float, too many points for one NumPy array
+        (["theory", "--thm", "lemma", "--points", str(2**53 + 1)],
+         "error: grid point convention=summed eta=1.0 sigma=1.0 d=5 K=20.0 "
+         "log_rho_over_k=-1.5: num_points must lie in [3, 2^53]\n"),
+        (["theory", "--thm", "lemma", "--points", str(2**60 - 1)],
+         "error: grid point convention=summed eta=1.0 sigma=1.0 d=5 K=20.0 "
+         "log_rho_over_k=-1.5: num_points must lie in [3, 2^53]\n"),
     ],
-    ids=["negative_test_split", "no_minority", "no_points", "fractional_points"],
+    ids=["negative_test_split", "no_minority", "no_points", "fractional_points",
+         "points_past_2_53", "points_rounding_to_2_60"],
 )
 def test_out_of_range_integer_flag_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "never"

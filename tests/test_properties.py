@@ -5,9 +5,9 @@ backward passes against their reference, the input-only backward pass
 against the full one, and PGD containment), of the
 checkpoint and dataset CSV round trips, of the one-pass evaluation and
 feature export against their reference across chunk seams, of the blocked
-and bounded theory oracles against their whole-array references, and of
-the monotonicity of ``normal_cdf`` that the bounded grid search relies
-on."""
+and bounded theory oracles against their whole-array references, of the
+grid search's points against ``np.linspace``, and of the monotonicity of
+``normal_cdf`` that the bounded grid search relies on."""
 
 import tempfile
 from pathlib import Path
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import evaluation_reference
 import loss_reference
@@ -558,6 +558,28 @@ def test_grid_search_bias_matches_reference(eta, sigma, dim, k, log_ratio, conv,
     with np.errstate(over="ignore"):  # the reference squares huge Z-scores
         ref = theory_reference.grid_search_bias(spec, rho, conv, num_points)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+@PROPERTY
+@given(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([3, 4, SUB_BLOCK + 1, BLOCK + 1, 100_001]),
+    st.lists(st.floats(0.0, 1.0), max_size=16),
+)
+# brackets near -1e300 and 1e300; in the first the last index's
+# idx * step + lo falls short of hi, which linspace sets it to
+@example(-1e300, 9.9e299, 4, [])
+@example(-1e300, -9.99e299, 8193, [0.5])
+@example(9.99e299, 1e300, 100_001, [0.25, 0.75])
+def test_grid_points_are_linspace_points(a, b, num_points, fractions):
+    lo, hi = sorted((a, b))
+    # linspace divides another way once the step underflows to 0, which the
+    # grid search's brackets, at least 2 wide, never reach
+    assume((hi - lo) / (num_points - 1) > 0.0)
+    idx = np.array([0, *(int(f * (num_points - 1)) for f in fractions), num_points - 1])
+    got = theory._grid_points(lo, hi, num_points, idx)
+    assert _same_bits(got, np.linspace(lo, hi, num_points)[idx])
 
 
 def _float_sweep(center: float, n: int, stride: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ def test_a_flat_risk_is_scored_as_one_run(monkeypatch):
     block = srat.theory._BLOCK
     # the sub-block bounds, the best sub-block, then the run
     assert sizes == [625, 32, block, block, 20_000 - 2 * block]
+
+
+def test_grid_search_holds_no_grid_long_array():
+    # the bound pass holds ceil(n/32) points and each scan at most _BLOCK,
+    # about 18 MB at 10^7 points; the whole grid alone takes 80 MB
+    spec = GaussianMixtureSpec(1, 1, 5, 20)
+    tracemalloc.start()
+    try:
+        searched, res = grid_search_bias(spec, 20, StdConvention.EXACT, 10_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(searched - optimal_bias(spec, 20, StdConvention.EXACT)) <= 2 * res
+    assert peak < 40e6
 
 
 def test_bias_antisymmetric_in_log_rho_over_k():
